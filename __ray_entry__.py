@@ -1569,8 +1569,8 @@ def _ray_session_tag() -> str:
 def _extracted(sf_dir: str):
     """In-memory extraction output, materialized once per (Ray session,
     sf_dir): five queries consume this same tiny corpus
-    (spans/status/media×3), so re-running the actor-pool pipeline per
-    query would pay 5× actor startup for identical rows.  The cache
+    (spans/status/media×3), so re-running the extraction pipeline per
+    query would pay 5× its job start-up for identical rows.  The cache
     holds a MaterializedDataset (object-store blocks, not driver heap)
     and is invalidated when the Ray session changes — a cached dataset
     from a dead session would reference freed object refs."""

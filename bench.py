@@ -29,16 +29,16 @@ REPO = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, REPO)
 
 BENCH_DOCS = int(os.environ.get("WEBTEXT_BENCH_DOCS", "40000"))
-BENCH_POOL = os.environ.get("WEBTEXT_BENCH_POOL")  # fixed actor-pool size
+BENCH_POOL = os.environ.get("WEBTEXT_BENCH_POOL")  # extraction task cap
 
 
 def _bench_pool(num_cpus: int) -> int:
-    """Bench-default actor pool: 5/8 of nominal CPUs.  This sandbox's
-    '32 CPUs' resolve to ~17-20 effective hardware threads (BASELINE.md
-    hardware ceiling), and interleaved A/B probes show pool=20 beating
-    the library's real-hardware default of 24 by ~40% here.  On real
-    nodes use the library default (webtext.pipelines.default_pool_size,
-    75%) or pass WEBTEXT_BENCH_POOL."""
+    """Bench cap on concurrent extraction tasks: 5/8 of nominal CPUs.
+    This host's '32 CPUs' resolve to ~17-20 effective hardware threads
+    (BASELINE.md hardware ceiling); the 5/8 figure was tuned when the
+    stage was a fixed actor pool (pool=20 beat 24 by ~40%).  The
+    library default is no cap (the map then fuses with read-side
+    tagging and the write); WEBTEXT_BENCH_POOL overrides the cap."""
     if BENCH_POOL:
         return int(BENCH_POOL)
     return max(2, num_cpus * 5 // 8)
@@ -82,12 +82,12 @@ def run_headline(num_cpus: int) -> dict:
 
 def _quiesce(num_cpus: int) -> None:
     """Untimed warm pass between timed queries: a query launched right
-    after a heavy job runs 2-3 s slow while the previous job's actor
-    pool tears down and the task-worker pool refills (measured: 3.0 s →
-    1.1 s for the same sub-second query; sleeping does NOT absorb it,
-    running trivial parallel tasks does).  Keeps each timing the
-    engine's steady-state cost rather than the previous query's
-    teardown residue."""
+    after a heavy job runs 2-3 s slow while the task-worker pool refills
+    (and, for queries that still use actor pools, the previous pool
+    tears down) — measured 3.0 s → 1.1 s for the same sub-second query;
+    sleeping does NOT absorb it, running trivial parallel tasks does.
+    Keeps each timing the engine's steady-state cost rather than the
+    previous query's teardown residue."""
     import ray.data
 
     n = max(2, min(int(num_cpus), 16))

@@ -141,6 +141,6 @@ def test_rerun_overwrites_stale_round_garbage(ray_session,
         f.write("not parquet at all")
 
     totals = run_extraction(small_corpus_dir, out, batch_size=16,
-                            concurrency=(1, 4), shards_per_round=2)
+                            shards_per_round=2)
     assert totals["docs"] == 114
     assert not os.path.exists(os.path.join(stale, "garbage.parquet"))

@@ -1,10 +1,12 @@
-"""Worker-death recovery: the extraction actor pool must survive a
-hard process exit mid-batch (the cluster reality at 100 TB — nodes die)
-with no lost and no duplicated rows.
+"""Worker-death recovery: the extraction stage must survive a hard
+process exit mid-batch (the cluster reality at 100 TB — nodes die) with
+no lost and no duplicated rows, both as the task map ``run_extraction``
+runs and as an actor-pool UDF.
 
-Ray Data restarts dead pool actors and retries their in-flight tasks;
-this pins that the recovery is EXACT for our stage: the post-crash
-output equals the crash-free run row-for-row.
+Ray retries tasks whose worker died, and Ray Data restarts dead pool
+actors and retries their in-flight tasks; these pin that the recovery
+is EXACT for our stage: the post-crash output equals the crash-free run
+row-for-row.
 
 The killer class is defined INSIDE the test so cloudpickle ships it by
 value — a module-level class here would pickle by reference to the
@@ -63,6 +65,48 @@ def test_actor_death_mid_batch_recovers_exactly(ray_session, tmp_path):
     clean, n_clean = run(ExtractorActor)
     flag = str(tmp_path / "died")
     crashed, n_crashed = run(DieOnceExtractor, flag_path=flag)
+
+    assert os.path.exists(flag), "the crash injection never fired"
+    assert n_crashed == n_clean          # no lost, no duplicated rows
+    assert crashed == clean              # identical spans + status
+
+
+def test_task_death_mid_extraction_recovers_exactly(ray_session, tmp_path,
+                                                    monkeypatch):
+    """Task twin of the actor test above: the batch function that
+    ``run_extraction`` maps hard-exits its worker once; Ray's task retry
+    must commit the same rows, row for row."""
+    from webtext.pipelines import read_output, run_extraction
+    from webtext.pipelines import extract_pipeline
+    from webtext.synth import write_corpus
+
+    inp = str(tmp_path / "in")
+    write_corpus(inp, n_per_family=4, seed=11, rows_per_file=10)
+    flag = str(tmp_path / "died")
+    extract_batch = extract_pipeline._extract_batch
+
+    def die_once(batch: pa.Table) -> pa.Table:
+        try:
+            fd = os.open(flag, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            os.close(fd)
+            os._exit(1)          # simulate a dying worker/node
+        except FileExistsError:
+            pass
+        return extract_batch(batch)
+
+    def run(out):
+        run_extraction(inp, out, shards_per_round=4)
+        rows = read_output(out, statuses=("ok", "timeout", "failed",
+                                          "error_pattern")).take_all()
+        return {r["doc_id"]: (r["status"],
+                              tuple((s["kind"], s["text"],
+                                     s["media_ref"])
+                                    for s in (r["spans"] or [])))
+                for r in rows}, len(rows)
+
+    clean, n_clean = run(str(tmp_path / "clean"))
+    monkeypatch.setattr(extract_pipeline, "_extract_batch", die_once)
+    crashed, n_crashed = run(str(tmp_path / "crashed"))
 
     assert os.path.exists(flag), "the crash injection never fired"
     assert n_crashed == n_clean          # no lost, no duplicated rows

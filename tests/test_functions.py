@@ -514,7 +514,7 @@ def test_media_features_plumbing(ray_session):
 
     docs = generate_docs(n_per_family=4, seed=42,
                          families=["interleaved-media", "media-only"])
-    extracted = run_pipeline_in_memory(docs, concurrency=(1, 2))
+    extracted = run_pipeline_in_memory(docs)
     feats = media_features(extracted, concurrency=(1, 2)).take_all()
     assert feats
     media_refs_in = {

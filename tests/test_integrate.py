@@ -20,7 +20,7 @@ from webtext.pipelines.integrate import (
 def out_dir(ray_session, small_corpus_dir, tmp_path_factory):
     out = str(tmp_path_factory.mktemp("integ") / "out")
     run_extraction(small_corpus_dir, out, batch_size=16,
-                   concurrency=(1, 4), shards_per_round=4)
+                   shards_per_round=4)
     return out
 
 

@@ -23,7 +23,7 @@ def _span_key(spans):
 @pytest.fixture(scope="module")
 def extracted_rows(ray_session):
     docs = generate_docs(n_per_family=6, seed=42)
-    ds = run_pipeline_in_memory(docs, batch_size=16, concurrency=(1, 4))
+    ds = run_pipeline_in_memory(docs, batch_size=16)
     rows = {r["doc_id"]: r for r in ds.take_all()}
     return docs, rows
 
@@ -59,13 +59,13 @@ def test_run_extraction_commit_resume(ray_session, small_corpus_dir,
                                       tmp_path):
     out = str(tmp_path / "out")
     totals = run_extraction(small_corpus_dir, out, batch_size=16,
-                            concurrency=(1, 4), shards_per_round=2)
+                            shards_per_round=2)
     assert totals["docs"] == 114
     assert totals["shards"] == 4
 
     # resume: nothing left to do, totals unchanged, no duplicate commits
     totals2 = run_extraction(small_corpus_dir, out, batch_size=16,
-                             concurrency=(1, 4), shards_per_round=2)
+                             shards_per_round=2)
     assert totals2 == totals
 
     # committed output readable + filtered to kept statuses
@@ -79,7 +79,7 @@ def test_run_extraction_commit_resume(ray_session, small_corpus_dir,
 def test_manifest_lineage_records(ray_session, small_corpus_dir, tmp_path):
     out = str(tmp_path / "out")
     run_extraction(small_corpus_dir, out, batch_size=16,
-                   concurrency=(1, 4), shards_per_round=4)
+                   shards_per_round=4)
     recs = CommitManifest(out).records()
     assert len(recs) == 4
     for r in recs:
@@ -95,7 +95,7 @@ def test_partial_round_is_invisible_until_commit(ray_session,
                                                  tmp_path):
     out = str(tmp_path / "out")
     run_extraction(small_corpus_dir, out, batch_size=16,
-                   concurrency=(1, 4), shards_per_round=2)
+                   shards_per_round=2)
     # simulate a crashed round: stray uncommitted directory
     stray = os.path.join(out, "round-deadbeef0000")
     os.makedirs(stray, exist_ok=True)
@@ -108,9 +108,9 @@ def test_rebalance_path_matches_plain(ray_session, small_corpus_dir,
     out_a = str(tmp_path / "plain")
     out_b = str(tmp_path / "salted")
     run_extraction(small_corpus_dir, out_a, batch_size=16,
-                   concurrency=(1, 4), shards_per_round=4)
+                   shards_per_round=4)
     run_extraction(small_corpus_dir, out_b, batch_size=16,
-                   concurrency=(1, 4), shards_per_round=4,
+                   shards_per_round=4,
                    rebalance=True, hot_fraction=0.02, salt_buckets=4)
     rows_a = {r["doc_id"]: _span_key(r["spans"])
               for r in read_output(out_a).take_all()}
@@ -123,12 +123,49 @@ def test_output_partitioned_by_shard(ray_session, small_corpus_dir,
                                      tmp_path):
     out = str(tmp_path / "out")
     run_extraction(small_corpus_dir, out, batch_size=16,
-                   concurrency=(1, 4), shards_per_round=4)
+                   shards_per_round=4)
     recs = CommitManifest(out).records()
     round_dir = os.path.join(out, recs[0]["round_dir"])
     ds = pads.dataset(round_dir, partitioning="hive")
     names = set(ds.schema.names)
     assert "shard" in names and "spans" in names
+
+
+def _map_worker_actor_ids() -> set:
+    # the state API (ray.util.state) needs the dashboard, which the test
+    # session does not start; the GCS actor table needs nothing
+    import ray
+
+    return {aid for aid, a in ray._private.state.actors().items()
+            if "MapWorker" in a["ActorClassName"]}
+
+
+def test_extraction_runs_as_fused_tasks(ray_session, tmp_path):
+    """The extraction stage is a stateless task map: a round starts no
+    actor pool, and with the default (uncapped) concurrency the map fuses
+    with the map upstream of it into one operator."""
+    import pyarrow as pa
+    import ray.data
+
+    from webtext.pipelines import extract_dataset
+    from webtext.schema import INPUT_SCHEMA
+    from webtext.synth import write_corpus
+
+    inp, out = str(tmp_path / "in"), str(tmp_path / "out")
+    write_corpus(inp, n_per_family=2, seed=5, rows_per_file=10)
+    before = _map_worker_actor_ids()
+    run_extraction(inp, out, shards_per_round=2)
+    assert _map_worker_actor_ids() == before
+
+    table = pa.Table.from_pylist(generate_docs(n_per_family=2, seed=5),
+                                 schema=INPUT_SCHEMA)
+    ds = ray.data.from_arrow(table).map_batches(
+        lambda b: b, batch_format="pyarrow", zero_copy_batch=True)
+    stats = extract_dataset(ds).materialize().stats()
+    ops = [line for line in stats.splitlines()
+           if line.startswith("Operator") and "_extract_batch" in line]
+    assert len(ops) == 1
+    assert "MapBatches(<lambda>)->MapBatches(_extract_batch)" in ops[0]
 
 
 def test_read_documents_lance_seam_raises_cleanly():

@@ -1537,3 +1537,18 @@ def test_attach_routed_fallback_matches_broadcast(ray_session,
     monkeypatch.setattr(T, "DIM_BROADCAST_MAX_ROWS", 0)
     got = run()
     assert got == want and len(got) > 0
+
+
+def test_attach_routed_empty_filtered_dimension(ray_session):
+    """A dimension filtered down to nothing comes back as zero-column
+    blocks only; the broadcast attach must give an empty join, not
+    raise ArrowInvalid from an empty concat."""
+    import ray.data
+
+    import webtext.pipelines.tpch as T
+
+    fact = ray.data.from_items([{"k": i, "c": 10 * i} for i in range(6)])
+    dim = ray.data.from_items([{"k": 1, "v": 2}, {"k": 3, "v": 4}]) \
+        .filter(lambda r: r["k"] < 0)
+    assert T._attach_routed(fact, dim, "k", "v", ("c",), 2).take_all() \
+        == []

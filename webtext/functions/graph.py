@@ -1501,7 +1501,9 @@ def _coreness_local(deg, dir_path, present, deps, n_buckets,
     import ray
 
     t = pa.concat_tables([b for b in ray.get(deg.to_arrow_refs())
-                          if b.num_columns])
+                          if b.num_columns] or [pa.table(
+                              {"node": pa.array([], pa.int64()),
+                               "deg": pa.array([], pa.int64())})])
     sn = t.column("node").cast(pa.int64()).to_numpy(
         zero_copy_only=False)
     sv = t.column("deg").cast(pa.int64()).to_numpy(

@@ -33,7 +33,8 @@ def main(argv=None) -> int:
                         help="output directory (rounds + commit manifest)")
     parser.add_argument("--batch-size", type=int, default=128)
     parser.add_argument("--concurrency", type=int, default=None,
-                        help="actor pool size (default: 75%% of CPUs)")
+                        help="cap on concurrent extraction tasks "
+                        "(default: no cap; a cap stops operator fusion)")
     parser.add_argument("--shards-per-round", type=int, default=16)
     parser.add_argument("--rebalance", action="store_true",
                         help="salted-domain repartition before classify")

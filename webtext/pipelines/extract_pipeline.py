@@ -11,6 +11,11 @@ overwritten by shard-list hash).  This is the reference's
 "completed_folder subtraction" resume pattern (run_all_starts.py:21-42)
 at shard granularity, without its batch barrier: within a round all
 shards stream concurrently.
+
+The extraction step is a stateless batch function: it runs as ordinary
+Ray Data tasks, so tag shard → extract → write fuse into one operator on
+Ray's pooled task workers, which stay warm across rounds and jobs (no
+per-round process start-up or code unpickling in fresh processes).
 """
 
 from __future__ import annotations
@@ -30,27 +35,37 @@ KEPT_STATUSES = ("ok", "timeout")
 
 
 def default_pool_size() -> int:
-    """Fixed actor-pool size leaving ~25% CPU headroom for the read and
-    write task operators.  An exact-fit pool (actors == cluster CPUs)
-    starves the reader and collapses throughput (measured: 32/32 actors
-    on 32 CPUs ran 4x slower than 24/32); a fixed pool also avoids the
-    autoscaling ramp that dominates short jobs."""
+    """Suggested task cap for the extraction map: ~75% of cluster CPUs,
+    leaving headroom for the read and write operators.  It is no longer
+    the default — with ``concurrency=None`` the extraction map runs
+    uncapped so it fuses with its neighbours (an int cap makes it a
+    separate task-pool operator).  Kept because perfbench's
+    environment record reads it as ``pool_size``."""
     import ray
 
     ncpu = int(ray.cluster_resources().get("CPU", 4))
     # never exact-fit, even on a 1-2 CPU driver cluster: leave at least
-    # one CPU for the read/write task operators or the pool stalls
+    # one CPU for the read/write task operators
     return max(1, min(ncpu - 1, int(ncpu * 0.75)))
 
 
-def extract_dataset(ds, *, batch_size: int = 32, concurrency=None):
-    """Attach the extraction actor-pool stage to a documents Dataset."""
-    import ray
+def _extract_batch(batch: pa.Table) -> pa.Table:
+    """The extraction map: ``ExtractorActor.__call__`` on one batch,
+    forwarding the ``shard`` provenance column when present.  A plain
+    function, so it runs as a task and fuses with the maps around it."""
+    out = ExtractorActor()(batch)        # reads doc_id and spans only
+    if "shard" in batch.column_names:
+        out = out.append_column("shard", batch.column("shard"))
+    return out
 
-    if concurrency is None:
-        concurrency = default_pool_size()
+
+def extract_dataset(ds, *, batch_size: int = 32, concurrency=None):
+    """Attach the extraction stage to a documents Dataset.
+
+    ``concurrency=None`` leaves the task count to Ray Data (and keeps
+    the stage fusable); an int caps the number of concurrent tasks."""
     return ds.map_batches(
-        ExtractorActor,
+        _extract_batch,
         batch_format="pyarrow",
         zero_copy_batch=True,
         batch_size=batch_size,
@@ -123,14 +138,14 @@ def run_extraction(
         if rebalance:
             from ..stages.skew import rebalance_for_extraction
             # one materialized pass detects hot domains AND feeds the
-            # scope="hot" split: extraction wants ACTOR BALANCE, not
+            # scope="hot" split: extraction wants WORKER BALANCE, not
             # cold-domain co-location — only the skewed rows pay the
-            # exchange; the cold majority streams into the actor pool
+            # exchange; the cold majority streams into the extraction map
             ds, _hot = rebalance_for_extraction(
                 ds, hot_fraction=hot_fraction, buckets=salt_buckets)
 
-        extracted = _extract_keeping_shard(ds, batch_size=batch_size,
-                                           concurrency=concurrency)
+        extracted = extract_dataset(ds, batch_size=batch_size,
+                                    concurrency=concurrency)
         extracted.write_parquet(round_dir, partition_cols=["shard"])
         seconds = time.perf_counter() - t0
 
@@ -138,30 +153,6 @@ def run_extraction(
         manifest.commit(records)
 
     return manifest.totals()
-
-
-class _ExtractorWithShard(ExtractorActor):
-    """Extraction actor that forwards the shard provenance column."""
-
-    def __call__(self, batch: pa.Table) -> pa.Table:  # type: ignore[override]
-        shards = batch.column("shard")
-        out = super().__call__(batch.drop_columns(["shard"]))
-        return out.append_column("shard", shards)
-
-
-def _extract_keeping_shard(ds, *, batch_size, concurrency):
-    import ray
-
-    if concurrency is None:
-        concurrency = default_pool_size()
-    return ds.map_batches(
-        _ExtractorWithShard,
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=batch_size,
-        concurrency=concurrency,
-        num_cpus=1,
-    )
 
 
 def _collect_round_metrics(round_dir: str, round_shards: list[str],

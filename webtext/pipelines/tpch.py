@@ -884,8 +884,12 @@ def _attach_routed(fact, dim, key_col: str, attach_col: str,
                               carry_cols)
     import ray
 
+    # an empty filtered dimension has only zero-column blocks: seed the
+    # typed empty table so the join comes out empty instead of raising
     dt = pa.concat_tables([b for b in ray.get(dim.to_arrow_refs())
-                           if b.num_columns])
+                           if b.num_columns] or [pa.table(
+                               {key_col: pa.array([], pa.int64()),
+                                attach_col: pa.array([], pa.int64())})])
     dk = dt.column(key_col).cast(pa.int64()) \
         .to_numpy(zero_copy_only=False)
     dv = dt.column(attach_col).cast(pa.int64()) \

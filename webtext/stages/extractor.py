@@ -1,9 +1,12 @@
-"""The extraction stage: a stateful actor-pool ``map_batches`` UDF.
+"""The extraction stage: one batch call, ``ExtractorActor.__call__``.
 
 Replaces the reference's per-URL ``ProcessPoolExecutor`` workers
-(ref:1365-1406): one ``WebTextExtractor`` instance per worker process
-becomes one ``ExtractorActor`` per Ray actor, with all rule tables /
-regexes compiled once in ``__init__`` and reused across batches.
+(ref:1365-1406).  All rule tables / regexes are compiled at module
+import, so the stage holds no state: the pipelines map it as a plain
+task function (``extract_pipeline._extract_batch``) on Ray's pooled
+task workers, which keep the import warm across batches, rounds and
+jobs.  The class keeps its callable-class shape, so it can still be
+handed to ``map_batches`` as an actor UDF or driven in-process.
 
 Batches flow in as zero-copy Arrow tables.  The per-row work is DOM
 parsing + rule dispatch — inherently row-wise CPU compute (like model
@@ -34,17 +37,17 @@ RESULT_SCHEMA = pa.schema([
 
 
 class ExtractorActor:
-    """Callable class for ``map_batches(..., concurrency=N)``.
+    """Batch extractor: ``__call__`` maps a documents table to a
+    ``RESULT_SCHEMA`` table.
 
-    __init__ = once per actor (rule compile); __call__ = per batch.
     The rule tables live in ``webtext.oracle.rules`` as module-level
-    compiled constants, so "compilation" is an import-warm; the instance
-    additionally pins them as attributes to keep lookups local.
+    compiled constants, so construction is free and the instance holds
+    no per-batch state.
     """
 
     def __init__(self):
         # every regex/table in the rules module is compiled at module
-        # import, which the by-value pickle graph replays once per actor
+        # import, which the by-value pickle graph replays where unpickled
         assert _rules.FAILURE_MARKER is not None
         self._extract_document = extract_document
 
