@@ -2516,3 +2516,14 @@ def test_cms_join_estimate_bounds(ray_session):
     # everything collides into one cell: est = (4+2+1)^2 = 49
     assert tiny == {"exact_join": 21, "cms_est": 49,
                     "err_micro": (1_000_000 * 28) // 21}
+
+
+def test_graph_family_matches_oracles(ray_session):
+    """The iterative graph operators (pagerank, personalized pagerank,
+    hits, coreness, lpa, bfs, walks) and the web-graph queries built on
+    them agree with their live-SQL or golden oracles."""
+    from tools.check_queries import main
+
+    assert main(SF, ["pagerank", "pagerank_weighted", "hits_scores",
+                     "part_coreness", "part_communities", "part_distances",
+                     "graph_walks", "host_pagerank", "doc_authority"]) == 0

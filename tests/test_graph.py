@@ -219,3 +219,28 @@ def test_lineitem_degrees_fused_equals_composition(ray_session):
         got = sorted((r["node"], r["out_deg"], r["in_deg"]) for r in
                      lineitem_degrees(ds.repartition(parts)).take_all())
         assert got == want
+
+
+def test_missing_present_slice_raises(ray_session):
+    """A bucket the slice handle records as written must be readable:
+    a deleted slice file raises instead of reading as an empty slice,
+    while a bucket that was never written stays a legitimate empty
+    slice.  The directory is gone once the block exits."""
+    import os
+
+    import pytest
+    import ray.data
+
+    keyed = ray.data.from_arrow(pa.table({
+        "key": pa.array([0, 0, 3], pa.int64()),
+        "a": pa.array([5, 1, 2], pa.int64()),
+        "b": pa.array([7, 8, 9], pa.int64())}))
+    with graph._persisted_slices(keyed, ["a", "b"], n_buckets=8) as s:
+        assert s.present == {0, 3}
+        a, b = graph._load_bucket(s, 0)
+        assert (a.tolist(), b.tolist()) == ([1, 5], [8, 7])
+        assert [c.tolist() for c in graph._load_bucket(s, 5)] == [[], []]
+        os.remove(graph._bucket_file(s.dir, 3))
+        with pytest.raises(FileNotFoundError, match="missing"):
+            graph._load_bucket(s, 3)
+    assert not os.path.exists(s.dir)

@@ -5,6 +5,7 @@ block-split invariance."""
 
 import itertools
 import random
+import re
 
 import pyarrow as pa
 import ray
@@ -327,6 +328,27 @@ def test_bfs_block_split_invariant(ray_session):
     assert _bfs(edges, {5}, nparts=1) == _bfs(edges, {5}, nparts=7)
 
 
+def test_bfs_failing_seeds_leave_no_slice_dir(ray_session):
+    """A seeds dataset without a ``node`` column fails after the
+    adjacency slices are persisted; the op must raise AND remove its
+    slice directory."""
+    import glob
+    import os
+    import tempfile
+
+    import pytest
+
+    from webtext.functions.graph import bfs_distances
+
+    pattern = os.path.join(tempfile.gettempdir(), "webtext_gbuckets_*")
+    before = set(glob.glob(pattern))
+    bad_seeds = ray.data.from_arrow(pa.table(
+        {"vertex": pa.array([1], pa.int64())}))
+    with pytest.raises(Exception):
+        bfs_distances(_edge_ds([(1, 2), (2, 3)]), bad_seeds)
+    assert set(glob.glob(pattern)) <= before
+
+
 # --------------------------------------------------------- lpa_communities
 
 def _lpa_ref(edges, rounds=10):
@@ -404,3 +426,38 @@ def test_association_rules_hand_computed(ray_session):
         (1, 2): (2, 3, m * 2 // 3, m * 2 * 3 // (3 * 2)),
         (2, 1): (2, 2, m * 2 // 2, m * 2 * 3 // (3 * 2)),
     }
+
+
+def _round_lines(err, name):
+    return re.findall(rf"^\[{name}\] round \d+:.*$", err, re.M)
+
+
+def test_round_trace_lines(ray_session, capfd, monkeypatch):
+    """WEBTEXT_TRACE_ROUNDS prints one line per round for every
+    iterative op: exactly ``iters`` for pagerank, at most ``rounds``
+    for lpa, and coreness keeps its changed-count line on both paths
+    (the broadcast path adds its dirty-bucket count)."""
+    from webtext.functions import graph
+
+    monkeypatch.setenv("WEBTEXT_TRACE_ROUNDS", "1")
+    capfd.readouterr()
+    graph.pagerank(ray.data.from_items(
+        [{"src": 0, "dst": 1, "w": 1}, {"src": 1, "dst": 2, "w": 2},
+         {"src": 2, "dst": 0, "w": 1}]), iters=3).take_all()
+    assert len(_round_lines(capfd.readouterr().err, "pagerank")) == 3
+
+    k4 = list(itertools.combinations([1, 2, 3, 4], 2))
+    pairs = k4 + [(4, 5), (5, 6), (6, 7)]
+    graph.lpa_communities(_edge_ds(pairs), rounds=2).take_all()
+    assert 1 <= len(_round_lines(capfd.readouterr().err, "lpa")) <= 2
+
+    for gate, note in ((graph.CORE_LOCAL_STATE_MAX, r" dirty=\d+"),
+                       (0, "")):
+        graph.coreness(_edge_ds(pairs),
+                       local_state_max=gate).take_all()
+        lines = _round_lines(capfd.readouterr().err, "coreness")
+        assert lines
+        for line in lines:
+            assert re.fullmatch(
+                rf"\[coreness\] round \d+: changed=\d+{note} "
+                r"\(\d+\.\d\ds\)", line), line
