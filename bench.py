@@ -140,141 +140,10 @@ def run_full(sf_dir: str, num_cpus: int) -> dict:
     print(f"[bench] prewarm (ivf index + committed runs, untimed): "
           f"{time.perf_counter() - t0:.2f}s", file=sys.stderr)
 
-    for name in ("exact_dedup", "ngram_jaccard_pairs", "minhash_lsh_pairs",
-                 "simhash", "simhash_dup_pairs", "dedup_apply",
-                 "exact_dedup_hashed", "edit1_name_pairs",
-                 "dedup_keep_longest", "dup_rate_by_source",
-                 "dedup_apply_emb", "dedup_extracted",
-                 "semdedup_pairs", "semdedup_apply",
-                 "knn_cosine", "knn_ivf", "knn_ivf_indexed", "cosine_nn",
-                 "cosine_dup_pairs", "lsh_cosine_pairs",
-                 "kcenter_select", "semantic_decontaminate",
-                 "hard_negatives",
-                 "embedding_dim_stats",
-                 "token_count",
-                 "token_count_bpe", "bpe_merges", "bpe_token_count",
-                 "winnow_fingerprint",
-                 "containment_pairs", "sample_by_hash",
-                 "exact_k_sample", "stratified_k_sample",
-                 "weighted_k_sample",
-                 "pack_sequences", "chunk_documents",
-                 "training_pipeline", "curation_pipeline",
-                 "hash_embed_nn",
-                 "corpus_filter",
-                 "redact_pii", "canonicalize_urls", "url_dedup",
-                 "line_dedup",
-                 "repetition_stats", "decontaminate", "dsir_scores",
-                 "temperature_sample", "epoch_shuffle", "split_assign",
-                 "pps_sample", "nb_classify", "bloom_dedup",
-                 "token_diversity",
-                 "decode_bytes",
-                 "bigram_lm_scores", "dup_ngram_flags",
-                 "dup_doc_filter", "dedup_substrings",
-                 "token_frequencies", "topk_tokens_per_lang",
-                 "vocab_coverage", "tfidf_top_terms",
-                 "token_burstiness", "gini_by_source", "hhi_by_source",
-                 "k_anonymity", "vocab_growth",
-                 "hapax_stats",
-                 "prefix_filter_pairs", "source_overlap",
-                 "coverage_select", "borda_blend",
-                 "dup_mapping", "top_bigrams", "vocab_divergence",
-                 "incremental_dedup", "incremental_dedup_indexed",
-                 "incremental_near_dedup",
-                 "crawl_diff",
-                 "dup_cluster_stats",
-                 "inverted_index", "bm25_topk",
-                 "length_histogram", "quality_score",
-                 "gopher_quality", "lang_mismatch", "readability",
-                 "compression_ratio", "charclass_stats",
-                 "tokenizer_fertility", "source_stats",
-                 "perplexity_buckets", "dice_collocations",
-                 "quality_stratified_sample",
-                 "hll_users_by_type", "source_quota_sample",
-                 "token_budget_sample",
-                 "funnel_stages", "retention_cohorts",
-                 "event_transitions", "heavy_hitters",
-                 "props_field_stats",
-                 "url_blocklist_filter",
-                 "lang_id", "doc_fingerprint", "topk_per_group",
-                 "ordered_dedup", "union_sources",
-                 "token_intersect", "sort_limit",
-                 "group_counts", "failure_filter", "windowed_events",
-                 "hopping_events", "sessionize", "session_table",
-                 "running_totals",
-                 "rolling_sums", "lag_deltas", "ntile_events",
-                 "dense_rank_events", "zscore_events",
-                 "percent_rank_events", "active_spans",
-                 "winsorize_events", "mode_by_type", "mad_by_type",
-                 "dd_quantiles", "latest_events", "event_cooccurrence",
-                 "robust_outliers", "volume_spikes",
-                 "ks_drift", "ks_by_type",
-                 "user_paths", "conversion_latency",
-                 "attribution_split", "ltv_cohorts", "rfm_stats",
-                 "ab_test_summary",
-                 "cusum_changepoints", "top_event_trigrams",
-                 "dow_profile", "l_diversity", "poisson_bootstrap",
-                 "user_growth",
-                 "distinct_users", "pivot_events", "hll_users",
-                 "hll_users_windowed",
-                 "cms_token_estimates", "kmv_distinct",
-                 "hll_error_audit", "cms_error_audit",
-                 "cms_join_estimate", "bloom_fp_audit",
-                 "quantile_sketch_audit",
-                 "outlier_events", "label_centroids",
-                 "label_centroid_drift",
-                 "centroid_classify",
-                 "quantize_embeddings",
-                 "pca_top_component", "effective_rank",
-                 "whiten_embeddings", "ivf_recall_audit", "pq_recall_audit",
-                 "ndcg_audit", "cluster_census", "dim_truncation_audit",
-                 "asof_join", "range_join", "group_quantiles",
-                 "global_quantiles",
-                 "graph_degrees", "pagerank", "hits_scores",
-                 "outlinks", "anchor_stats", "host_pagerank",
-                 "host_cocitation", "host_coupling",
-                 "doc_authority", "authority_sample",
-                 "pagerank_weighted", "butterfly_count",
-                 "copurchase_edges", "part_triangles",
-                 "part_assortativity", "graph_walks", "part_coreness",
-                 "part_distances", "part_communities", "zorder_stats",
-                 "hybrid_rrf", "association_rules",
-                 "sample_stratified", "pricing_summary",
-                 "order_line_join", "region_customers",
-                 "supplier_shipments", "brand_volume",
-                 "shipping_priority", "normalize_text",
-                 "pricing_rollup", "pricing_cube",
-                 "order_line_left", "order_line_full",
-                 "profile_columns", "ref_integrity",
-                 "small_quantity_revenue",
-                 "local_supplier_volume", "returned_item_report",
-                 "forecast_revenue", "promo_revenue",
-                 "large_volume_orders", "customer_order_counts",
-                 "top_supplier", "idle_rich_customers",
-                 "volume_shipping", "market_share", "knn_pq",
-                 "order_priority_check", "brand_size_revenue",
-                 "waiting_suppliers",
-                 "nation_profit", "promo_part_suppliers",
-                 "join_pps_sample", "minhash_recall_audit",
-                 "customer_order_gaps",
-                 "customers_with_orders", "customers_without_f_orders",
-                 "price_qty_corr", "pareto_orders",
-                 "late_line_priority", "important_parts", "id_gaps",
-                 "cheapest_supplier", "brand_supplier_counts",
-                 "extract_spans",
-                 "extract_links",
-                 "media_features", "media_resize", "frame_sample",
-                 "media_phash_pairs", "media_dedup_apply",
-                 "search_engine_links", "read_keywords",
-                 "extract_status", "span_kind_stats",
-                 "extract_spans_jsonl",
-                 "group_counts_csv", "media_features_real",
-                 "lsh_nearest_neighbor", "integrate_outputs",
-                 "lineage_report",
-                 "read_rejects", "scan_output_for_errors",
-                 "timeout_ids"):
+    for name, query in qs.items():
         _quiesce(num_cpus)
         t0 = time.perf_counter()
-        _consume(qs[name](sf_dir))
+        _consume(query(sf_dir))
         queries[name] = round(time.perf_counter() - t0, 4)
         print(f"[bench] {name}: {queries[name]:.2f}s", file=sys.stderr)
 

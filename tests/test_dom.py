@@ -1,6 +1,20 @@
 """DOM + selector engine unit tests."""
 
-from webtext.dom import parse_html
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from webtext.dom import (
+    CompiledSelector,
+    Document,
+    Node,
+    TextNode,
+    _match_chain,
+    _parse_compound_chain,
+    _split_toplevel_commas,
+    multi_select,
+    parse_html,
+)
+from webtext.oracle import rules
 
 
 def test_basic_tree_and_text():
@@ -84,3 +98,125 @@ def test_unclosed_tags_recover():
 def test_entities_converted():
     doc = parse_html("<p>a &amp; b</p>")
     assert doc.get_text(strip=True) == "a & b"
+
+
+# ---------------------------------------------------------------------------
+# rule-hash index vs brute force: multi_select and Node.select must return
+# exactly what _match_chain finds on every element, in document order
+# ---------------------------------------------------------------------------
+
+RULE_TABLES = (
+    rules.MAIN_CONTENT_SELECTORS,
+    rules.UNWANTED_IN_CONTENT,
+    rules.UNWANTED_IN_BODY,
+    *rules.DOMAIN_SPECIFIC_SELECTORS.values(),
+    (rules.UNWANTED_SELENIUM_BODY,),
+    rules.PINTEREST_DOMAIN_SELECTORS,
+    rules.PINTEREST_TITLE_SELECTORS,
+    rules.PINTEREST_DESC_SELECTORS,
+    rules.PINTEREST_PINNER_SELECTORS,
+    rules.PINTEREST_COMMENT_SELECTORS,
+    rules.PINTEREST_MAIN_SELECTORS,
+    (rules.PINTEREST_FALLBACK_STRIP,),
+    rules.CHIEBUKURO_TITLE_SELECTORS,
+    rules.CHIEBUKURO_CONTENT_SELECTORS,
+    rules.CHIEBUKURO_ANSWER_SELECTORS,
+    (rules.CHIEBUKURO_GENERIC_ANSWER_SELECTOR,),
+    (rules.INSTAGRAM_FALLBACK_SELECTOR,),
+    # hand-written probes: descendant, adjacent-sibling, bare id, id+tag
+    ("h1, span", "h1.title", "#description-inline-expander", ".x p",
+     "div .ad + p", "section#content.article", "#", "article [href]"),
+)
+ALL_SELECTORS = tuple(sorted({s for table in RULE_TABLES for s in table}))
+
+_SPECS = [spec for css in ALL_SELECTORS
+          for part in _split_toplevel_commas(css) if part.strip()
+          for _, spec in _parse_compound_chain(part)]
+_TAGS = sorted({s["tag"] for s in _SPECS if s["tag"]} | {"p", "li", "b"})
+_IDS = sorted({s["id"] for s in _SPECS if s["id"]} | {"other"})
+_CLASSES = sorted({c for s in _SPECS for c in s["classes"]}
+                  | {"ads", "badge", "x"})
+_CLASS_GROUPS = sorted({tuple(s["classes"]) for s in _SPECS
+                        if len(s["classes"]) > 1})
+_ATTR_VALUES: dict[str, set[str]] = {}
+for _spec in _SPECS:
+    for _key, _op, _val in _spec["attrs"]:
+        if _key == "class":
+            continue
+        vals = _ATTR_VALUES.setdefault(_key, {"", "zz"})
+        if _val:
+            vals |= {_val, f"a{_val}b"} if _op == "*=" else {_val}
+
+
+@st.composite
+def _attrs(draw):
+    attrs = {}
+    tokens = draw(st.lists(
+        st.one_of(st.sampled_from(_CLASSES),
+                  st.sampled_from(_CLASS_GROUPS).map(" ".join)),
+        max_size=3))
+    if tokens:
+        attrs["class"] = " ".join(draw(st.permutations(tokens)))
+    if draw(st.integers(0, 3)) == 0:
+        attrs["id"] = draw(st.sampled_from(_IDS))
+    for key in draw(st.lists(st.sampled_from(sorted(_ATTR_VALUES)),
+                             max_size=2, unique=True)):
+        attrs[key] = draw(st.sampled_from(sorted(_ATTR_VALUES[key])))
+    return attrs
+
+
+_ELEMENT = st.recursive(
+    st.tuples(st.sampled_from(_TAGS), _attrs(), st.just([])),
+    lambda kids: st.tuples(st.sampled_from(_TAGS), _attrs(),
+                           st.lists(st.one_of(kids, st.just("text")),
+                                    max_size=4)),
+    max_leaves=24,
+)
+
+
+def _build(parent: Node, spec) -> None:
+    if spec == "text":
+        parent.children.append(TextNode("t", parent))
+        return
+    tag, attrs, kids = spec
+    node = Node(tag, dict(attrs), parent=parent)
+    parent.children.append(node)
+    for kid in kids:
+        _build(node, kid)
+
+
+def _brute_select(scope: Node, css: str) -> list[Node]:
+    chains = [_parse_compound_chain(part)
+              for part in _split_toplevel_commas(css) if part.strip()]
+    return [el for el in scope.walk()
+            if any(_match_chain(el, chain) for chain in chains)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_ELEMENT, min_size=1, max_size=4),
+       st.one_of(st.lists(st.sampled_from(ALL_SELECTORS), min_size=1,
+                          max_size=8),
+                 st.sampled_from(RULE_TABLES).map(list)),
+       st.integers(min_value=0))
+def test_rule_hash_matches_brute_force(tops, selectors, scope_pick):
+    doc = Document()
+    for top in tops:
+        _build(doc, top)
+    scopes = [doc, *doc.walk()]
+    for scope in (doc, scopes[scope_pick % len(scopes)]):
+        expected = [_brute_select(scope, css) for css in selectors]
+        got = multi_select(scope, [CompiledSelector(css) for css in selectors])
+        assert got == expected
+        assert [scope.select(css) for css in selectors] == expected
+
+
+def test_element_reaching_one_selector_by_two_keys_listed_once():
+    doc = parse_html('<header class="header">h</header>'
+                     '<div class="ad ad" id="ad">x</div>')
+    header = doc.find_first("header")
+    assert doc.select("header, .header") == [header]
+    both = CompiledSelector("header, .header")
+    assert multi_select(doc, [both, CompiledSelector(".header")]) \
+        == [[header], [header]]
+    ad = doc.find_first("div")
+    assert doc.select(".ad, #ad, div.ad, [id]") == [ad]

@@ -53,3 +53,19 @@ def test_query_smoke_sf0001(ray_session, name):
         assert len(out) > 0
     else:
         assert out.num_rows > 0
+
+
+def test_bench_iterates_the_query_registry():
+    """bench.py times every registered query by iterating queries(); a
+    hand-kept list of names would let a new query go unbenched."""
+    import ast
+    from pathlib import Path
+
+    names = set(entrymod.queries())
+    tree = ast.parse(
+        (Path(entrymod.__file__).resolve().parent / "bench.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            listed = [e.value for e in node.elts
+                      if isinstance(e, ast.Constant) and e.value in names]
+            assert len(listed) < 2, (node.lineno, listed)

@@ -17,6 +17,12 @@ web_text_extractor_ver1.5.py):
   selectors ``tag``, ``#id``, ``.cls`` (multi), ``[attr]``, ``[attr=v]``,
   ``[attr*=v]``.  Class selectors match whole class tokens; results are in
   document order without duplicates.
+- matching: every selector list goes through a rule hash (``_RuleHash``)
+  that files each chain under its rightmost id, first class or tag, so
+  one tree walk tests each element only against the chains keyed on its
+  own tag, class tokens and id.  ``multi_select`` runs many selector lists
+  in one walk; ``select`` memoises the index per CSS string.  Class tokens
+  are split once, at parse (``Node.classes``).
 - ``decompose``: destructive removal, mutating the tree in place — the
   reference's selector cascade deliberately mutates its soup between
   fallback branches (ref:1285-1287, 1333-1335, 1351-1353), and the engine
@@ -46,7 +52,7 @@ class TextNode:
 class Node:
     """An element node. ``name`` is the lowercased tag name."""
 
-    __slots__ = ("name", "attrs", "children", "parent")
+    __slots__ = ("name", "attrs", "children", "parent", "classes")
 
     def __init__(self, name: str, attrs: dict[str, str] | None = None,
                  parent: "Node | None" = None):
@@ -54,12 +60,10 @@ class Node:
         self.attrs = attrs or {}
         self.children: list[Node | TextNode] = []
         self.parent = parent
+        # split once: nothing mutates ``attrs`` after parse
+        self.classes: list[str] = self.attrs.get("class", "").split()
 
     # -- attribute helpers -------------------------------------------------
-    @property
-    def classes(self) -> list[str]:
-        return self.attrs.get("class", "").split()
-
     @property
     def id(self) -> str:
         return self.attrs.get("id", "")
@@ -130,15 +134,7 @@ class Node:
 
     # -- CSS selection -----------------------------------------------------
     def select(self, css: str) -> list["Node"]:
-        groups = [_parse_compound_chain(part)
-                  for part in _split_toplevel_commas(css) if part.strip()]
-        out = []
-        for el in self.walk():
-            for chain in groups:
-                if _match_chain(el, chain):
-                    out.append(el)
-                    break
-        return out
+        return _rule_hash(css).select(self)[0]
 
     def select_one(self, css: str) -> "Node | None":
         res = self.select(css)
@@ -355,64 +351,120 @@ class _TreeBuilder(HTMLParser):
 # ---------------------------------------------------------------------------
 
 class CompiledSelector:
-    """A parsed selector list, reusable across documents.
+    """A parsed selector list (``a, b c, ...``), reusable across documents.
 
-    Single-compound chains (the overwhelming majority in the rule
-    tables: bare tags and single classes) get specialized matchers —
-    ``matches`` is the innermost call of the cascade's tree walk."""
+    ``chains`` holds one compound chain per comma part.  Matching goes
+    through a ``_RuleHash`` over one or more compiled selectors, which
+    ``multi_select`` and ``Node.select`` build once and memoise."""
 
-    __slots__ = ("chains", "_fast")
+    __slots__ = ("chains",)
 
     def __init__(self, css: str):
         self.chains = [_parse_compound_chain(part)
                        for part in _split_toplevel_commas(css)
                        if part.strip()]
-        self._fast = self._specialize()
 
-    def _specialize(self):
-        fns = []
-        for chain in self.chains:
-            if len(chain) != 1:
-                return None
-            spec = chain[0][1]
-            tag, cid = spec["tag"], spec["id"]
-            classes, attrs = spec["classes"], spec["attrs"]
-            if tag and not cid and not classes and not attrs:
-                fns.append(("tag", tag))
-            elif len(classes) == 1 and not tag and not cid and not attrs:
-                fns.append(("cls", classes[0]))
-            else:
-                return None
-        return fns
 
-    def matches(self, el: Node) -> bool:
-        fast = self._fast
-        if fast is not None:
-            for kind, val in fast:
-                if kind == "tag":
-                    if el.name == val:
-                        return True
-                elif val in el.classes:
-                    return True
-            return False
-        return any(_match_chain(el, chain) for chain in self.chains)
+class _RuleHash:
+    """The browsers' "rule hash" over a sequence of compiled selectors.
+
+    Every chain is filed once under its *rightmost* compound: by id if it
+    has one, else by its first class, else by tag; chains whose rightmost
+    compound has none of the three (attribute-only) go to ``rest``.  An
+    element can only match a chain filed under its own id, one of its
+    class tokens or its tag name, so a walk looks up just those
+    candidates.  A chain that is nothing but its key (a bare tag, single
+    class or id) matches on the key hit alone; every other candidate is
+    verified with ``_match_chain``."""
+
+    __slots__ = ("n", "by_id", "by_class", "by_tag", "rest")
+
+    def __init__(self, compiled: tuple[CompiledSelector, ...]):
+        self.n = len(compiled)
+        self.by_id: dict[str, list] = {}
+        self.by_class: dict[str, list] = {}
+        self.by_tag: dict[str, list] = {}
+        self.rest: list = []
+        for i, sel in enumerate(compiled):
+            for chain in sel.chains:
+                spec = chain[-1][1]
+                tag, cid, classes = spec["tag"], spec["id"], spec["classes"]
+                if cid is not None:
+                    keyed, key = self.by_id, cid
+                    bare = not tag and not classes
+                elif classes:
+                    keyed, key = self.by_class, classes[0]
+                    bare = not tag and len(classes) == 1
+                elif tag:
+                    keyed, key, bare = self.by_tag, tag, True
+                else:
+                    self.rest.append((i, chain))
+                    continue
+                bare = bare and len(chain) == 1 and not spec["attrs"]
+                keyed.setdefault(key, []).append((i, None if bare else chain))
+
+    def select(self, root: Node) -> list[list[Node]]:
+        """Per selector, its matches under ``root`` in document order."""
+        out: list[list[Node]] = [[] for _ in range(self.n)]
+        by_id, by_class, by_tag = self.by_id, self.by_class, self.by_tag
+        rest = self.rest
+        for el in root.walk():
+            cands = by_tag.get(el.name)
+            if cands:
+                _hit(el, cands, out)
+            if by_class:
+                for token in el.classes:
+                    cands = by_class.get(token)
+                    if cands:
+                        _hit(el, cands, out)
+            if by_id:
+                cands = by_id.get(el.attrs.get("id", ""))
+                if cands:
+                    _hit(el, cands, out)
+            if rest:
+                _hit(el, rest, out)
+        return out
+
+
+def _hit(el: Node, cands: list, out: list[list[Node]]) -> None:
+    for i, chain in cands:
+        found = out[i]
+        # one element can reach a selector through several keys
+        # (``<header class="header">`` vs ``header, .header``)
+        if found and found[-1] is el:
+            continue
+        if chain is None or _match_chain(el, chain):
+            found.append(el)
+
+
+# memo of built indexes, keyed by a tuple of CompiledSelectors or by one
+# CSS string.  A plain dict, not functools.lru_cache: webtext modules ship
+# to Ray workers by value, and an lru_cache wrapper only pickles by
+# reference.
+_RULE_HASHES: dict[tuple[CompiledSelector, ...] | str, _RuleHash] = {}
+
+
+def _rule_hash(key: tuple[CompiledSelector, ...] | str) -> _RuleHash:
+    index = _RULE_HASHES.get(key)
+    if index is None:
+        if len(_RULE_HASHES) >= 1024:   # bound the memo, not a tuning knob
+            _RULE_HASHES.clear()
+        index = _RULE_HASHES[key] = _RuleHash(
+            (CompiledSelector(key),) if isinstance(key, str) else key)
+    return index
 
 
 def multi_select(root: Node,
                  compiled: list[CompiledSelector]) -> list[list[Node]]:
     """Document-order matches for MANY selectors in ONE tree walk.
 
-    Semantically identical to ``[root.select(s) for s in selectors]`` —
-    the walk is the same DFS ``select`` uses — but the tree is traversed
-    once instead of once per selector.  This is the extraction actor's
-    hot path (the generic cascade probes 15 selectors, unwanted-removal
-    28)."""
-    out: list[list[Node]] = [[] for _ in compiled]
-    for el in root.walk():
-        for i, sel in enumerate(compiled):
-            if sel.matches(el):
-                out[i].append(el)
-    return out
+    Semantically identical to ``[root.select(s) for s in selectors]``: the
+    same DFS as ``select``, each element at most once per selector.  The
+    rule hash of ``compiled`` is built on first use and memoised, so every
+    element tests only the chains keyed on its tag, classes and id.  This
+    is the extraction actor's hot path (the generic cascade probes 15
+    selectors, unwanted-removal 28)."""
+    return _rule_hash(tuple(compiled)).select(root)
 
 
 def parse_html(html: str) -> Document:

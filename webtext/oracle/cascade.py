@@ -22,13 +22,16 @@ Two deliberate reference behaviors preserved:
 
 Performance: this is the extraction actor's hot path.  All selectors are
 precompiled at import, and the selector probes run as ONE tree walk via
-``dom.multi_select`` instead of one walk per selector.  The single
-behavioral wrinkle — the reference's (b) loop decomposes inside a
-matched element and *continues* when the cleaned text comes out empty,
-so later selectors see a mutated tree — is handled by dropping to the
-original per-selector path from that point on (the rare branch); the
-common case (first matching selector yields text, or no selector
-matches) is bit-identical on an unmutated tree.
+``dom.multi_select`` instead of one walk per selector.  That walk goes
+through a rule hash built once per selector table: each element looks up
+only the chains keyed on its tag, class tokens and id, and a bare tag or
+class matches on the lookup alone.  The single behavioral wrinkle — the
+reference's (b) loop decomposes inside a matched element and *continues*
+when the cleaned text comes out empty, so later selectors see a mutated
+tree — is handled by dropping to the per-selector ``Node.select`` path
+from that point on (the rare branch); the common case (first matching
+selector yields text, or no selector matches) is bit-identical on an
+unmutated tree.
 """
 
 from __future__ import annotations

@@ -87,7 +87,11 @@ def cleanup_extracted_text(text: str) -> str:
 
     text = rules.URL_RE_HTTP.sub("", text)
     text = rules.URL_RE_WWW.sub("", text)
-    text = rules.URL_RE_BROAD.sub("", text)
+    # every alternative of the broad pattern needs "://", "www" (any case)
+    # or ".tld/", so a text with no "/" and no "www" cannot match it; no
+    # code point that (?i)w matches lacks a "w" in its lower()
+    if "/" in text or "www" in text.lower():
+        text = rules.URL_RE_BROAD.sub("", text)
     text = rules.BLANK_SQUEEZE_RE.sub("\n\n", text)
     text = text.strip()
     text = text.replace(rules.REPLACEMENT_CHAR, "")
