@@ -220,3 +220,29 @@ def test_element_reaching_one_selector_by_two_keys_listed_once():
         == [[header], [header]]
     ad = doc.find_first("div")
     assert doc.select(".ad, #ad, div.ad, [id]") == [ad]
+
+
+def test_no_module_under_webtext_uses_html_parser():
+    """``parse_html`` is the only HTML parser in the package: no module
+    imports ``html.parser`` or names ``HTMLParser`` in code (docstrings
+    that mention the goldens' independent HTMLParser walk are fine)."""
+    import ast
+    import pathlib
+
+    import webtext
+
+    offenders = []
+    for path in pathlib.Path(webtext.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [
+                    f"{node.module}.{a.name}" for a in node.names]
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                names = [getattr(node, "id", None) or node.attr]
+            else:
+                continue
+            if any(n == "html.parser" or n == "HTMLParser" for n in names):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

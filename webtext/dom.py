@@ -1,7 +1,7 @@
 """Minimal HTML DOM with the CSS-selector subset the extraction rules need.
 
 This container ships no bs4/lxml/selectolax, so the engine carries its own
-small DOM built on the stdlib ``html.parser``.  The API is *not* a
+small DOM and HTML tokenizer.  The API is *not* a
 BeautifulSoup clone — it is the minimal surface the oracle extractor
 (`webtext.oracle`) needs, with semantics matched to the behaviors the
 reference relies on (see /root/reference/common_scripts/
@@ -23,6 +23,11 @@ web_text_extractor_ver1.5.py):
   own tag, class tokens and id.  ``multi_select`` runs many selector lists
   in one walk; ``select`` memoises the index per CSS string.  Class tokens
   are split once, at parse (``Node.classes``).
+- ``parse_html``: builds, without using it, the tree (or exception) of
+  CPython 3.11.7's ``html.parser`` fed the whole input and closed, with
+  ``convert_charrefs=True``.  ``_TOKEN`` takes text runs, well-formed start
+  tags and plain end tags; any other ``<`` goes to ``_tolerant``, an exact
+  port of html.parser's tolerant parsing, independent of the interpreter's.
 - ``decompose``: destructive removal, mutating the tree in place — the
   reference's selector cascade deliberately mutates its soup between
   fallback branches (ref:1285-1287, 1333-1335, 1351-1353), and the engine
@@ -31,7 +36,8 @@ web_text_extractor_ver1.5.py):
 
 from __future__ import annotations
 
-from html.parser import HTMLParser
+import re
+from html import unescape
 
 VOID_ELEMENTS = frozenset(
     "area base br col embed hr img input link meta param source track wbr".split()
@@ -313,37 +319,188 @@ def _match_chain(el: Node, chain: list[tuple[str, dict]]) -> bool:
 # parser
 # ---------------------------------------------------------------------------
 
-class _TreeBuilder(HTMLParser):
-    def __init__(self):
-        super().__init__(convert_charrefs=True)
-        self.root = Document()
-        self.stack: list[Node] = [self.root]
+# One attribute: its name, then a double-quoted, single-quoted or bare value
+_ATTR = re.compile(r"""[ \t\n\r\f]+([^\s"'>/=]+)"""
+                   r"""(?:=(?:"([^"]*)"|'([^']*)'|([^\s"'=>][^\s"'>]*)))?""")
+# One match per text run, start tag or end tag; group 9 is html.parser's
+# endtagfind.  Start tags are only those it parses the same way: separators
+# are its tag-name terminators [ \t\n\r\f] (``<a\vb>`` is the tag "a\vb"),
+# and a bare value keeps a trailing "/" but cannot start with "=".
+_TOKEN = re.compile(r"""
+    ([^<]+)                                        # 1 text run
+  | <([a-zA-Z][-.:\w]*)                            # 2 start-tag name
+    ((?:%s)*+)                                     # 3 attributes (4-7 _ATTR's)
+    [ \t\n\r\f]*(/?)>                              # 8 "/" of "/>"
+  | </\s*([a-zA-Z][-.a-zA-Z0-9:_]*)\s*>            # 9 end-tag name
+""" % _ATTR.pattern, re.X)
+# html.parser's tagfind_tolerant, attrfind_tolerant, locatestarttagend_tolerant
+# and commentclose; _markupbase's name and marked-section patterns
+_TAG_NAME = re.compile(r"([a-zA-Z][^\t\n\r\f />\x00]*)(?:\s|/(?!>))*")
+_ATTR_TOLERANT = re.compile(
+    r"""((?<=['"\s/])[^\s/>][^\s/=>]*)(\s*=+\s*"""
+    r"""('[^']*'|"[^"]*"|(?!['"])[^>\s]*))?(?:\s|/(?!>))*""")
+_START_TAG_END = re.compile(
+    r"""<[a-zA-Z][^\t\n\r\f />\x00]*(?:[\s/]*(?:(?<=['"\s/])[^\s/>][^\s/=>]*"""
+    r"""(?:\s*=+\s*(?:'[^']*'|"[^"]*"|(?!['"])[^>\s]*)\s*)?"""
+    r"""(?:\s|/(?!>))*)*)?\s*""")
+_COMMENT_CLOSE = re.compile(r"--\s*>")
+_DECL_NAME = re.compile(r"([a-zA-Z][-_.a-zA-Z0-9]*)\s*")
+_MARKED_CLOSE = {**dict.fromkeys("temp cdata ignore include rcdata".split(),
+                                 re.compile(r"]\s*]\s*>")),
+                 **dict.fromkeys("if else endif".split(), re.compile(r"]\s*>"))}
+_RAW_TEXT_END = {tag: re.compile(r"</\s*%s\s*>" % tag, re.I)
+                 for tag in ("script", "style")}
 
-    def handle_starttag(self, tag, attrs):
-        tag = tag.lower()
-        node = Node(tag, {k: (v if v is not None else "") for k, v in attrs},
-                    parent=self.stack[-1])
-        self.stack[-1].children.append(node)
-        if tag not in VOID_ELEMENTS:
-            self.stack.append(node)
 
-    def handle_startendtag(self, tag, attrs):
-        tag = tag.lower()
-        node = Node(tag, {k: (v if v is not None else "") for k, v in attrs},
-                    parent=self.stack[-1])
-        self.stack[-1].children.append(node)
+def parse_html(html: str) -> Document:
+    html = html or ""
+    root = parent = Document()
+    stack: list[Node] = [root]
+    token = _TOKEN.match
+    pos, n = 0, len(html)
+    while pos < n:
+        m = token(html, pos)
+        if m is None:
+            pos, start = _tolerant(html, pos, stack)
+            parent = stack[-1]
+            if start is None:
+                continue
+            tag, attrs, self_closing = start
+        else:
+            pos = m.end()
+            if m.lastindex == 1:
+                text = m.group(1)
+                if "&" not in text or (text := unescape(text)):
+                    parent.children.append(TextNode(text, parent))
+                continue
+            if m.lastindex == 9:
+                tag = m.group(9).lower()
+                if parent.name == tag:
+                    stack.pop()
+                else:
+                    _close(stack, tag)
+                parent = stack[-1]
+                continue
+            tag, self_closing = m.group(2).lower(), m.group(8)
+            attrs = {}
+            for name, dq, sq, bare in _ATTR.findall(m.group(3)):
+                value = dq or sq or bare
+                attrs[name.lower()] = unescape(value) if "&" in value else value
+        node = Node(tag, attrs, parent)
+        parent.children.append(node)
+        # ``<div/>`` is never pushed, even when the tag is not void
+        if not self_closing and tag not in VOID_ELEMENTS:
+            stack.append(node)
+            parent = node
+            if tag in _RAW_TEXT_END:
+                pos = _raw_text(html, pos, tag, stack)
+                parent = stack[-1]
+    return root
 
-    def handle_endtag(self, tag):
-        tag = tag.lower()
-        for i in range(len(self.stack) - 1, 0, -1):
-            if self.stack[i].name == tag:
-                del self.stack[i:]
-                return
-        # unmatched end tag: ignore
 
-    def handle_data(self, data):
-        if data:
-            self.stack[-1].children.append(TextNode(data, self.stack[-1]))
+def _append_text(stack: list[Node], text: str) -> None:
+    if text:
+        stack[-1].children.append(TextNode(text, stack[-1]))
+
+
+def _close(stack: list[Node], tag: str) -> None:
+    for i in range(len(stack) - 1, 0, -1):
+        if stack[i].name == tag:
+            del stack[i:]
+            return
+    # unmatched end tag: ignore
+
+
+def _raw_text(html: str, pos: int, tag: str, stack: list[Node]) -> int:
+    """script/style content: text without charref decoding, up to an end
+    tag of the same name.  Unterminated, the rest of the input is dropped."""
+    while True:
+        m = _RAW_TEXT_END[tag].search(html, pos)
+        if m is None:
+            return len(html)
+        _append_text(stack, html[pos:m.start()])
+        end = _TOKEN.match(html, m.start())
+        if end and end.group(9).lower() == tag:
+            _close(stack, tag)
+            return m.end()
+        # matched only under re.I's Unicode folding (``</ſcript>``)
+        _append_text(stack, m.group())
+        pos = m.end()
+
+
+def _tolerant(html: str, i: int, stack: list[Node]) -> tuple[int, tuple | None]:
+    """html.parser's ``goahead`` at a ``<`` that ``_TOKEN`` does not take:
+    the end of the construct and, for a start tag, ``(tag, attrs, "/"?)``."""
+    nxt = html[i + 1:i + 2]
+    start = None
+    if nxt.isascii() and nxt.isalpha():
+        k, start = _start_tag(html, i, stack)
+    elif nxt == "/":
+        # ``_TOKEN`` took ``</name>``; the rest end at the first ``>``
+        k = html.find(">", i + 1)
+        m = _TAG_NAME.match(html, i + 2)
+        if k >= 0 and m:
+            _close(stack, m.group(1).lower())
+        k = k + 1 if k >= 0 else -1
+    elif html.startswith("<!--", i):
+        m = _COMMENT_CLOSE.search(html, i + 4)
+        k = m.end() if m else -1
+    elif html.startswith("<![", i):    # parse_marked_section
+        m = _DECL_NAME.match(html, i + 3)
+        if i + 3 == len(html) or (m and m.end() == len(html)):
+            k = -1
+        elif m is None:
+            raise AssertionError("expected name token at %r" % html[i:i + 20])
+        elif m.group(1).lower() not in _MARKED_CLOSE:
+            raise AssertionError("unknown status keyword %r in marked section"
+                                 % html[i + 3:m.end()])
+        else:
+            m = _MARKED_CLOSE[m.group(1).lower()].search(html, i + 3)
+            k = m.end() if m else -1
+    elif nxt in ("!", "?"):    # <!doctype …>, bogus comment, <?pi>
+        k = html.find(">", i + 2)
+        k = k + 1 if k >= 0 else -1
+    else:
+        _append_text(stack, "<")
+        return i + 1, None
+    if k < 0:    # incomplete: text up to the next ">", else the next "<"
+        k = html.find(">", i + 1) + 1 or max(html.find("<", i + 1), i + 1)
+        _append_text(stack, unescape(html[i:k]))
+    return k, start
+
+
+def _start_tag(html: str, i: int,
+               stack: list[Node]) -> tuple[int, tuple | None]:
+    """``parse_starttag`` and ``check_for_whole_start_tag``."""
+    j = _START_TAG_END.match(html, i).end()
+    nxt = html[j:j + 1]
+    if nxt == ">":
+        endpos = j + 1
+    elif html.startswith("/>", j):
+        endpos = j + 2
+    elif nxt in "/=" or nxt.isascii() and nxt.isalpha():   # or nxt == ""
+        return -1, None
+    else:
+        endpos = j
+    m = _TAG_NAME.match(html, i + 1)
+    tag, k = m.group(1).lower(), m.end()
+    attrs = {}
+    while k < endpos:
+        m = _ATTR_TOLERANT.match(html, k)
+        if not m:
+            break
+        name, rest, value = m.group(1, 2, 3)
+        if not rest:
+            value = ""
+        elif value[:1] == "'" == value[-1:] or value[:1] == '"' == value[-1:]:
+            value = value[1:-1]
+        attrs[name.lower()] = unescape(value)
+        k = m.end()
+    end = html[k:endpos].strip()
+    if end not in (">", "/>"):
+        _append_text(stack, html[i:endpos])
+        return endpos, None
+    return endpos, (tag, attrs, end == "/>")
 
 
 # ---------------------------------------------------------------------------
@@ -465,10 +622,3 @@ def multi_select(root: Node,
     is the extraction actor's hot path (the generic cascade probes 15
     selectors, unwanted-removal 28)."""
     return _rule_hash(tuple(compiled)).select(root)
-
-
-def parse_html(html: str) -> Document:
-    builder = _TreeBuilder()
-    builder.feed(html or "")
-    builder.close()
-    return builder.root
