@@ -1,6 +1,7 @@
 """End-to-end Ray pipeline tests: span-sequence equality vs the oracle,
 commit/resume idempotence, skew stage."""
 
+import glob
 import os
 
 import pyarrow.dataset as pads
@@ -16,8 +17,33 @@ from webtext.sources.manifest import CommitManifest
 from webtext.synth import generate_docs
 
 
+ALL_STATUSES = ("ok", "timeout", "failed", "error_pattern")
+
+
 def _span_key(spans):
     return [(s["kind"], s["text"], s["media_ref"]) for s in spans]
+
+
+def _files_per_shard(output_dir):
+    """{shard: parquet files written for it} over every round."""
+    return {os.path.basename(d).removeprefix("shard="):
+            len(glob.glob(os.path.join(d, "*.parquet")))
+            for d in glob.glob(os.path.join(output_dir, "round-*",
+                                            "shard=*"))}
+
+
+def _assert_span_equal(output_dir, input_files):
+    """Every committed row, whatever its status, matches the oracle."""
+    import pyarrow.parquet as pq
+
+    docs = {r["doc_id"]: r["spans"] for f in input_files
+            for r in pq.read_table(f).to_pylist()}
+    rows = read_output(output_dir, statuses=ALL_STATUSES).take_all()
+    assert sorted(r["doc_id"] for r in rows) == sorted(docs)
+    for r in rows:
+        oracle = extract_document(r["doc_id"], docs[r["doc_id"]])
+        assert r["status"] == oracle.status, r["doc_id"]
+        assert _span_key(r["spans"]) == _span_key(oracle.spans), r["doc_id"]
 
 
 @pytest.fixture(scope="module")
@@ -238,3 +264,81 @@ def test_read_flat_csv_prunes_columns(ray_session, tmp_path):
                       f"read_parquet('{sf}/documents.parquet')"
                       ).fetchone()[0]
     assert len(rows) == want
+
+
+def _per_cpu_corpus(path, cpus, seed):
+    """``cpus`` fragments of 19 docs (one per synth family each)."""
+    from webtext.synth import write_corpus
+
+    write_corpus(path, n_per_family=cpus, seed=seed, rows_per_file=19)
+    files = sorted(glob.glob(os.path.join(path, "*.parquet")))
+    assert len(files) == cpus
+    return files
+
+
+def test_round_runs_one_task_per_fragment_when_fragments_fill_cpus(
+        ray_session, tmp_path):
+    """A round with at least one fragment per cluster CPU is read one
+    block per fragment, so each fused extraction task writes one file
+    per shard= partition.  A smaller round keeps Ray Data's default read
+    and writes exactly the files a plain read_parquet chain writes.
+    batch_size=4 is below the rows of every default split block, so
+    each default block is a task of its own and the counts are fixed."""
+    import shutil
+
+    import ray.data
+
+    from webtext.pipelines import extract_dataset
+    from webtext.pipelines.extract_pipeline import _tag_shard, cluster_cpus
+
+    cpus = cluster_cpus()
+    assert cpus >= 2
+    files = _per_cpu_corpus(str(tmp_path / "all"), cpus, seed=13)
+
+    out = str(tmp_path / "full")
+    run_extraction(str(tmp_path / "all"), out, batch_size=4)
+    assert _files_per_shard(out) == {
+        os.path.basename(f)[:-len(".parquet")]: 1 for f in files}
+    _assert_span_equal(out, files)
+
+    small = str(tmp_path / "small")
+    os.makedirs(small)
+    for f in files[:cpus - 1]:
+        shutil.copy(f, small)
+    out = str(tmp_path / "small_out")
+    run_extraction(small, out, batch_size=4)
+    plain = str(tmp_path / "plain")
+    ds = ray.data.read_parquet(sorted(glob.glob(small + "/*.parquet")),
+                               columns=["doc_id", "spans"],
+                               include_paths=True)
+    ds = ds.map_batches(_tag_shard, batch_format="pyarrow",
+                        zero_copy_batch=True)
+    extract_dataset(ds, batch_size=4).write_parquet(
+        os.path.join(plain, "round-plain"), partition_cols=["shard"])
+    want = _files_per_shard(plain)
+    assert any(n > 1 for n in want.values())   # Ray split the fragments
+    assert _files_per_shard(out) == want
+    _assert_span_equal(out, files[:cpus - 1])
+
+
+def test_empty_fragment_in_per_fragment_round(ray_session, tmp_path):
+    """A 0-row fragment in a one-task-per-fragment round commits a 0-doc
+    record, and a rerun is a no-op."""
+    import pyarrow.parquet as pq
+
+    from webtext.pipelines.extract_pipeline import cluster_cpus
+    from webtext.schema import INPUT_SCHEMA
+
+    inp, out = str(tmp_path / "in"), str(tmp_path / "out")
+    cpus = cluster_cpus()
+    files = _per_cpu_corpus(inp, cpus, seed=17)
+    pq.write_table(INPUT_SCHEMA.empty_table(),
+                   os.path.join(inp, "part-99999.parquet"))
+    totals = run_extraction(inp, out)
+    assert (totals["shards"], totals["docs"]) == (cpus + 1, 19 * cpus)
+    recs = {r["shard"]: r for r in CommitManifest(out).records()}
+    assert recs["part-99999"]["docs"] == 0
+    assert recs["part-99999"]["round_dir"] == recs["part-00000"]["round_dir"]
+    assert run_extraction(inp, out) == totals
+    assert len(CommitManifest(out).records()) == cpus + 1
+    _assert_span_equal(out, files)

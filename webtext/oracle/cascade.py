@@ -99,8 +99,9 @@ def extract_main_content(doc: Document, domain: str) -> tuple[str, str]:
             # slow path: the tree changed under us; recompute live
             elements = doc.select(rules.MAIN_CONTENT_SELECTORS[idx])
         if elements:
-            best = max(elements,
-                       key=lambda el: len(el.get_text(strip=True)))
+            # one match needs no length key (a full subtree walk)
+            best = elements[0] if len(elements) == 1 else max(
+                elements, key=lambda el: len(el.get_text(strip=True)))
             _decompose_unwanted(best, _UNWANTED_COMPILED)
             main_text = best.get_text(separator="\n", strip=True)
             if main_text:

@@ -16,6 +16,20 @@ The extraction step is a stateless batch function: it runs as ordinary
 Ray Data tasks, so tag shard → extract → write fuse into one operator on
 Ray's pooled task workers, which stay warm across rounds and jobs (no
 per-round process start-up or code unpickling in fresh processes).
+
+Task sizing: a round with at least one input fragment per cluster CPU
+is read as exactly one block per fragment, so read → tag → extract →
+write fuse into one operator that runs one task per fragment and writes
+one file per ``shard=`` partition.  Ray Data's default read splits each
+fragment into ~1 MiB blocks (at least 2 × CPUs blocks in all); the
+split read is an operator of its own, so each split block becomes an
+extraction task.  Once fragments alone fill every CPU, that adds tasks
+but no parallelism, and each task costs a fixed 26–37 CPU-ms summed
+over all Ray processes (identity map over ``html_bulk``'s input at 4 vs
+40 blocks, 4 Ray CPUs on a 1-core VM).  A round with fewer fragments
+than CPUs keeps Ray's default read, so its layout is unchanged.  Ray's
+``target_max_block_size`` still splits a large fragment's output into
+bounded blocks inside its task.
 """
 
 from __future__ import annotations
@@ -34,16 +48,27 @@ from ..stages.extractor import ExtractorActor
 KEPT_STATUSES = ("ok", "timeout")
 
 
-def default_pool_size() -> int:
-    """Suggested task cap for the extraction map: ~75% of cluster CPUs,
-    leaving headroom for the read and write operators.  It is no longer
-    the default — with ``concurrency=None`` the extraction map runs
-    uncapped so it fuses with its neighbours (an int cap makes it a
-    separate task-pool operator).  Kept because perfbench's
-    environment record reads it as ``pool_size``."""
+def cluster_cpus() -> int:
+    """CPUs of the Ray cluster.  Starts Ray first, exactly as a Ray Data
+    read would, when no session exists yet: ``run_extraction`` may be
+    the first Ray call of the process."""
     import ray
+    from ray._private.auto_init_hook import auto_init_ray
 
-    ncpu = int(ray.cluster_resources().get("CPU", 4))
+    auto_init_ray()
+    return int(ray.cluster_resources().get("CPU", 4))
+
+
+def default_pool_size() -> int:
+    """Suggested task cap for the extraction map: ~75% of
+    ``cluster_cpus()``, leaving headroom for the read and write
+    operators.  It is not the default: with ``concurrency=None`` the
+    extraction map runs uncapped so it fuses with its neighbours (an int
+    cap makes it a separate task-pool operator), and ``run_extraction``
+    sizes the map's tasks by fragment instead (see the module
+    docstring).  Kept because perfbench's environment record reads it as
+    ``pool_size``."""
+    ncpu = cluster_cpus()
     # never exact-fit, even on a 1-2 CPU driver cluster: leave at least
     # one CPU for the read/write task operators
     return max(1, min(ncpu - 1, int(ncpu * 0.75)))
@@ -108,6 +133,10 @@ def run_extraction(
 ) -> dict:
     """Extract every pending input shard; returns manifest totals.
 
+    A round of at least ``cluster_cpus()`` fragments runs one extraction
+    task per fragment; a smaller round keeps Ray Data's default read
+    (see the module docstring for why and what it costs).
+
     ``rebalance=True`` inserts the salted-domain repartition before the
     classify stage (see webtext.stages.skew for when that pays off).
     """
@@ -122,6 +151,7 @@ def run_extraction(
         done = manifest.committed_shards()
         shards = [s for s in shards if _shard_name(s) not in done]
 
+    cpus = cluster_cpus() if shards else 0    # a no-op starts no Ray
     for start in range(0, len(shards), shards_per_round):
         round_shards = shards[start:start + shards_per_round]
         round_dir = os.path.join(output_dir,
@@ -130,9 +160,10 @@ def run_extraction(
             shutil.rmtree(round_dir)   # uncommitted partial from a crash
 
         t0 = time.perf_counter()
-        ds = ray.data.read_parquet(round_shards,
-                                   columns=["doc_id", "spans"],
-                                   include_paths=True)
+        per_fragment = len(round_shards) >= cpus
+        ds = ray.data.read_parquet(
+            round_shards, columns=["doc_id", "spans"], include_paths=True,
+            override_num_blocks=len(round_shards) if per_fragment else None)
         ds = ds.map_batches(_tag_shard, batch_format="pyarrow",
                             zero_copy_batch=True)
         if rebalance:
