@@ -12,7 +12,17 @@ The killer class is defined INSIDE the test so cloudpickle ships it by
 value — a module-level class here would pickle by reference to the
 tests package, which Ray workers cannot import (only ``webtext.*`` is
 registered for by-value shipping), and the actor would die at unpickle
-time in a restart loop instead of testing the crash path."""
+time in a restart loop instead of testing the crash path.
+
+The killer actor reaches ``ExtractorActor`` through an object the test
+holds, not by closing over it.  Closing over it pickles all of webtext
+by value into the pool's constructor argument (~108 KB, over Ray's
+100 KB inline limit), so Ray ships it as an object-store argument.  Ray
+can free that argument once the first actor has started; the restart
+after the injected death then fails with
+``ReferenceCountingAssertionError`` and Ray Data restarts the actor
+forever, so the test hangs.  A ~1 KB class is inlined in the actor's
+creation task and every restart can read it."""
 
 from __future__ import annotations
 
@@ -22,7 +32,9 @@ import pyarrow as pa
 
 
 def test_actor_death_mid_batch_recovers_exactly(ray_session, tmp_path):
+    import ray
     import ray.data
+    from ray import cloudpickle
 
     from webtext.schema import INPUT_SCHEMA
     from webtext.stages.extractor import ExtractorActor
@@ -30,14 +42,18 @@ def test_actor_death_mid_batch_recovers_exactly(ray_session, tmp_path):
 
     docs = generate_docs(n_per_family=4, seed=11)
     table = pa.Table.from_pylist(docs, schema=INPUT_SCHEMA)
+    # held here for the whole test, so Ray cannot free it (module doc)
+    extractor_ref = ray.put(ExtractorActor)
 
     class DieOnceExtractor:
         """ExtractorActor that hard-kills its worker process on the
         first batch any pool member sees (O_EXCL flag file ⇒ exactly
         one death per run)."""
 
-        def __init__(self, flag_path: str):
-            self._inner = ExtractorActor()
+        def __init__(self, flag_path: str, extractor_ref):
+            import ray
+
+            self._inner = ray.get(extractor_ref)()
             self._flag = flag_path
 
         def __call__(self, batch: pa.Table) -> pa.Table:
@@ -62,9 +78,13 @@ def test_actor_death_mid_batch_recovers_exactly(ray_session, tmp_path):
                                     for s in (r["spans"] or [])))
                 for r in rows}, len(rows)
 
+    # small enough for Ray to inline in the actor's creation task
+    assert len(cloudpickle.dumps(DieOnceExtractor)) < 100 * 1024
+
     clean, n_clean = run(ExtractorActor)
     flag = str(tmp_path / "died")
-    crashed, n_crashed = run(DieOnceExtractor, flag_path=flag)
+    crashed, n_crashed = run(DieOnceExtractor, flag_path=flag,
+                             extractor_ref=extractor_ref)
 
     assert os.path.exists(flag), "the crash injection never fired"
     assert n_crashed == n_clean          # no lost, no duplicated rows
