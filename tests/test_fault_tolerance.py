@@ -14,15 +14,13 @@ tests package, which Ray workers cannot import (only ``webtext.*`` is
 registered for by-value shipping), and the actor would die at unpickle
 time in a restart loop instead of testing the crash path.
 
-The killer actor reaches ``ExtractorActor`` through an object the test
-holds, not by closing over it.  Closing over it pickles all of webtext
-by value into the pool's constructor argument (~108 KB, over Ray's
-100 KB inline limit), so Ray ships it as an object-store argument.  Ray
-can free that argument once the first actor has started; the restart
-after the injected death then fails with
-``ReferenceCountingAssertionError`` and Ray Data restarts the actor
-forever, so the test hangs.  A ~1 KB class is inlined in the actor's
-creation task and every restart can read it."""
+Closing over ``ExtractorActor`` makes the killer class pickle to over
+100 KB (all of webtext rides by value), so Ray cannot inline it in the
+actor's creation task.  Handed to ``map_batches`` as is, a restarted
+actor can fail to fetch it and restart forever (webtext.stages
+.actor_pool); the test hands it over through ``by_ref``, the way webtext
+ships an actor-pool class that large, and asserts the size so the case
+stays covered."""
 
 from __future__ import annotations
 
@@ -32,28 +30,24 @@ import pyarrow as pa
 
 
 def test_actor_death_mid_batch_recovers_exactly(ray_session, tmp_path):
-    import ray
     import ray.data
     from ray import cloudpickle
 
     from webtext.schema import INPUT_SCHEMA
+    from webtext.stages.actor_pool import by_ref
     from webtext.stages.extractor import ExtractorActor
     from webtext.synth import generate_docs
 
     docs = generate_docs(n_per_family=4, seed=11)
     table = pa.Table.from_pylist(docs, schema=INPUT_SCHEMA)
-    # held here for the whole test, so Ray cannot free it (module doc)
-    extractor_ref = ray.put(ExtractorActor)
 
     class DieOnceExtractor:
         """ExtractorActor that hard-kills its worker process on the
         first batch any pool member sees (O_EXCL flag file ⇒ exactly
         one death per run)."""
 
-        def __init__(self, flag_path: str, extractor_ref):
-            import ray
-
-            self._inner = ray.get(extractor_ref)()
+        def __init__(self, flag_path: str):
+            self._inner = ExtractorActor()
             self._flag = flag_path
 
         def __call__(self, batch: pa.Table) -> pa.Table:
@@ -78,13 +72,12 @@ def test_actor_death_mid_batch_recovers_exactly(ray_session, tmp_path):
                                     for s in (r["spans"] or [])))
                 for r in rows}, len(rows)
 
-    # small enough for Ray to inline in the actor's creation task
-    assert len(cloudpickle.dumps(DieOnceExtractor)) < 100 * 1024
+    # over Ray's 100 KB inline limit for a task argument
+    assert len(cloudpickle.dumps(DieOnceExtractor)) > 100 * 1024
 
     clean, n_clean = run(ExtractorActor)
     flag = str(tmp_path / "died")
-    crashed, n_crashed = run(DieOnceExtractor, flag_path=flag,
-                             extractor_ref=extractor_ref)
+    crashed, n_crashed = run(by_ref(DieOnceExtractor), flag_path=flag)
 
     assert os.path.exists(flag), "the crash injection never fired"
     assert n_crashed == n_clean          # no lost, no duplicated rows

@@ -266,79 +266,113 @@ def test_read_flat_csv_prunes_columns(ray_session, tmp_path):
     assert len(rows) == want
 
 
-def _per_cpu_corpus(path, cpus, seed):
-    """``cpus`` fragments of 19 docs (one per synth family each)."""
-    from webtext.synth import write_corpus
+def _even_corpus(path, n_fragments, seed, big=None):
+    """``n_fragments`` fragments holding the same 19 docs (one per synth
+    family) under per-fragment doc_ids; fragment ``big`` holds 38 docs
+    (two per family) instead."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
 
-    write_corpus(path, n_per_family=cpus, seed=seed, rows_per_file=19)
-    files = sorted(glob.glob(os.path.join(path, "*.parquet")))
-    assert len(files) == cpus
+    from webtext.schema import INPUT_SCHEMA
+
+    os.makedirs(path)
+    files = []
+    for i in range(n_fragments):
+        docs = generate_docs(n_per_family=2 if i == big else 1, seed=seed)
+        rows = [dict(d, doc_id=f"{d['doc_id']}-f{i}") for d in docs]
+        files.append(os.path.join(path, f"part-{i:05d}.parquet"))
+        pq.write_table(pa.Table.from_pylist(rows, schema=INPUT_SCHEMA),
+                       files[-1])
     return files
 
 
-def test_round_runs_one_task_per_fragment_when_fragments_fill_cpus(
-        ray_session, tmp_path):
-    """A round with at least one fragment per cluster CPU is read one
-    block per fragment, so each fused extraction task writes one file
-    per shard= partition.  A smaller round keeps Ray Data's default read
-    and writes exactly the files a plain read_parquet chain writes.
-    batch_size=4 is below the rows of every default split block, so
-    each default block is a task of its own and the counts are fixed."""
-    import shutil
-
+def _plain_read_files_per_shard(input_files, output_dir):
+    """Files per shard from the round chain with Ray Data's default
+    read (no ``override_num_blocks``)."""
     import ray.data
 
     from webtext.pipelines import extract_dataset
-    from webtext.pipelines.extract_pipeline import _tag_shard, cluster_cpus
+    from webtext.pipelines.extract_pipeline import _tag_shard
 
-    cpus = cluster_cpus()
-    assert cpus >= 2
-    files = _per_cpu_corpus(str(tmp_path / "all"), cpus, seed=13)
-
-    out = str(tmp_path / "full")
-    run_extraction(str(tmp_path / "all"), out, batch_size=4)
-    assert _files_per_shard(out) == {
-        os.path.basename(f)[:-len(".parquet")]: 1 for f in files}
-    _assert_span_equal(out, files)
-
-    small = str(tmp_path / "small")
-    os.makedirs(small)
-    for f in files[:cpus - 1]:
-        shutil.copy(f, small)
-    out = str(tmp_path / "small_out")
-    run_extraction(small, out, batch_size=4)
-    plain = str(tmp_path / "plain")
-    ds = ray.data.read_parquet(sorted(glob.glob(small + "/*.parquet")),
-                               columns=["doc_id", "spans"],
+    ds = ray.data.read_parquet(input_files, columns=["doc_id", "spans"],
                                include_paths=True)
     ds = ds.map_batches(_tag_shard, batch_format="pyarrow",
                         zero_copy_batch=True)
     extract_dataset(ds, batch_size=4).write_parquet(
-        os.path.join(plain, "round-plain"), partition_cols=["shard"])
-    want = _files_per_shard(plain)
-    assert any(n > 1 for n in want.values())   # Ray split the fragments
-    assert _files_per_shard(out) == want
-    _assert_span_equal(out, files[:cpus - 1])
+        os.path.join(output_dir, "round-plain"), partition_cols=["shard"])
+    return _files_per_shard(output_dir)
 
 
-def test_empty_fragment_in_per_fragment_round(ray_session, tmp_path):
-    """A 0-row fragment in a one-task-per-fragment round commits a 0-doc
-    record, and a rerun is a no-op."""
+def test_one_task_per_fragment_gate():
+    """Only a round of one fragment per CPU whose largest fragment holds
+    within 10% of an even share of the documents is read one block per
+    fragment."""
+    from webtext.pipelines.extract_pipeline import _one_task_per_fragment
+
+    assert _one_task_per_fragment([100, 100, 104, 96], 4)
+    assert _one_task_per_fragment([0] * 4, 4)
+    assert not _one_task_per_fragment([100] * 3, 4)   # fewer than CPUs
+    assert not _one_task_per_fragment([100] * 5, 4)   # a second wave
+    assert not _one_task_per_fragment([100, 100, 100, 130], 4)
+    assert not _one_task_per_fragment([100, 100, 100, 1], 4)
+
+
+def test_round_task_sizing(ray_session, tmp_path):
+    """A balanced round of one fragment per cluster CPU is read one
+    block per fragment, so each fused extraction task writes one file
+    per shard= partition.  A round with fewer fragments, more fragments
+    or one oversized fragment keeps Ray Data's default read and writes
+    exactly the files a plain read_parquet chain writes.  batch_size=4
+    is below the rows of every default split block, so each default
+    block is a task of its own and the counts are fixed."""
+    from webtext.pipelines.extract_pipeline import cluster_cpus
+
+    cpus = cluster_cpus()
+    assert cpus >= 2
+    files = _even_corpus(str(tmp_path / "even"), cpus, seed=13)
+    out = str(tmp_path / "even_out")
+    run_extraction(str(tmp_path / "even"), out, batch_size=4)
+    assert _files_per_shard(out) == {
+        os.path.basename(f)[:-len(".parquet")]: 1 for f in files}
+    _assert_span_equal(out, files)
+
+    for name, n, big in (("fewer", cpus - 1, None),
+                         ("more", cpus + 1, None),
+                         ("uneven", cpus, 0)):
+        files = _even_corpus(str(tmp_path / name), n, seed=13, big=big)
+        out = str(tmp_path / f"{name}_out")
+        run_extraction(str(tmp_path / name), out, batch_size=4)
+        want = _plain_read_files_per_shard(files,
+                                           str(tmp_path / f"{name}_plain"))
+        assert any(k > 1 for k in want.values()), name   # Ray split
+        assert _files_per_shard(out) == want, name
+        _assert_span_equal(out, files)
+
+
+@pytest.mark.parametrize("full_fragments", [0, 4])
+def test_empty_fragment_round(ray_session, tmp_path, full_fragments):
+    """A 0-row fragment commits a 0-doc record in its round, and a rerun
+    is a no-op.  With no full fragments, the round is four 0-row
+    fragments, read one block per fragment on the 4-CPU
+    test session; beside full fragments it is read the default way."""
     import pyarrow.parquet as pq
 
-    from webtext.pipelines.extract_pipeline import cluster_cpus
     from webtext.schema import INPUT_SCHEMA
 
     inp, out = str(tmp_path / "in"), str(tmp_path / "out")
-    cpus = cluster_cpus()
-    files = _per_cpu_corpus(inp, cpus, seed=17)
-    pq.write_table(INPUT_SCHEMA.empty_table(),
-                   os.path.join(inp, "part-99999.parquet"))
+    files = _even_corpus(inp, full_fragments, seed=17)
+    empty = [f"part-9999{i}" for i in range(4 if not full_fragments else 1)]
+    for name in empty:
+        pq.write_table(INPUT_SCHEMA.empty_table(),
+                       os.path.join(inp, f"{name}.parquet"))
+    n_shards = full_fragments + len(empty)
     totals = run_extraction(inp, out)
-    assert (totals["shards"], totals["docs"]) == (cpus + 1, 19 * cpus)
+    assert (totals["shards"], totals["docs"]) == (n_shards,
+                                                  19 * full_fragments)
     recs = {r["shard"]: r for r in CommitManifest(out).records()}
-    assert recs["part-99999"]["docs"] == 0
-    assert recs["part-99999"]["round_dir"] == recs["part-00000"]["round_dir"]
+    assert len({r["round_dir"] for r in recs.values()}) == 1
+    assert all(recs[name]["docs"] == 0 for name in empty)
     assert run_extraction(inp, out) == totals
-    assert len(CommitManifest(out).records()) == cpus + 1
-    _assert_span_equal(out, files)
+    assert len(CommitManifest(out).records()) == n_shards
+    if files:
+        _assert_span_equal(out, files)

@@ -120,3 +120,29 @@ def test_default_pool_size_never_exact_fit(ray_session):
     assert 1 <= pool
     if ncpu >= 2:
         assert pool <= ncpu - 1
+
+
+def test_actor_pool_classes_fit_ray_inline_limit(ray_session):
+    """Ray inlines an actor's constructor argument only under 100 KB; a
+    larger one goes through the object store, where a restarted actor
+    can fail to fetch it (webtext.stages.actor_pool).  The library's
+    actor-pool classes stay under the limit.  ExtractorActor, which
+    pickles all of webtext by value, does not, and ``by_ref`` brings
+    it under."""
+    from ray import cloudpickle
+
+    from webtext.functions.media import (FrameSampleActor,
+                                         MediaFeatureActor,
+                                         MediaResizeActor)
+    from webtext.oracle.encoding import PayloadDecoder
+    from webtext.stages.actor_pool import by_ref
+    from webtext.stages.extractor import ExtractorActor
+
+    limit = 100 * 1024
+    for cls in (FrameSampleActor, MediaFeatureActor, MediaResizeActor,
+                PayloadDecoder):
+        assert len(cloudpickle.dumps(cls)) < limit, cls.__name__
+    assert len(cloudpickle.dumps(ExtractorActor)) > limit
+    slim = by_ref(ExtractorActor)
+    assert len(cloudpickle.dumps(slim)) < limit
+    assert slim.__name__ == "ExtractorActor"

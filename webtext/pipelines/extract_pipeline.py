@@ -17,17 +17,23 @@ Ray Data tasks, so tag shard → extract → write fuse into one operator on
 Ray's pooled task workers, which stay warm across rounds and jobs (no
 per-round process start-up or code unpickling in fresh processes).
 
-Task sizing: a round with at least one input fragment per cluster CPU
-is read as exactly one block per fragment, so read → tag → extract →
-write fuse into one operator that runs one task per fragment and writes
-one file per ``shard=`` partition.  Ray Data's default read splits each
-fragment into ~1 MiB blocks (at least 2 × CPUs blocks in all); the
-split read is an operator of its own, so each split block becomes an
-extraction task.  Once fragments alone fill every CPU, that adds tasks
-but no parallelism, and each task costs a fixed 26–37 CPU-ms summed
-over all Ray processes (identity map over ``html_bulk``'s input at 4 vs
-40 blocks, 4 Ray CPUs on a 1-core VM).  A round with fewer fragments
-than CPUs keeps Ray's default read, so its layout is unchanged.  Ray's
+Task sizing: a round of exactly one input fragment per cluster CPU,
+with near-equal document counts, is read as one block per fragment.
+Read → tag → extract → write then fuse into one operator that runs one
+task per fragment and writes one file per ``shard=`` partition.  Ray
+Data's default read splits each fragment into ~1 MiB blocks (at least
+2 × CPUs blocks in all); the split read is an operator of its own, so
+each split block becomes an extraction task, and each task costs a
+fixed 26–37 CPU-ms summed over all Ray processes (identity map over
+``html_bulk``'s input at 4 vs 40 blocks, 4 Ray CPUs on a 1-core VM).
+The gate, read from the fragments' parquet footers, is narrow on
+purpose: it covers the case that was measured (``html_bulk``: 4
+fragments of 1,000 documents on 4 CPUs).  With more fragments than
+CPUs, or one fragment much larger than the rest, whole-fragment tasks
+can leave CPUs idle while the last ones finish, which split blocks
+would fill; that has not been measured on a machine with as many cores
+as Ray CPUs.  So those rounds, and rounds with fewer fragments than
+CPUs, keep Ray's default read and its layout.  Ray's
 ``target_max_block_size`` still splits a large fragment's output into
 bounded blocks inside its task.
 """
@@ -40,6 +46,7 @@ import shutil
 import time
 
 import pyarrow as pa
+import pyarrow.parquet as pq
 
 from ..sources.io import list_fragments, read_documents
 from ..sources.manifest import CommitManifest
@@ -49,13 +56,9 @@ KEPT_STATUSES = ("ok", "timeout")
 
 
 def cluster_cpus() -> int:
-    """CPUs of the Ray cluster.  Starts Ray first, exactly as a Ray Data
-    read would, when no session exists yet: ``run_extraction`` may be
-    the first Ray call of the process."""
+    """CPUs of the connected Ray cluster."""
     import ray
-    from ray._private.auto_init_hook import auto_init_ray
 
-    auto_init_ray()
     return int(ray.cluster_resources().get("CPU", 4))
 
 
@@ -65,13 +68,21 @@ def default_pool_size() -> int:
     operators.  It is not the default: with ``concurrency=None`` the
     extraction map runs uncapped so it fuses with its neighbours (an int
     cap makes it a separate task-pool operator), and ``run_extraction``
-    sizes the map's tasks by fragment instead (see the module
-    docstring).  Kept because perfbench's environment record reads it as
-    ``pool_size``."""
+    sizes a balanced one-fragment-per-CPU round's tasks by fragment
+    instead (see the module docstring).  Kept because perfbench's
+    environment record reads it as ``pool_size``."""
     ncpu = cluster_cpus()
     # never exact-fit, even on a 1-2 CPU driver cluster: leave at least
     # one CPU for the read/write task operators
     return max(1, min(ncpu - 1, int(ncpu * 0.75)))
+
+
+def _one_task_per_fragment(fragment_rows: list[int], cpus: int) -> bool:
+    """Whether a round is read one block per fragment: exactly one
+    fragment per CPU, and the largest within 10% of an even share of the
+    round's documents, so no CPU waits long on another's fragment."""
+    return (len(fragment_rows) == cpus
+            and max(fragment_rows) * cpus <= 1.1 * sum(fragment_rows))
 
 
 def _extract_batch(batch: pa.Table) -> pa.Table:
@@ -133,9 +144,10 @@ def run_extraction(
 ) -> dict:
     """Extract every pending input shard; returns manifest totals.
 
-    A round of at least ``cluster_cpus()`` fragments runs one extraction
-    task per fragment; a smaller round keeps Ray Data's default read
-    (see the module docstring for why and what it costs).
+    A round of one fragment per cluster CPU, with near-equal document
+    counts, runs one extraction task per fragment; every other round
+    keeps Ray Data's default read (see the module docstring for why and
+    what it costs).
 
     ``rebalance=True`` inserts the salted-domain repartition before the
     classify stage (see webtext.stages.skew for when that pays off).
@@ -151,7 +163,10 @@ def run_extraction(
         done = manifest.committed_shards()
         shards = [s for s in shards if _shard_name(s) not in done]
 
-    cpus = cluster_cpus() if shards else 0    # a no-op starts no Ray
+    if shards:                       # a no-op run starts no Ray
+        # a public auto-init API: starts Ray as the first read would
+        ray.get_runtime_context()
+        cpus = cluster_cpus()
     for start in range(0, len(shards), shards_per_round):
         round_shards = shards[start:start + shards_per_round]
         round_dir = os.path.join(output_dir,
@@ -160,7 +175,8 @@ def run_extraction(
             shutil.rmtree(round_dir)   # uncommitted partial from a crash
 
         t0 = time.perf_counter()
-        per_fragment = len(round_shards) >= cpus
+        per_fragment = _one_task_per_fragment(
+            [pq.read_metadata(s).num_rows for s in round_shards], cpus)
         ds = ray.data.read_parquet(
             round_shards, columns=["doc_id", "spans"], include_paths=True,
             override_num_blocks=len(round_shards) if per_fragment else None)
@@ -199,14 +215,16 @@ def _collect_round_metrics(round_dir: str, round_shards: list[str],
 
     import pyarrow.dataset as pads
 
-    dataset = pads.dataset(round_dir, partitioning="hive")
     keys = ["shard", "status", "method"]
     partials = []
-    for rb in dataset.to_batches(columns=["status", "method",
-                                          "n_chars_out", "shard"]):
-        t = pa.Table.from_batches([rb])
-        partials.append(t.group_by(keys).aggregate(
-            [("n_chars_out", "sum"), ("status", "count")]))
+    # a round of 0-row fragments writes no file, not even its directory
+    if os.path.isdir(round_dir):
+        dataset = pads.dataset(round_dir, partitioning="hive")
+        for rb in dataset.to_batches(columns=["status", "method",
+                                              "n_chars_out", "shard"]):
+            t = pa.Table.from_batches([rb])
+            partials.append(t.group_by(keys).aggregate(
+                [("n_chars_out", "sum"), ("status", "count")]))
     if partials:
         merged = pa.concat_tables(partials).group_by(keys).aggregate(
             [("n_chars_out_sum", "sum"), ("status_count", "sum")])

@@ -6,7 +6,10 @@ import, so the stage holds no state: the pipelines map it as a plain
 task function (``extract_pipeline._extract_batch``) on Ray's pooled
 task workers, which keep the import warm across batches, rounds and
 jobs.  The class keeps its callable-class shape, so it can still be
-handed to ``map_batches`` as an actor UDF or driven in-process.
+driven in-process or handed to ``map_batches`` as an actor UDF.  As an
+actor UDF, hand over ``stages.actor_pool.by_ref(ExtractorActor)``: the
+class pickles to ~107 KB, and at that size a restarted pool actor can
+fail to fetch it (see that module).
 
 Batches flow in as zero-copy Arrow tables.  The per-row work is DOM
 parsing + rule dispatch — inherently row-wise CPU compute (like model
