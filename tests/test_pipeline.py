@@ -353,15 +353,16 @@ def test_round_task_sizing(ray_session, tmp_path):
 def test_empty_fragment_round(ray_session, tmp_path, full_fragments):
     """A 0-row fragment commits a 0-doc record in its round, and a rerun
     is a no-op.  With no full fragments, the round is four 0-row
-    fragments, read one block per fragment on the 4-CPU
-    test session; beside full fragments it is read the default way."""
+    fragments, read one block per fragment on the 4-CPU test session,
+    and writes no file at all; beside full fragments it is read the
+    default way."""
     import pyarrow.parquet as pq
 
     from webtext.schema import INPUT_SCHEMA
 
     inp, out = str(tmp_path / "in"), str(tmp_path / "out")
     files = _even_corpus(inp, full_fragments, seed=17)
-    empty = [f"part-9999{i}" for i in range(4 if not full_fragments else 1)]
+    empty = [f"part-9999{i}" for i in range(1 if full_fragments else 4)]
     for name in empty:
         pq.write_table(INPUT_SCHEMA.empty_table(),
                        os.path.join(inp, f"{name}.parquet"))

@@ -46,7 +46,6 @@ import shutil
 import time
 
 import pyarrow as pa
-import pyarrow.parquet as pq
 
 from ..sources.io import list_fragments, read_documents
 from ..sources.manifest import CommitManifest
@@ -152,6 +151,7 @@ def run_extraction(
     ``rebalance=True`` inserts the salted-domain repartition before the
     classify stage (see webtext.stages.skew for when that pays off).
     """
+    import pyarrow.parquet as pq
     import ray.data
 
     manifest = CommitManifest(output_dir)
