@@ -1,5 +1,8 @@
 """Graph operators: degrees and fixed-point PageRank."""
 
+import os
+import shutil
+
 import numpy as np
 import pyarrow as pa
 
@@ -244,3 +247,101 @@ def test_missing_present_slice_raises(ray_session):
         with pytest.raises(FileNotFoundError, match="missing"):
             graph._load_bucket(s, 3)
     assert not os.path.exists(s.dir)
+
+
+def test_pagerank_hits_empty_graph(ray_session):
+    """An empty edge set gives empty typed tables (no division by the
+    zero node count); personalized pagerank keeps its documented
+    ValueError for zero total teleport weight."""
+    import pytest
+    import ray.data
+
+    empty = _edges_ds([])
+    for op, cols in ((graph.pagerank, ["node", "rank"]),
+                     (graph.hits, ["node", "hub", "auth"])):
+        out = op(empty)
+        assert out.take_all() == []
+        assert out.schema().names == cols
+        assert set(out.schema().types) == {pa.int64()}
+    weights = ray.data.from_items([{"node": 1, "w": 1}])
+    with pytest.raises(ValueError, match="positive total"):
+        graph.pagerank_personalized(_edges_ds([]), weights).take_all()
+
+
+def test_pagerank_hits_exchange_route_matches_local(ray_session,
+                                                     monkeypatch,
+                                                     tmp_path):
+    """Forcing the gate to 0 runs pagerank, pagerank_personalized and
+    hits on the bucketed exchange route; on a random multi-block graph
+    each is row-identical to the driver-state local route and to the
+    dense references (``_dense_pagerank``, tools/gen_goldens.py
+    ``golden_hits``)."""
+    import pyarrow.parquet as pq
+    import ray.data
+
+    from tools.gen_goldens import golden_hits
+
+    rng = np.random.RandomState(11)
+    li = pa.table({"l_partkey": pa.array(rng.randint(0, 40, 300),
+                                         pa.int64()),
+                   "l_suppkey": pa.array(rng.zipf(1.6, 300) % 12,
+                                         pa.int64())})
+    pq.write_table(li, str(tmp_path / "lineitem.parquet"))
+    edges = graph.lineitem_edges(ray.data.from_arrow(li).repartition(4)) \
+        .materialize()
+    rows = [(r["src"], r["dst"], r["w"]) for r in edges.take_all()]
+    nodes = sorted({r[0] for r in rows} | {r[1] for r in rows})
+    weights = ray.data.from_items(
+        [{"node": n, "w": 1 + n % 5} for n in nodes])
+
+    def run():
+        return (sorted((r["node"], r["rank"])
+                       for r in graph.pagerank(edges).take_all()),
+                sorted((r["node"], r["rank"])
+                       for r in graph.pagerank_personalized(
+                           edges, weights).take_all()),
+                sorted((r["node"], r["hub"], r["auth"])
+                       for r in graph.hits(edges).take_all()))
+
+    local = run()
+    monkeypatch.setattr(graph, "LOCAL_STATE_MAX_NODES", 0)
+    exchange = run()
+    assert exchange == local
+    assert dict(local[0]) == _dense_pagerank(rows)
+    assert local[2] == sorted(golden_hits(str(tmp_path))
+                              .to_pandas().itertuples(index=False, name=None))
+
+
+def test_bucket_cache_evicts_removed_dirs_then_oldest(tmp_path,
+                                                      monkeypatch):
+    """Over budget, ``_load_bucket`` first evicts entries of slice dirs
+    that no longer exist (a finished op's removed tempdir), then the
+    oldest-inserted entry — a second LIVE dir's slices (hits' fwd/rev
+    pair) are not dropped wholesale."""
+    import pyarrow.parquet as pq
+
+    def slices(name):
+        d = tmp_path / name
+        d.mkdir()
+        for b in range(3):
+            pq.write_table(pa.table({"a": pa.array([b] * 4, pa.int64())}),
+                           graph._bucket_file(str(d), b))
+        return graph._Slices(str(d), frozenset(range(3)), None, 1)
+
+    monkeypatch.setattr(graph, "_BUCKET_CACHE", {})
+    monkeypatch.setattr(graph, "_BUCKET_CACHE_BYTES", 0)
+    monkeypatch.setattr(graph, "_BUCKET_CACHE_BUDGET", 64)   # 2 entries
+    fwd, rev, done = slices("fwd"), slices("rev"), slices("done")
+
+    def cached():
+        return [(os.path.basename(d), b) for d, b in graph._BUCKET_CACHE]
+
+    graph._load_bucket(fwd, 0)
+    graph._load_bucket(rev, 0)
+    graph._load_bucket(fwd, 1)      # both dirs live: oldest goes
+    assert cached() == [("rev", 0), ("fwd", 1)]
+    graph._load_bucket(done, 0)
+    shutil.rmtree(done.dir)
+    graph._load_bucket(rev, 1)      # removed dir first, though newest
+    assert cached() == [("fwd", 1), ("rev", 1)]
+    assert graph._BUCKET_CACHE_BYTES == 64

@@ -246,33 +246,35 @@ def test_coreness_block_split_invariant(ray_session):
     assert _coreness(edges, nparts=1) == _coreness(edges, nparts=7)
 
 
-def test_coreness_exchange_path_matches_local(ray_session):
-    """local_state_max=0 forces the bucketed state-only exchange path;
+def test_coreness_exchange_path_matches_local(ray_session, monkeypatch):
+    """A gate of 0 forces the bucketed state-only exchange path;
     it must be row-identical to the gated broadcast path AND to the
     literal peeling reference (both paths share the persisted
     adjacency slices with dual role assignment — see coreness doc)."""
-    from webtext.functions.graph import coreness
+    from webtext.functions import graph
     rng = random.Random("coreness:exchange")
     edges = sorted({tuple(sorted(rng.sample(range(1, 45), 2)))
                     for _ in range(260)})
-    out = coreness(_edge_ds(edges, 5), local_state_max=0).to_pandas()
+    want = _coreness(edges)
+    monkeypatch.setattr(graph, "LOCAL_STATE_MAX_NODES", 0)
+    out = graph.coreness(_edge_ds(edges, 5)).to_pandas()
     got = {int(r.node): int(r.coreness) for r in out.itertuples()}
     assert got == _peel(edges)
-    assert got == _coreness(edges)
+    assert got == want
 
 
-def test_coreness_max_rounds_backstop_raises(ray_session):
+def test_coreness_max_rounds_backstop_raises(ray_session, monkeypatch):
     """An explicit too-small cap still raises (never returns an
     unconverged table) on both paths."""
     import pytest
 
-    from webtext.functions.graph import coreness
+    from webtext.functions import graph
     edges = list(itertools.combinations(range(1, 8), 2)) + [(1, 9)]
     with pytest.raises(RuntimeError, match="no convergence"):
-        coreness(_edge_ds(edges, 3), max_rounds=1).to_pandas()
+        graph.coreness(_edge_ds(edges, 3), max_rounds=1).to_pandas()
+    monkeypatch.setattr(graph, "LOCAL_STATE_MAX_NODES", 0)
     with pytest.raises(RuntimeError, match="no convergence"):
-        coreness(_edge_ds(edges, 3), max_rounds=1,
-                 local_state_max=0).to_pandas()
+        graph.coreness(_edge_ds(edges, 3), max_rounds=1).to_pandas()
 
 
 # ------------------------------------------------------------ bfs_distances
@@ -432,30 +434,52 @@ def _round_lines(err, name):
     return re.findall(rf"^\[{name}\] round \d+:.*$", err, re.M)
 
 
+def _route_fields(err, name):
+    return re.findall(rf"^\[{name}\] route=(local|exchange) nodes=\d+ "
+                      r"gate=\d+$", err, re.M)
+
+
 def test_round_trace_lines(ray_session, capfd, monkeypatch):
     """WEBTEXT_TRACE_ROUNDS prints one line per round for every
-    iterative op: exactly ``iters`` for pagerank, at most ``rounds``
-    for lpa, and coreness keeps its changed-count line on both paths
-    (the broadcast path adds its dirty-bucket count)."""
+    iterative op: exactly ``iters`` for pagerank, pagerank_personalized
+    and hits, at most ``rounds`` for lpa, and coreness keeps its
+    changed-count line (the broadcast path adds its dirty-bucket
+    count).  The driver-state ops also print one route line per call,
+    whose field flips when the gate is forced to 0."""
     from webtext.functions import graph
 
     monkeypatch.setenv("WEBTEXT_TRACE_ROUNDS", "1")
     capfd.readouterr()
-    graph.pagerank(ray.data.from_items(
-        [{"src": 0, "dst": 1, "w": 1}, {"src": 1, "dst": 2, "w": 2},
-         {"src": 2, "dst": 0, "w": 1}]), iters=3).take_all()
-    assert len(_round_lines(capfd.readouterr().err, "pagerank")) == 3
-
     k4 = list(itertools.combinations([1, 2, 3, 4], 2))
     pairs = k4 + [(4, 5), (5, 6), (6, 7)]
     graph.lpa_communities(_edge_ds(pairs), rounds=2).take_all()
-    assert 1 <= len(_round_lines(capfd.readouterr().err, "lpa")) <= 2
+    err = capfd.readouterr().err
+    assert 1 <= len(_round_lines(err, "lpa")) <= 2
+    assert not _route_fields(err, "lpa")
 
-    for gate, note in ((graph.CORE_LOCAL_STATE_MAX, r" dirty=\d+"),
-                       (0, "")):
-        graph.coreness(_edge_ds(pairs),
-                       local_state_max=gate).take_all()
-        lines = _round_lines(capfd.readouterr().err, "coreness")
+    directed = ray.data.from_items(
+        [{"src": 0, "dst": 1, "w": 1}, {"src": 1, "dst": 2, "w": 2},
+         {"src": 2, "dst": 0, "w": 1}])
+    weights = ray.data.from_items([{"node": 0, "w": 1}])
+    for gate, route, note in (
+            (graph.LOCAL_STATE_MAX_NODES, "local", r" dirty=\d+"),
+            (0, "exchange", "")):
+        monkeypatch.setattr(graph, "LOCAL_STATE_MAX_NODES", gate)
+        for name, run in (
+                ("pagerank", lambda: graph.pagerank(directed, iters=3)),
+                ("pagerank_personalized",
+                 lambda: graph.pagerank_personalized(directed, weights,
+                                                     iters=3)),
+                ("hits", lambda: graph.hits(directed, iters=3))):
+            run().take_all()
+            err = capfd.readouterr().err
+            assert len(_round_lines(err, name)) == 3, (name, route)
+            assert _route_fields(err, name) == [route], (name, err)
+
+        graph.coreness(_edge_ds(pairs)).take_all()
+        err = capfd.readouterr().err
+        assert _route_fields(err, "coreness") == [route]
+        lines = _round_lines(err, "coreness")
         assert lines
         for line in lines:
             assert re.fullmatch(

@@ -50,13 +50,16 @@ PR_D_NUM, PR_D_DEN = 17, 20
 # routes through bucketed attaches (see triangle_census docstring)
 TRI_BROADCAST_MAX_NODES = 2_000_000
 
-# coreness local-state gate: ≤ this many nodes, the per-round state
-# (two int64 per node, ≤ ~32 MB) is driver-held and ray.put-broadcast
-# each round (the TRI_BROADCAST_MAX_NODES posture); above it, the
-# fixed point runs as bucketed state-only exchanges.  Both paths are
-# the same integer recurrence over the same persisted adjacency, so
-# they are row-identical (pinned by test).
-CORE_LOCAL_STATE_MAX = 2_000_000
+# local-state gate of the iterative graph family (coreness, pagerank,
+# pagerank_personalized, hits): ≤ this many nodes, the per-round state
+# (a few node-sized int64 arrays, ≤ 16 MB each) is driver-held and
+# ray.put-broadcast each round (the TRI_BROADCAST_MAX_NODES posture)
+# to raw Ray tasks over the persisted slices; above it, the rounds run
+# as bucketed state-only exchanges.  Both routes are the same integer
+# recurrence over the same persisted slices, so they are row-identical
+# (pinned by test).  Read at call time (``_local_route``), so a test
+# can force either route.
+LOCAL_STATE_MAX_NODES = 2_000_000
 
 
 # --- static per-bucket slice persistence ----------------------------
@@ -72,20 +75,32 @@ CORE_LOCAL_STATE_MAX = 2_000_000
 # raises.  Two keyed sides feed it: ``_directed_slices`` (weighted
 # (key, other, w) edges — pagerank, pagerank_personalized, hits) and
 # ``_adjacency_slices`` (the symmetric (node, nbr) adjacency —
-# coreness, lpa, bfs).  Each round's cell then loads ONLY its own
-# bucket slice (cached per worker process across rounds), so the
-# per-round exchange carries node-sized state rows only.  A bucket the
-# handle records as present must have a readable file — a missing one
-# raises rather than reading as an empty slice.  On a multi-node
-# cluster the directory must live on shared storage (S3/NFS) exactly
-# like the near-dup band index; single-node it is a private tempdir.
+# coreness, lpa, bfs).  Rounds read the slices on one of two routes,
+# chosen per call from the node count (``_local_route``):
+#
+# * local (≤ LOCAL_STATE_MAX_NODES nodes — coreness, pagerank,
+#   pagerank_personalized, hits): the state is a driver-held node-sized
+#   int64 vector, ray.put once per round, and ``_LocalFanout`` runs one
+#   raw Ray task per static group of present buckets; each task gathers
+#   the state for its slices' rows and returns pre-summed partials;
+# * exchange (above the gate, and always for lpa/bfs): each round's
+#   bucketed map_groups cell loads ONLY its own bucket slice, so the
+#   per-round exchange carries node-sized state rows only.
+#
+# Either way a worker caches the slices it read across rounds.  A
+# bucket the handle records as present must have a readable file — a
+# missing one raises rather than reading as an empty slice.  On a
+# multi-node cluster the directory must live on shared storage
+# (S3/NFS) exactly like the near-dup band index; single-node it is a
+# private tempdir.
 
 _BUCKET_CACHE: dict = {}        # (dir, bucket) -> tuple of arrays
 _BUCKET_CACHE_BYTES = 0
 _BUCKET_CACHE_BUDGET = 256 << 20    # per-worker byte budget; evicts
-# other-dir entries first (a finished op's deleted tempdir must not
-# stay pinned), then oldest-inserted — so one op's full 256 slices fit
-# as long as they are under budget, with no wholesale clear thrash
+# entries of removed dirs first (a finished op's tempdir must not stay
+# pinned), then oldest-inserted — so live slices of every running op
+# (hits' fwd AND rev) stay cached while they fit, with no wholesale
+# clear thrash
 
 
 class _Slices(NamedTuple):
@@ -149,6 +164,21 @@ def _fixed_point(state, step, rounds, name, note=None):
     return state, False
 
 
+def _local_route(name: str, n_nodes: int) -> bool:
+    """The route choice of a driver-state op: True (local) when
+    ``n_nodes`` is at or under LOCAL_STATE_MAX_NODES (read now), else
+    False (exchange).  With ``WEBTEXT_TRACE_ROUNDS`` set it prints one
+    ``[name] route=local|exchange nodes=N gate=G`` line to stderr."""
+    import sys
+
+    local = n_nodes <= LOCAL_STATE_MAX_NODES
+    if os.environ.get("WEBTEXT_TRACE_ROUNDS"):
+        print(f"[{name}] route={'local' if local else 'exchange'} "
+              f"nodes={n_nodes} gate={LOCAL_STATE_MAX_NODES}",
+              file=sys.stderr)
+    return local
+
+
 def _bucket_file(dir_path: str, b: int) -> str:
     return os.path.join(dir_path, f"b{int(b)}.parquet")
 
@@ -180,9 +210,10 @@ def _load_bucket(slices: _Slices, b: int):
                     for i in range(t.num_columns))
         size = sum(a.nbytes for a in hit)
         if _BUCKET_CACHE_BYTES + size > _BUCKET_CACHE_BUDGET:
-            # other-dir entries first (their op — and tempdir — is
-            # usually gone), then oldest-inserted of the current dir
-            for k in [k for k in _BUCKET_CACHE if k[0] != dir_path]:
+            # entries of removed dirs (finished ops) first, then the
+            # oldest-inserted, live or not
+            dead = {d for d, _ in _BUCKET_CACHE if not os.path.isdir(d)}
+            for k in [k for k in _BUCKET_CACHE if k[0] in dead]:
                 _BUCKET_CACHE_BYTES -= sum(
                     a.nbytes for a in _BUCKET_CACHE.pop(k))
             while _BUCKET_CACHE and \
@@ -295,6 +326,84 @@ def _adjacency_slices(edges, n_buckets: int = N_SHUFFLE_BUCKETS,
         n_buckets=n_buckets)
 
 
+class _LocalFanout:
+    """The local route's round fan-out.  Collects the int64 ``cols`` of
+    Dataset ``ds`` onto the driver sorted by ``cols[0]`` (``sn``: the
+    sorted node ids, ray.put once; ``cols``: the other columns, aligned
+    with ``sn``); ``map`` then runs ``kernel(slices, buckets, sn,
+    value)`` as one raw Ray task per group of present buckets, with
+    ``value`` (a node-sized array aligned with ``sn``) ray.put once per
+    call.  Raw tasks, not a Dataset round: a per-round Dataset job pays
+    a streaming-executor spin-up and two sort-based exchanges for
+    node-sized data, while a synchronous barrier over static partitions
+    plus a small broadcast is exactly what plain tasks express.  The
+    bucket→task grouping is a static round-robin over the sorted present
+    buckets, so a worker's slice cache stays warm across rounds; there
+    are at most as many groups as cluster CPUs (and at most 32), since a
+    round's tasks all run at once and each extra task only adds its
+    fixed cost — 32 groups on 4 CPUs measured ~0.13 s per pagerank
+    round against ~0.06 s for 4."""
+
+    def __init__(self, ds, cols, kernel):
+        import ray
+
+        from ..pipelines.extract_pipeline import cluster_cpus
+
+        self._n_groups = max(1, min(32, cluster_cpus()))
+        blocks = [b for b in ray.get(ds.to_arrow_refs()) if b.num_rows]
+        arrs = [np.concatenate([_col_i64(b, c) for b in blocks])
+                if blocks else np.array([], dtype=np.int64) for c in cols]
+        order = np.argsort(arrs[0], kind="stable")
+        self.sn, *self.cols = (np.ascontiguousarray(a[order])
+                               for a in arrs)
+        self._sn_ref = ray.put(self.sn)
+        self._kern = ray.remote(kernel)
+
+    def map(self, slices: _Slices, value, buckets=None) -> list:
+        """Kernel results, one per task that has buckets: every present
+        bucket, or only those in ``buckets`` when it is given."""
+        import ray
+
+        present = sorted(slices.present)
+        value_ref = ray.put(value)
+        futs = []
+        for i in range(self._n_groups):
+            gb = [b for b in present[i::self._n_groups]
+                  if buckets is None or b in buckets]
+            if gb:
+                futs.append(self._kern.remote(slices, gb, self._sn_ref,
+                                              value_ref))
+        return ray.get(futs)
+
+    def inflow(self, slices: _Slices, value) -> np.ndarray:
+        """Dense Σ value[k]·w over the directed slice rows (k, other, w),
+        per ``other`` aligned with ``sn`` (``kernel`` must be
+        ``_inflow_kernel``).  Exact int64 sums: order-invariant."""
+        inflow = np.zeros(len(self.sn), dtype=np.int64)
+        for pos, part in self.map(slices, value):
+            inflow[pos] += part      # pos is unique within one task
+        return inflow
+
+
+def _inflow_kernel(slices: _Slices, buckets, sn, value):
+    """One local-route task over directed slices: gather
+    ``value[searchsorted(sn, k)] · w`` for every row (k, other, w) of
+    ``buckets`` and pre-sum per other.  Returns (position of other in
+    ``sn``, partial sum), positions unique."""
+    pos, part = [], []
+    for b in buckets:
+        k, other, w = _load_bucket(slices, b)
+        pos.append(np.searchsorted(sn, other))
+        part.append(value[np.searchsorted(sn, k)] * w)
+    pos, part = np.concatenate(pos), np.concatenate(part)
+    if not len(pos):
+        return pos, part
+    order = np.argsort(pos, kind="stable")
+    pos, part = pos[order], part[order]
+    starts = np.flatnonzero(np.r_[True, pos[1:] != pos[:-1]])
+    return pos[starts], np.add.reduceat(part, starts)
+
+
 def lineitem_edges(ds):
     """(src, dst, w): weighted part->supplier edges from lineitem,
     multi-edges collapsed to integer weights by a per-batch combiner +
@@ -403,60 +512,109 @@ def _spread(state, slices: _Slices, val, carry: tuple, n_buckets: int):
         .groupby("node").sum(["contrib", *carry])
 
 
-def _pr_share(batch: pa.Table) -> np.ndarray:
+# The PageRank integer recurrence, shared by both routes.
+def _pr_base(p: np.ndarray) -> np.ndarray:
+    """(3 · p) // 20: the teleport term of a node whose initial rank is
+    p."""
+    return (np.int64(3) * p) // np.int64(PR_D_DEN)
+
+
+def _pr_share(rank: np.ndarray, outdeg: np.ndarray) -> np.ndarray:
     """rank // outdeg (0 for dangling nodes): what each out-edge
     carries per unit weight."""
-    rank = _col_i64(batch, "rank")
-    outdeg = _col_i64(batch, "outdeg")
     return np.where(outdeg > 0, rank // np.maximum(outdeg, 1),
                     np.int64(0))
 
 
+def _pr_rank(base: np.ndarray, inflow: np.ndarray) -> np.ndarray:
+    """rank' = base + (17 · inflow) // 20."""
+    return base + (np.int64(PR_D_NUM) * inflow) // np.int64(PR_D_DEN)
+
+
 def _pr_next_ranks(out: pa.Table) -> pa.Table:
-    """rank' = base + (17 * inflow) // 20, carrying outdeg and the
+    """Exchange-route rank rows after a spread, carrying outdeg and the
     per-node teleport term base forward."""
-    inflow = _col_i64(out, "sum(contrib)")
     base = _col_i64(out, "sum(base)")
-    rank = base + (np.int64(PR_D_NUM) * inflow) // np.int64(PR_D_DEN)
+    rank = _pr_rank(base, _col_i64(out, "sum(contrib)"))
     return pa.Table.from_arrays(
         [out.column("node").cast(pa.int64()), pa.array(rank),
          out.column("sum(outdeg)").cast(pa.int64()), pa.array(base)],
         names=["node", "rank", "outdeg", "base"])
 
 
-def _pagerank_rounds(edges, teleport, iters: int, n_buckets: int,
-                     name: str):
+def _pagerank_rounds(edges, teleport, n_nodes: int, iters: int,
+                     n_buckets: int, name: str):
     """The loop both PageRank variants share.  ``teleport``: Dataset
-    (node, outdeg, p) over every graph node — p is the node's initial
-    rank, and its teleport term is base = (3 · p) // 20.  State rows
-    (node, rank, outdeg, base) spread rank // outdeg over the directed
-    slices keyed by hash(src) each round, carrying outdeg and base."""
-    def init(batch: pa.Table) -> pa.Table:
-        p = _col_i64(batch, "p")
-        return pa.Table.from_arrays(
-            [batch.column("node").cast(pa.int64()), pa.array(p),
-             batch.column("outdeg").cast(pa.int64()),
-             pa.array((np.int64(3) * p) // np.int64(PR_D_DEN))],
-            names=["node", "rank", "outdeg", "base"])
+    (node, outdeg, p) over every graph node (``n_nodes`` rows, at least
+    one) — p is the node's initial rank, and its teleport term is
+    base = (3 · p) // 20.  Each round spreads rank // outdeg over the
+    directed slices keyed by hash(src) and sets
+    rank = base + (17 · inflow) // 20, on one of two routes chosen from
+    ``n_nodes`` (``_local_route``):
 
-    ranks = teleport.map_batches(init, batch_format="pyarrow",
-                                 zero_copy_batch=True) \
-        .repartition(STATE_BLOCKS).materialize()
+    * local (≤ LOCAL_STATE_MAX_NODES): rank, outdeg and base are
+      driver-held arrays over the sorted node ids; a round ray.puts the
+      share vector and sums the ``_inflow_kernel`` partials of one raw
+      task per bucket group (``_LocalFanout``) into a dense inflow;
+    * exchange: state rows (node, rank, outdeg, base) go through
+      ``_spread`` (a bucketed map_groups over the slices, then a native
+      groupby(node).sum) carrying outdeg and base, compacted to
+      STATE_BLOCKS and materialized each round.
+
+    Every sum is an int64 sum, so both routes give the same ranks."""
+    import ray.data
+
     with _directed_slices(edges, "src", "dst", n_buckets) as slices:
+        if _local_route(name, n_nodes):
+            fan = _LocalFanout(teleport, ("node", "outdeg", "p"),
+                               _inflow_kernel)
+            outdeg, p = fan.cols
+            base = _pr_base(p)
+
+            def local_step(rank):
+                inflow = fan.inflow(slices, _pr_share(rank, outdeg))
+                return _pr_rank(base, inflow), None
+
+            rank, _ = _fixed_point(p, local_step, iters, name)
+            return ray.data.from_arrow(pa.Table.from_arrays(
+                [pa.array(fan.sn), pa.array(rank)], names=["node", "rank"]))
+
+        def init(batch: pa.Table) -> pa.Table:
+            p = _col_i64(batch, "p")
+            return pa.Table.from_arrays(
+                [batch.column("node").cast(pa.int64()), pa.array(p),
+                 batch.column("outdeg").cast(pa.int64()),
+                 pa.array(_pr_base(p))],
+                names=["node", "rank", "outdeg", "base"])
+
         def step(ranks):
             # materialize per round: a 16-all-to-all lazy megaplan is
             # bit-identical but measured 2x SLOWER on the streaming
             # executor than eager rounds (BASELINE.md round-3 cont. 3)
             # — the barrier buys scheduler locality; materialize, not
             # _rebind: rank state is consumed once per round
-            return _spread(ranks, slices, _pr_share, ("outdeg", "base"),
-                           n_buckets) \
+            return _spread(ranks, slices,
+                           lambda b: _pr_share(_col_i64(b, "rank"),
+                                               _col_i64(b, "outdeg")),
+                           ("outdeg", "base"), n_buckets) \
                 .map_batches(_pr_next_ranks, batch_format="pyarrow",
                              zero_copy_batch=True) \
                 .repartition(STATE_BLOCKS).materialize(), None
 
+        ranks = teleport.map_batches(init, batch_format="pyarrow",
+                                     zero_copy_batch=True) \
+            .repartition(STATE_BLOCKS).materialize()
         ranks, _ = _fixed_point(ranks, step, iters, name)
     return ranks.select_columns(["node", "rank"])
+
+
+def _empty_table(*names: str):
+    """A 0-row Dataset of int64 columns ``names``: what an op over an
+    empty graph returns."""
+    import ray.data
+
+    return ray.data.from_arrow(pa.Table.from_arrays(
+        [pa.array([], pa.int64()) for _ in names], names=list(names)))
 
 
 def pagerank(edges, iters: int = PAGERANK_ITERS,
@@ -471,24 +629,25 @@ def pagerank(edges, iters: int = PAGERANK_ITERS,
     where rank0 = scale // N.  Dangling mass (nodes with no out-edges)
     is dropped, the standard no-redistribution variant; every quantity
     is int64, so sums are order-invariant and the distributed result is
-    bit-identical to the dense golden.
+    bit-identical to the dense golden.  An empty edge set gives an
+    empty (node, rank) table.
 
-    Per round (``_pagerank_rounds``, shared with
-    ``pagerank_personalized`` — plain PageRank is the uniform-teleport
-    case, its per-node base column constant): one constant-fan-out
-    bucketed map_groups over the RANK rows only — the static
-    (src, dst, w) edges are persisted once as per-bucket slices
-    (``_directed_slices``) and read in-cell, never re-shuffled —
-    emitting BOTH the per-dst contribution partials and each node's
-    zero-row with its carried outdeg and base, then one NATIVE
-    groupby(node).sum merges them.  Rank state is consumed exactly once
-    per round.  Per-round shuffle bytes: O(nodes) state + O(per-cell
-    distinct dst) partials, not O(E)."""
+    The static (src, dst, w) edges are persisted once as per-bucket
+    slices (``_directed_slices``) and never re-shuffled.  The rounds
+    are ``_pagerank_rounds``, shared with ``pagerank_personalized``
+    (plain PageRank is the uniform-teleport case): up to
+    LOCAL_STATE_MAX_NODES nodes the rank vector is driver-held and each
+    round is one raw-task fan-out over the slices plus a dense driver
+    sum; above it each round is a bucketed spread over rank rows plus
+    one native groupby(node).sum, O(nodes) shuffle bytes, not O(E)."""
     edges = edges.materialize()     # degrees + the one-time persist
     # deg is a derived dataset consumed twice (count + rank init) —
     # materialize so degrees() executes once
     deg = degrees(edges).materialize()
-    base = scale // deg.count()
+    n_nodes = deg.count()
+    if n_nodes == 0:
+        return _empty_table("node", "rank")
+    base = scale // n_nodes
     teleport = deg.map_batches(
         lambda b: pa.Table.from_arrays(
             [b.column("node").cast(pa.int64()),
@@ -496,7 +655,8 @@ def pagerank(edges, iters: int = PAGERANK_ITERS,
              pa.array(np.full(b.num_rows, base, dtype=np.int64))],
             names=["node", "outdeg", "p"]),
         batch_format="pyarrow", zero_copy_batch=True)
-    return _pagerank_rounds(edges, teleport, iters, n_buckets, "pagerank")
+    return _pagerank_rounds(edges, teleport, n_nodes, iters, n_buckets,
+                            "pagerank")
 
 
 def _split_mul_div(a: int, w: np.ndarray, m: int) -> np.ndarray:
@@ -527,11 +687,12 @@ def pagerank_personalized(edges, weights,
     restriction-to-graph convention).  All arithmetic is int64 with the
     split multiply (`_split_mul_div`) so p_v is exact wherever
     (scale mod W)·max(w) < 2^63 — w up to ~9·10⁶ at the default scale.
-    The rounds are `pagerank`'s own (``_pagerank_rounds``: rank state
-    consumed once, one bucketed spread over rank rows only — static
-    edges persisted once per invocation, read in-cell — plus one native
-    groupby per round, the per-node teleport term riding the state as
-    its base column); only the initial ranks differ.  The weight attach
+    The rounds are `pagerank`'s own (``_pagerank_rounds``: static edges
+    persisted once per invocation; driver-held rank vector and a
+    raw-task fan-out per round up to LOCAL_STATE_MAX_NODES nodes, a
+    bucketed spread plus one native groupby per round above it, the
+    per-node teleport term as the base column); only the initial ranks
+    differ.  The weight attach
     is a bucketed emit-union join (weights are sf-proportional — never
     broadcast).  Uniform weights reproduce `pagerank` bit-for-bit
     (pinned by test)."""
@@ -599,7 +760,7 @@ def pagerank_personalized(edges, weights,
     return _pagerank_rounds(
         edges, state0.map_batches(teleport, batch_format="pyarrow",
                                   zero_copy_batch=True),
-        iters, n_buckets, "pagerank_personalized")
+        state0.count(), iters, n_buckets, "pagerank_personalized")
 
 
 HITS_SCALE = 10**12             # L1-normalized mass per half-step
@@ -614,30 +775,44 @@ def hits(edges, iters: int = HITS_ITERS, scale: int = HITS_SCALE,
     hub/authority web-quality prior (on the bipartite part→supplier
     driver graph: hubs = parts, authorities = suppliers).
 
-    Same fixed-point posture as pagerank: integer state, one
-    constant-fan-out bucketed spread per half-step over the STATE rows
-    only (``_spread``, keyed by the edge endpoint being read — src for
-    the auth step, dst for the hub step; the matching pre-keyed edge
-    copy is persisted once per invocation by ``_directed_slices`` and
-    read in-cell, never re-shuffled), one NATIVE groupby(node).sum,
-    per-half-step materialize of the compacted STATE_BLOCKS state.
-    Normalization:
+    Same fixed-point posture as pagerank: integer state, and two
+    edge copies persisted once per invocation by ``_directed_slices``
+    — keyed by src for the auth half-step, by dst for the hub
+    half-step — never re-shuffled.  A half-step runs on the route
+    ``_local_route`` picks from the node count: up to
+    LOCAL_STATE_MAX_NODES nodes the value vector is driver-held and the
+    half-step is one raw-task fan-out over the matching slices
+    (``_LocalFanout.inflow``) into a dense driver array; above it, one
+    bucketed spread over the STATE rows (``_spread``), one NATIVE
+    groupby(node).sum and a materialize of the compacted STATE_BLOCKS
+    state.  Normalization:
     the raw L1 mass S is an EXACT int64 sum (one driver scalar per
     half-step; bound: max in-/out-weight per node must stay below
     2^63/scale ≈ 9.2e6 — documented, far above every tested graph);
     values then rescale elementwise by floor(raw · (scale/S)) — one
     float64 multiply+floor per node, identical in the dense golden, so
-    the distributed result is bit-identical under any blocking.
+    the result is bit-identical on either route under any blocking.
+    An empty edge set gives an empty (node, hub, auth) table.
 
     Differential golden: tools/gen_goldens.py golden_hits (dense numpy,
     same integer sums, same float rescale)."""
+    import ray.data
+
     # edges is consumed three times (degrees + the two pre-keyed
     # copies); materialize so a lazy edge-derivation (e.g. the
     # lineitem_edges collapse groupby) executes once, not thrice
     edges = edges.materialize()
     deg = degrees(edges).materialize()
     n_nodes = deg.count()
+    if n_nodes == 0:
+        return _empty_table("node", "hub", "auth")
     base = scale // n_nodes
+
+    def rescaled(raw: np.ndarray, s) -> np.ndarray:
+        """floor(raw · (scale / s)) for the exact L1 mass s (s = 0:
+        all 0) — the same on both routes and in the dense golden."""
+        ratio = (float(scale) / float(int(s))) if s else 0.0
+        return np.floor(raw.astype(np.float64) * ratio).astype(np.int64)
 
     def init_state(batch: pa.Table) -> pa.Table:
         n = batch.num_rows
@@ -656,11 +831,9 @@ def hits(edges, iters: int = HITS_ITERS, scale: int = HITS_SCALE,
                 batch_format="pyarrow", zero_copy_batch=True) \
             .repartition(STATE_BLOCKS).materialize()
         s = raw.sum("raw")
-        ratio = (float(scale) / float(int(s))) if s else 0.0
 
         def rescale(batch: pa.Table) -> pa.Table:
-            rv = _col_i64(batch, "raw")
-            v = np.floor(rv.astype(np.float64) * ratio).astype(np.int64)
+            v = rescaled(_col_i64(batch, "raw"), s)
             return pa.Table.from_arrays(
                 [batch.column("node").cast(pa.int64()), pa.array(v)],
                 names=["node", "val"])
@@ -672,15 +845,33 @@ def hits(edges, iters: int = HITS_ITERS, scale: int = HITS_SCALE,
         return raw.map_batches(rescale, batch_format="pyarrow",
                                zero_copy_batch=True)
 
-    hub = deg.map_batches(init_state, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .repartition(STATE_BLOCKS).materialize()
     with _directed_slices(edges, "src", "dst", n_buckets) as fwd, \
             _directed_slices(edges, "dst", "src", n_buckets) as rev:
+        if _local_route("hits", n_nodes):
+            fan = _LocalFanout(deg, ("node",), _inflow_kernel)
+
+            def local_half(val, slices):
+                raw = fan.inflow(slices, val)
+                return rescaled(raw, raw.sum())
+
+            def local_step(state):
+                auth = local_half(state[0], fwd)
+                return (local_half(auth, rev), auth), None
+
+            hub0 = np.full(n_nodes, base, dtype=np.int64)
+            (hub, auth), _ = _fixed_point((hub0, np.zeros_like(hub0)),
+                                          local_step, iters, "hits")
+            return ray.data.from_arrow(pa.Table.from_arrays(
+                [pa.array(fan.sn), pa.array(hub), pa.array(auth)],
+                names=["node", "hub", "auth"]))
+
         def step(state):
             auth = half(state[0], fwd)     # auth ← hubs over u→v
             return (half(auth, rev), auth), None   # hub ← auths
 
+        hub = deg.map_batches(init_state, batch_format="pyarrow",
+                              zero_copy_batch=True) \
+            .repartition(STATE_BLOCKS).materialize()
         (hub, auth), _ = _fixed_point((hub, None), step, iters, "hits")
     # hub/auth are lazy rescale maps over the MATERIALIZED raw
     # half-step outputs — nothing downstream reads the removed slices
@@ -1592,15 +1783,10 @@ def _core_round_kernel(slices, buckets, sn, sv):
 
 def _coreness_local(deg, slices: _Slices, n_buckets, max_rounds):
     """Driver-coordinated broadcast fixed point (node count under
-    ``CORE_LOCAL_STATE_MAX``): state is two gated node-sized int64
-    arrays, ray.put once per round (sorted node ids are static — put
-    once ever); each round fans the DIRTY buckets out as raw Ray tasks
-    over the persisted adjacency slices.  Raw tasks, not a Dataset
-    round: a per-round Dataset job pays a full streaming-executor
-    spin-up for node-sized data ~38 times — measured seconds of pure
-    overhead — while the semantics here (synchronous barrier over
-    static partitions + tiny broadcast) are exactly what plain tasks
-    express.
+    ``LOCAL_STATE_MAX_NODES``): state is a node-sized int64 array over
+    the sorted node ids, and each round fans the DIRTY buckets out as
+    raw Ray tasks over the persisted adjacency slices
+    (``_LocalFanout``, kernel ``_core_round_kernel``).
 
     The dirty set is an EXACT frontier at bucket granularity:
     c^{t+1}(v) = H({c^t(u): u~v}) depends ONLY on neighbour values, so
@@ -1613,39 +1799,16 @@ def _coreness_local(deg, slices: _Slices, n_buckets, max_rounds):
     this path deliberately breaks that discipline per the r4 verdict.)
     Returns ``(Dataset (node, coreness), converged)``.
     """
-    import ray
     import ray.data
 
-    t = pa.concat_tables([b for b in ray.get(deg.to_arrow_refs())
-                          if b.num_columns] or [pa.table(
-                              {"node": pa.array([], pa.int64()),
-                               "deg": pa.array([], pa.int64())})])
-    sn = t.column("node").cast(pa.int64()).to_numpy(
-        zero_copy_only=False)
-    sv = t.column("deg").cast(pa.int64()).to_numpy(
-        zero_copy_only=False).copy()
-    order = np.argsort(sn, kind="stable")
-    sn, sv = np.ascontiguousarray(sn[order]), \
-        np.ascontiguousarray(sv[order])
-
-    kern = ray.remote(_core_round_kernel)
+    fan = _LocalFanout(deg, ("node", "deg"), _core_round_kernel)
+    sn, (sv,) = fan.sn, fan.cols
     present = sorted(slices.present)
-    n_tasks = min(32, max(1, len(present)))
-    # static round-robin grouping → stable bucket→task mapping, so
-    # worker-side slice caches stay warm across rounds
-    groups = [present[i::n_tasks] for i in range(n_tasks)]
-    sn_ref = ray.put(sn)
 
     def step(state):
         sv, dirty = state
-        sv_ref = ray.put(sv)
-        futs = []
-        for g in groups:
-            gb = [b for b in g if b in dirty]
-            if gb:
-                futs.append(kern.remote(slices, gb, sn_ref, sv_ref))
         changed_parts = []
-        for un, uh in ray.get(futs):
+        for un, uh in fan.map(slices, sv, dirty):
             pos = np.searchsorted(sn, un)
             ch = uh < sv[pos]
             sv[pos] = np.minimum(sv[pos], uh)
@@ -1685,8 +1848,7 @@ def _coreness_exchange(deg, slices: _Slices, n_buckets, max_rounds):
 
 
 def coreness(edges, n_buckets: int = N_SHUFFLE_BUCKETS,
-             max_rounds: int | None = None,
-             local_state_max: int = CORE_LOCAL_STATE_MAX):
+             max_rounds: int | None = None):
     """(node, coreness): EXACT k-core decomposition of an undirected
     (p1, p2) distinct-edge graph — coreness(v) = the largest k such
     that v survives iterated deletion of all nodes with degree < k.
@@ -1713,7 +1875,7 @@ def coreness(edges, n_buckets: int = N_SHUFFLE_BUCKETS,
     so rounds move node-sized state only.  Two row-identical paths,
     both driven by ``_fixed_point``:
 
-    * node count ≤ ``local_state_max``: the broadcast path
+    * node count ≤ LOCAL_STATE_MAX_NODES: the broadcast path
       (``_coreness_local``) — gated driver-held state arrays, raw-task
       fan-out over dirty buckets with an exact bucket-granular
       frontier; ~0.05-0.2 s/round vs the old ~1.4 s.
@@ -1736,14 +1898,13 @@ def coreness(edges, n_buckets: int = N_SHUFFLE_BUCKETS,
     exactly once either way); equality is pinned by test."""
     edges = edges.materialize()     # degrees + the one-time persist
     with _adjacency_slices(edges, n_buckets, deps=True) as slices:
-        deg = _edge_degrees(edges, n_buckets)
+        # consumed twice (count + state init): execute the degree
+        # groupby once
+        deg = _edge_degrees(edges, n_buckets).materialize()
         n_nodes = deg.count()
         if n_nodes == 0:
-            import ray.data
-            return ray.data.from_arrow(pa.Table.from_arrays(
-                [pa.array([], pa.int64()), pa.array([], pa.int64())],
-                names=["node", "coreness"]))
-        path = _coreness_local if n_nodes <= local_state_max \
+            return _empty_table("node", "coreness")
+        path = _coreness_local if _local_route("coreness", n_nodes) \
             else _coreness_exchange
         state, converged = path(deg, slices, n_buckets, max_rounds)
     if not converged:
