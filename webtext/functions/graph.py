@@ -54,11 +54,11 @@ TRI_BROADCAST_MAX_NODES = 2_000_000
 # pagerank_personalized, hits): ≤ this many nodes, the per-round state
 # (a few node-sized int64 arrays, ≤ 16 MB each) is driver-held and
 # ray.put-broadcast each round (the TRI_BROADCAST_MAX_NODES posture)
-# to raw Ray tasks over the persisted slices; above it, the rounds run
+# to raw Ray tasks over the static edge side; above it, the rounds run
 # as bucketed state-only exchanges.  Both routes are the same integer
-# recurrence over the same persisted slices, so they are row-identical
-# (pinned by test).  Read at call time (``_local_route``), so a test
-# can force either route.
+# recurrence, so they are row-identical (pinned by test).  Read at
+# call time (``_local_route``), so a test can force either route.
+# Measured route costs up to the gate: ROADMAP Direction 3.
 LOCAL_STATE_MAX_NODES = 2_000_000
 
 
@@ -73,21 +73,27 @@ LOCAL_STATE_MAX_NODES = 2_000_000
 # context manager that creates the directory, yields a ``_Slices``
 # handle and removes the directory on exit, whether the op returns or
 # raises.  Two keyed sides feed it: ``_directed_slices`` (weighted
-# (key, other, w) edges — pagerank, pagerank_personalized, hits) and
+# (key, other, w) edges — pagerank, pagerank_personalized and hits on
+# the exchange route) and
 # ``_adjacency_slices`` (the symmetric (node, nbr) adjacency —
-# coreness, lpa, bfs).  Rounds read the slices on one of two routes,
+# coreness, lpa, bfs).  The iterative ops run on one of two routes,
 # chosen per call from the node count (``_local_route``):
 #
 # * local (≤ LOCAL_STATE_MAX_NODES nodes — coreness, pagerank,
 #   pagerank_personalized, hits): the state is a driver-held node-sized
 #   int64 vector, ray.put once per round, and ``_LocalFanout`` runs one
-#   raw Ray task per static group of present buckets; each task gathers
-#   the state for its slices' rows and returns pre-summed partials;
+#   raw Ray task per static group of parts; each task gathers the state
+#   for its parts' rows and returns pre-summed partials.  coreness's
+#   parts are its adjacency slice buckets (its dirty frontier needs the
+#   bucket deps); pagerank's and hits' parts are the materialized
+#   (src, dst, w) edge blocks themselves, so they persist no slices —
+#   the driver sums the partials densely, and bucket locality would buy
+#   nothing;
 # * exchange (above the gate, and always for lpa/bfs): each round's
 #   bucketed map_groups cell loads ONLY its own bucket slice, so the
 #   per-round exchange carries node-sized state rows only.
 #
-# Either way a worker caches the slices it read across rounds.  A
+# A worker caches the slices it read across rounds.  A
 # bucket the handle records as present must have a readable file — a
 # missing one raises rather than reading as an empty slice.  On a
 # multi-node cluster the directory must live on shared storage
@@ -330,26 +336,25 @@ class _LocalFanout:
     """The local route's round fan-out.  Collects the int64 ``cols`` of
     Dataset ``ds`` onto the driver sorted by ``cols[0]`` (``sn``: the
     sorted node ids, ray.put once; ``cols``: the other columns, aligned
-    with ``sn``); ``map`` then runs ``kernel(slices, buckets, sn,
-    value)`` as one raw Ray task per group of present buckets, with
-    ``value`` (a node-sized array aligned with ``sn``) ray.put once per
-    call.  Raw tasks, not a Dataset round: a per-round Dataset job pays
-    a streaming-executor spin-up and two sort-based exchanges for
+    with ``sn``); ``map`` then runs ``kernel(sn, value, *args, *parts)``
+    as one raw Ray task per group of parts (slice bucket ids, or edge
+    block refs, which Ray resolves to the blocks), with ``value`` (a
+    node-sized array aligned with ``sn``) ray.put once per call.  Raw
+    tasks, not a Dataset round: a per-round Dataset job pays a
+    streaming-executor spin-up and two sort-based exchanges for
     node-sized data, while a synchronous barrier over static partitions
-    plus a small broadcast is exactly what plain tasks express.  The
-    bucket→task grouping is a static round-robin over the sorted present
-    buckets, so a worker's slice cache stays warm across rounds; there
-    are at most as many groups as cluster CPUs (and at most 32), since a
-    round's tasks all run at once and each extra task only adds its
-    fixed cost — 32 groups on 4 CPUs measured ~0.13 s per pagerank
-    round against ~0.06 s for 4."""
+    plus a small broadcast is exactly what plain tasks express.
+    ``groups`` is a static round-robin split, so a worker's slice cache
+    stays warm across rounds; there are at most as many groups as
+    cluster CPUs (and at most 32), since a round's tasks all run at
+    once and each extra task only adds its fixed cost — 32 groups on 4
+    CPUs measured ~0.13 s per pagerank round against ~0.06 s for 4."""
 
     def __init__(self, ds, cols, kernel):
         import ray
 
-        from ..pipelines.extract_pipeline import cluster_cpus
-
-        self._n_groups = max(1, min(32, cluster_cpus()))
+        self._n_groups = max(1, min(
+            32, int(ray.cluster_resources().get("CPU", 1))))
         blocks = [b for b in ray.get(ds.to_arrow_refs()) if b.num_rows]
         arrs = [np.concatenate([_col_i64(b, c) for b in blocks])
                 if blocks else np.array([], dtype=np.int64) for c in cols]
@@ -359,42 +364,44 @@ class _LocalFanout:
         self._sn_ref = ray.put(self.sn)
         self._kern = ray.remote(kernel)
 
-    def map(self, slices: _Slices, value, buckets=None) -> list:
-        """Kernel results, one per task that has buckets: every present
-        bucket, or only those in ``buckets`` when it is given."""
+    def groups(self, parts) -> list:
+        """The static round-robin split of ``parts`` into at most
+        n_groups non-empty groups."""
+        parts = list(parts)
+        return [g for g in (parts[i::self._n_groups]
+                            for i in range(self._n_groups)) if g]
+
+    def map(self, groups, value, *args) -> list:
+        """Kernel results, one per non-empty group of ``groups``."""
         import ray
 
-        present = sorted(slices.present)
         value_ref = ray.put(value)
-        futs = []
-        for i in range(self._n_groups):
-            gb = [b for b in present[i::self._n_groups]
-                  if buckets is None or b in buckets]
-            if gb:
-                futs.append(self._kern.remote(slices, gb, self._sn_ref,
-                                              value_ref))
-        return ray.get(futs)
+        return ray.get([self._kern.remote(self._sn_ref, value_ref,
+                                          *args, *g)
+                        for g in groups if g])
 
-    def inflow(self, slices: _Slices, value) -> np.ndarray:
-        """Dense Σ value[k]·w over the directed slice rows (k, other, w),
-        per ``other`` aligned with ``sn`` (``kernel`` must be
-        ``_inflow_kernel``).  Exact int64 sums: order-invariant."""
+    def inflow(self, groups, value, key_col: str,
+               other_col: str) -> np.ndarray:
+        """Dense Σ value[key]·w over the edge rows of the edge-block
+        ``groups``, per ``other`` aligned with ``sn`` (``kernel`` must
+        be ``_inflow_kernel``).  Exact int64 sums: order-invariant."""
         inflow = np.zeros(len(self.sn), dtype=np.int64)
-        for pos, part in self.map(slices, value):
+        for pos, part in self.map(groups, value, key_col, other_col):
             inflow[pos] += part      # pos is unique within one task
         return inflow
 
 
-def _inflow_kernel(slices: _Slices, buckets, sn, value):
-    """One local-route task over directed slices: gather
-    ``value[searchsorted(sn, k)] · w`` for every row (k, other, w) of
-    ``buckets`` and pre-sum per other.  Returns (position of other in
-    ``sn``, partial sum), positions unique."""
-    pos, part = [], []
-    for b in buckets:
-        k, other, w = _load_bucket(slices, b)
-        pos.append(np.searchsorted(sn, other))
-        part.append(value[np.searchsorted(sn, k)] * w)
+def _inflow_kernel(sn, value, key_col: str, other_col: str, *blocks):
+    """One local-route task over (src, dst, w) edge blocks: gather
+    ``value[searchsorted(sn, key)] · w`` for every row and pre-sum per
+    other.  Returns (position of other in ``sn``, partial sum),
+    positions unique."""
+    pos, part = [np.array([], dtype=np.int64)], \
+        [np.array([], dtype=np.int64)]
+    for blk in blocks:
+        pos.append(np.searchsorted(sn, _col_i64(blk, other_col)))
+        part.append(value[np.searchsorted(sn, _col_i64(blk, key_col))] *
+                    _col_i64(blk, "w"))
     pos, part = np.concatenate(pos), np.concatenate(part)
     if not len(pos):
         return pos, part
@@ -547,38 +554,44 @@ def _pagerank_rounds(edges, teleport, n_nodes: int, iters: int,
     """The loop both PageRank variants share.  ``teleport``: Dataset
     (node, outdeg, p) over every graph node (``n_nodes`` rows, at least
     one) — p is the node's initial rank, and its teleport term is
-    base = (3 · p) // 20.  Each round spreads rank // outdeg over the
-    directed slices keyed by hash(src) and sets
+    base = (3 · p) // 20.  Each round spreads rank // outdeg along the
+    weighted edges and sets
     rank = base + (17 · inflow) // 20, on one of two routes chosen from
     ``n_nodes`` (``_local_route``):
 
     * local (≤ LOCAL_STATE_MAX_NODES): rank, outdeg and base are
       driver-held arrays over the sorted node ids; a round ray.puts the
       share vector and sums the ``_inflow_kernel`` partials of one raw
-      task per bucket group (``_LocalFanout``) into a dense inflow;
-    * exchange: state rows (node, rank, outdeg, base) go through
-      ``_spread`` (a bucketed map_groups over the slices, then a native
-      groupby(node).sum) carrying outdeg and base, compacted to
-      STATE_BLOCKS and materialized each round.
+      task per group of materialized edge blocks (``_LocalFanout``)
+      into a dense inflow — no slices are persisted;
+    * exchange: the edges are persisted once as directed slices keyed
+      by hash(src), and state rows (node, rank, outdeg, base) go
+      through ``_spread`` (a bucketed map_groups over the slices, then
+      a native groupby(node).sum) carrying outdeg and base, compacted
+      to STATE_BLOCKS and materialized each round.
 
-    Every sum is an int64 sum, so both routes give the same ranks."""
+    ``edges`` must be materialized (its blocks are the local route's
+    parts).  Every sum is an int64 sum, so both routes give the same
+    ranks."""
     import ray.data
 
+    if _local_route(name, n_nodes):
+        fan = _LocalFanout(teleport, ("node", "outdeg", "p"),
+                           _inflow_kernel)
+        outdeg, p = fan.cols
+        base = _pr_base(p)
+        groups = fan.groups(edges.to_arrow_refs())
+
+        def local_step(rank):
+            inflow = fan.inflow(groups, _pr_share(rank, outdeg),
+                                "src", "dst")
+            return _pr_rank(base, inflow), None
+
+        rank, _ = _fixed_point(p, local_step, iters, name)
+        return ray.data.from_arrow(pa.Table.from_arrays(
+            [pa.array(fan.sn), pa.array(rank)], names=["node", "rank"]))
+
     with _directed_slices(edges, "src", "dst", n_buckets) as slices:
-        if _local_route(name, n_nodes):
-            fan = _LocalFanout(teleport, ("node", "outdeg", "p"),
-                               _inflow_kernel)
-            outdeg, p = fan.cols
-            base = _pr_base(p)
-
-            def local_step(rank):
-                inflow = fan.inflow(slices, _pr_share(rank, outdeg))
-                return _pr_rank(base, inflow), None
-
-            rank, _ = _fixed_point(p, local_step, iters, name)
-            return ray.data.from_arrow(pa.Table.from_arrays(
-                [pa.array(fan.sn), pa.array(rank)], names=["node", "rank"]))
-
         def init(batch: pa.Table) -> pa.Table:
             p = _col_i64(batch, "p")
             return pa.Table.from_arrays(
@@ -632,15 +645,16 @@ def pagerank(edges, iters: int = PAGERANK_ITERS,
     bit-identical to the dense golden.  An empty edge set gives an
     empty (node, rank) table.
 
-    The static (src, dst, w) edges are persisted once as per-bucket
-    slices (``_directed_slices``) and never re-shuffled.  The rounds
-    are ``_pagerank_rounds``, shared with ``pagerank_personalized``
-    (plain PageRank is the uniform-teleport case): up to
+    The rounds are ``_pagerank_rounds``, shared with
+    ``pagerank_personalized`` (plain PageRank is the uniform-teleport
+    case); the static (src, dst, w) edges are never re-shuffled.  Up to
     LOCAL_STATE_MAX_NODES nodes the rank vector is driver-held and each
-    round is one raw-task fan-out over the slices plus a dense driver
-    sum; above it each round is a bucketed spread over rank rows plus
-    one native groupby(node).sum, O(nodes) shuffle bytes, not O(E)."""
-    edges = edges.materialize()     # degrees + the one-time persist
+    round is one raw-task fan-out over the materialized edge blocks
+    plus a dense driver sum; above it the edges are persisted once as
+    per-bucket slices (``_directed_slices``) and each round is a
+    bucketed spread over rank rows plus one native groupby(node).sum,
+    O(nodes) shuffle bytes, not O(E)."""
+    edges = edges.materialize()     # degrees + the rounds
     # deg is a derived dataset consumed twice (count + rank init) —
     # materialize so degrees() executes once
     deg = degrees(edges).materialize()
@@ -687,16 +701,16 @@ def pagerank_personalized(edges, weights,
     restriction-to-graph convention).  All arithmetic is int64 with the
     split multiply (`_split_mul_div`) so p_v is exact wherever
     (scale mod W)·max(w) < 2^63 — w up to ~9·10⁶ at the default scale.
-    The rounds are `pagerank`'s own (``_pagerank_rounds``: static edges
-    persisted once per invocation; driver-held rank vector and a
-    raw-task fan-out per round up to LOCAL_STATE_MAX_NODES nodes, a
-    bucketed spread plus one native groupby per round above it, the
-    per-node teleport term as the base column); only the initial ranks
-    differ.  The weight attach
+    The rounds are `pagerank`'s own (``_pagerank_rounds``: a
+    driver-held rank vector and a raw-task fan-out over the edge blocks
+    per round up to LOCAL_STATE_MAX_NODES nodes, static edges persisted
+    once and a bucketed spread plus one native groupby per round above
+    it, the per-node teleport term as the base column); only the
+    initial ranks differ.  The weight attach
     is a bucketed emit-union join (weights are sf-proportional — never
     broadcast).  Uniform weights reproduce `pagerank` bit-for-bit
     (pinned by test)."""
-    edges = edges.materialize()     # degrees + the one-time persist
+    edges = edges.materialize()     # degrees + the rounds
     deg = degrees(edges).materialize()
 
     # bucketed left attach of w onto the degree table (default 0)
@@ -775,14 +789,15 @@ def hits(edges, iters: int = HITS_ITERS, scale: int = HITS_SCALE,
     hub/authority web-quality prior (on the bipartite part→supplier
     driver graph: hubs = parts, authorities = suppliers).
 
-    Same fixed-point posture as pagerank: integer state, and two
-    edge copies persisted once per invocation by ``_directed_slices``
-    — keyed by src for the auth half-step, by dst for the hub
-    half-step — never re-shuffled.  A half-step runs on the route
-    ``_local_route`` picks from the node count: up to
-    LOCAL_STATE_MAX_NODES nodes the value vector is driver-held and the
-    half-step is one raw-task fan-out over the matching slices
-    (``_LocalFanout.inflow``) into a dense driver array; above it, one
+    Same fixed-point posture as pagerank: integer state, static edges
+    never re-shuffled.  A half-step runs on the route ``_local_route``
+    picks from the node count: up to LOCAL_STATE_MAX_NODES nodes the
+    value vector is driver-held and the half-step is one raw-task
+    fan-out over the materialized edge blocks (``_LocalFanout.inflow``:
+    gather by src and sum by dst for auth, the reverse for hub) into a
+    dense driver array; above it, two edge copies are persisted once
+    per invocation by ``_directed_slices`` — keyed by src for the auth
+    half-step, by dst for the hub half-step — and a half-step is one
     bucketed spread over the STATE rows (``_spread``), one NATIVE
     groupby(node).sum and a materialize of the compacted STATE_BLOCKS
     state.  Normalization:
@@ -798,9 +813,10 @@ def hits(edges, iters: int = HITS_ITERS, scale: int = HITS_SCALE,
     same integer sums, same float rescale)."""
     import ray.data
 
-    # edges is consumed three times (degrees + the two pre-keyed
-    # copies); materialize so a lazy edge-derivation (e.g. the
-    # lineitem_edges collapse groupby) executes once, not thrice
+    # edges is consumed more than once (degrees + the rounds' edge
+    # blocks or the two pre-keyed copies); materialize so a lazy
+    # edge-derivation (e.g. the lineitem_edges collapse groupby)
+    # executes once
     edges = edges.materialize()
     deg = degrees(edges).materialize()
     n_nodes = deg.count()
@@ -845,26 +861,27 @@ def hits(edges, iters: int = HITS_ITERS, scale: int = HITS_SCALE,
         return raw.map_batches(rescale, batch_format="pyarrow",
                                zero_copy_batch=True)
 
+    if _local_route("hits", n_nodes):
+        fan = _LocalFanout(deg, ("node",), _inflow_kernel)
+        groups = fan.groups(edges.to_arrow_refs())
+
+        def local_half(val, key_col, other_col):
+            raw = fan.inflow(groups, val, key_col, other_col)
+            return rescaled(raw, raw.sum())
+
+        def local_step(state):
+            auth = local_half(state[0], "src", "dst")  # hubs over u→v
+            return (local_half(auth, "dst", "src"), auth), None
+
+        hub0 = np.full(n_nodes, base, dtype=np.int64)
+        (hub, auth), _ = _fixed_point((hub0, np.zeros_like(hub0)),
+                                      local_step, iters, "hits")
+        return ray.data.from_arrow(pa.Table.from_arrays(
+            [pa.array(fan.sn), pa.array(hub), pa.array(auth)],
+            names=["node", "hub", "auth"]))
+
     with _directed_slices(edges, "src", "dst", n_buckets) as fwd, \
             _directed_slices(edges, "dst", "src", n_buckets) as rev:
-        if _local_route("hits", n_nodes):
-            fan = _LocalFanout(deg, ("node",), _inflow_kernel)
-
-            def local_half(val, slices):
-                raw = fan.inflow(slices, val)
-                return rescaled(raw, raw.sum())
-
-            def local_step(state):
-                auth = local_half(state[0], fwd)
-                return (local_half(auth, rev), auth), None
-
-            hub0 = np.full(n_nodes, base, dtype=np.int64)
-            (hub, auth), _ = _fixed_point((hub0, np.zeros_like(hub0)),
-                                          local_step, iters, "hits")
-            return ray.data.from_arrow(pa.Table.from_arrays(
-                [pa.array(fan.sn), pa.array(hub), pa.array(auth)],
-                names=["node", "hub", "auth"]))
-
         def step(state):
             auth = half(state[0], fwd)     # auth ← hubs over u→v
             return (half(auth, rev), auth), None   # hub ← auths
@@ -1750,7 +1767,7 @@ def _label_mode(sk, sp, en, el, ec):
     return out
 
 
-def _core_round_kernel(slices, buckets, sn, sv):
+def _core_round_kernel(sn, sv, slices, *buckets):
     """One h-index application for every node of ``buckets``, from the
     persisted adjacency slices + the broadcast (sorted nodes, values)
     state arrays.  Pure numpy: per bucket, one searchsorted gather of
@@ -1804,11 +1821,13 @@ def _coreness_local(deg, slices: _Slices, n_buckets, max_rounds):
     fan = _LocalFanout(deg, ("node", "deg"), _core_round_kernel)
     sn, (sv,) = fan.sn, fan.cols
     present = sorted(slices.present)
+    groups = fan.groups(present)
 
     def step(state):
         sv, dirty = state
         changed_parts = []
-        for un, uh in fan.map(slices, sv, dirty):
+        for un, uh in fan.map([[b for b in g if b in dirty]
+                               for g in groups], sv, slices):
             pos = np.searchsorted(sn, un)
             ch = uh < sv[pos]
             sv[pos] = np.minimum(sv[pos], uh)
