@@ -353,9 +353,9 @@ def test_round_task_sizing(ray_session, tmp_path):
 def test_empty_fragment_round(ray_session, tmp_path, full_fragments):
     """A 0-row fragment commits a 0-doc record in its round, and a rerun
     is a no-op.  With no full fragments, the round is four 0-row
-    fragments, read one block per fragment on the 4-CPU test session,
-    and writes no file at all; beside full fragments it is read the
-    default way."""
+    fragments, which are not read and write no file at all; beside four
+    full fragments the round is read one block per full fragment on the
+    4-CPU test session."""
     import pyarrow.parquet as pq
 
     from webtext.schema import INPUT_SCHEMA
@@ -377,3 +377,78 @@ def test_empty_fragment_round(ray_session, tmp_path, full_fragments):
     assert len(CommitManifest(out).records()) == n_shards
     if files:
         _assert_span_equal(out, files)
+
+
+def test_empty_fragments_are_not_read(ray_session, tmp_path, monkeypatch):
+    """No 0-row fragment reaches ``read_parquet``, a round of only 0-row
+    fragments reads nothing, and every shard is still recorded."""
+    import pyarrow.parquet as pq
+    import ray.data
+
+    from webtext.schema import INPUT_SCHEMA
+
+    real, reads = ray.data.read_parquet, []
+
+    def spy(paths, *args, **kwargs):
+        reads.append(list(paths))
+        return real(paths, *args, **kwargs)
+
+    monkeypatch.setattr(ray.data, "read_parquet", spy)
+    inp, out = str(tmp_path / "in"), str(tmp_path / "out")
+    files = _even_corpus(inp, 4, seed=19)
+    for i in range(6):
+        pq.write_table(INPUT_SCHEMA.empty_table(),
+                       os.path.join(inp, f"part-9999{i}.parquet"))
+    # round 1: 4 full + 2 empty fragments; round 2: 4 empty ones
+    totals = run_extraction(inp, out, shards_per_round=6)
+    assert (totals["shards"], totals["docs"]) == (10, 19 * 4)
+    assert [[os.path.basename(f) for f in r] for r in reads] == [
+        [os.path.basename(f) for f in files]]
+    assert {r["shard"] for r in CommitManifest(out).records()} == {
+        os.path.basename(f)[:-len(".parquet")]
+        for f in glob.glob(os.path.join(inp, "*.parquet"))}
+
+
+def test_manifest_torn_tail_resume(ray_session, tmp_path):
+    """A commit torn mid-record reads as never committed: the resumed
+    run redoes that round only, the next commit truncates the torn
+    bytes, and the totals equal an uninterrupted run's."""
+    inp, out = str(tmp_path / "in"), str(tmp_path / "out")
+    _even_corpus(inp, 4, seed=23)
+    def totals(**kwargs):
+        return {k: v for k, v in run_extraction(
+            inp, out, shards_per_round=2, **kwargs).items()
+            if k != "seconds"}
+
+    want = totals()
+    manifest = CommitManifest(out)
+    first, second = open(manifest.path, "rb").read().splitlines(True)
+    with open(manifest.path, "wb") as f:
+        f.write(first + second[:len(second) // 2])
+    assert len(manifest.records()) == 2
+    assert totals() == want
+    lines = open(manifest.path, "rb").read().splitlines(True)
+    assert lines[0] == first and len(lines) == 2
+    assert all(line.endswith(b"\n") for line in lines)
+
+
+def test_manifest_bad_line_raises(tmp_path):
+    """Only an unterminated final line is skipped; any other unreadable
+    line raises.  A commit appends one line and leaves earlier bytes
+    untouched."""
+    import json
+
+    manifest = CommitManifest(str(tmp_path))
+    manifest.commit([{"shard": "a"}, {"shard": "b"}])
+    head = open(manifest.path, "rb").read()
+    manifest.commit([{"shard": "c"}])
+    body = open(manifest.path, "rb").read()
+    assert body.startswith(head) and body.count(b"\n") == 2
+    assert manifest.committed_shards() == {"a", "b", "c"}
+    with open(manifest.path, "ab") as f:
+        f.write(b'{"shard": "torn')
+    assert manifest.committed_shards() == {"a", "b", "c"}
+    with open(manifest.path, "wb") as f:
+        f.write(head + b"not json\n" + body[len(head):])
+    with pytest.raises(json.JSONDecodeError):
+        manifest.records()

@@ -444,9 +444,10 @@ def test_round_trace_lines(ray_session, capfd, monkeypatch):
     iterative op: exactly ``iters`` for pagerank, pagerank_personalized
     and hits, at most ``rounds`` for lpa, and coreness keeps its
     changed-count line (the broadcast path adds its dirty-bucket
-    count).  The driver-state ops also print one route line per call,
-    whose field flips when the gate is forced to 0."""
-    from webtext.functions import graph
+    count).  The driver-state ops (connected components included) also
+    print one route line per call, whose field flips when the gate is
+    forced to 0."""
+    from webtext.functions import dedup, graph
 
     monkeypatch.setenv("WEBTEXT_TRACE_ROUNDS", "1")
     capfd.readouterr()
@@ -475,6 +476,12 @@ def test_round_trace_lines(ray_session, capfd, monkeypatch):
             err = capfd.readouterr().err
             assert len(_round_lines(err, name)) == 3, (name, route)
             assert _route_fields(err, name) == [route], (name, err)
+
+        dedup.connected_components(ray.data.from_items(
+            [{"left_id": a, "right_id": b} for a, b in pairs])).take_all()
+        err = capfd.readouterr().err
+        assert _route_fields(err, "connected_components") == [route]
+        assert _round_lines(err, "connected_components")
 
         graph.coreness(_edge_ds(pairs)).take_all()
         err = capfd.readouterr().err

@@ -25,8 +25,9 @@ import numpy as np
 import pyarrow as pa
 
 from .dedup import (_ibucket, _pair_bucket,  # module scope: worker code
-                    connected_components)    # is shipped by value and
-from .textstats import bm25_topk             # cannot lazy-import webtext
+                    cc_survivors,            # is shipped by value and
+                    connected_components)    # cannot lazy-import webtext
+from .textstats import bm25_topk
 
 
 def _matrix(batch: pa.Table, column: str = "embedding") -> np.ndarray:
@@ -717,48 +718,13 @@ def dedup_apply_embeddings(ds, threshold: float = 0.4,
                            checkpoint_dir: str | None = None):
     """Corpus-level embedding near-dup REMOVAL: LSH cosine pairs →
     distributed connected components → keep the min-vec_id
-    representative of each cluster.  Bucketed anti-join, same shape as
-    dedup.dedup_apply.  ``checkpoint_dir`` makes the CC rounds
-    resumable (see dedup.connected_components).  Returns surviving
-    (vec_id, label) rows."""
-    pairs = lsh_cosine_dup_pairs(ds, threshold)
-    labels = connected_components(pairs, checkpoint_dir=checkpoint_dir)
-
-    def drop_emit(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        dropped = batch.filter(
-            pc.not_equal(batch.column("node"), batch.column("label")))
-        ids = dropped.column("node").to_numpy(zero_copy_only=False)
-        return pa.Table.from_arrays(
-            [pa.array(_ibucket(ids)), pa.array(ids.astype(np.int64)),
-             pa.array(np.zeros(len(ids), dtype=np.int32)),
-             pa.array(np.ones(len(ids), dtype=np.int8))],
-            names=["key", "vec_id", "label", "is_drop"])
-
-    def vec_emit(batch: pa.Table) -> pa.Table:
-        ids = batch.column("vec_id").cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        return pa.Table.from_arrays(
-            [pa.array(_ibucket(ids)), pa.array(ids),
-             batch.column("label"),
-             pa.array(np.zeros(len(ids), dtype=np.int8))],
-            names=["key", "vec_id", "label", "is_drop"])
-
-    def keep(group: pa.Table) -> pa.Table:
-        drops = group.column("is_drop").to_numpy(zero_copy_only=False)
-        ids = group.column("vec_id").to_numpy(zero_copy_only=False)
-        mask = (drops == 0) & ~np.isin(ids, ids[drops == 1])
-        kept = group.filter(pa.array(mask))
-        return pa.Table.from_arrays(
-            [kept.column("vec_id"), kept.column("label")],
-            names=["vec_id", "label"])
-
-    u = ds.select_columns(["vec_id", "label"]).map_batches(
-        vec_emit, batch_format="pyarrow", zero_copy_batch=True).union(
-        labels.map_batches(drop_emit, batch_format="pyarrow",
-                           zero_copy_batch=True))
-    return u.groupby("key").map_groups(keep, batch_format="pyarrow")
+    representative of each cluster, through dedup.dedup_apply's
+    survivor step (``cc_survivors``).  ``checkpoint_dir`` makes the CC
+    rounds resumable (see dedup.connected_components).  Returns
+    surviving (vec_id, label) rows."""
+    return cc_survivors(ds.select_columns(["vec_id", "label"]),
+                        lsh_cosine_dup_pairs(ds, threshold), "vec_id",
+                        checkpoint_dir)
 
 
 def nearest_neighbor_ids(ds, exact_max_rows: int = EXACT_MAX_ROWS,

@@ -17,6 +17,13 @@ here Ray-Data-first:
                       shuffle-join expressed as an emit-twice groupby
                       (doc k → keys {k, k-1}), integer output for the
                       SQL oracle.
+* connected_components / dedup_apply — min-label CC over dup pairs,
+                      then the corpus minus each cluster's non-min
+                      members.  Up to graph.LOCAL_STATE_MAX_NODES the
+                      labels and the dropped ids are driver-held (a
+                      raw-task fan-out per round, one streaming filter
+                      for the drop); above it nothing is held on the
+                      driver (bucketed label shuffles, an anti join).
 """
 
 from __future__ import annotations
@@ -510,16 +517,35 @@ def simhash_dup_pairs(ds, max_hamming: int = 8):
 def connected_components(pairs, max_iters: int = 50,
                          checkpoint_dir: str | None = None,
                          _fail_after_round: int | None = None):
-    """Distributed connected components over (left_id, right_id) edges
-    by iterated min-label propagation: every node starts labelled with
-    its own id; each round a node's label becomes the min of its own and
-    its neighbors' labels (two bucketed groupby shuffles per round,
-    label state persisted with materialize()).  Convergence witness: a
-    per-node ``changed`` flag summed each round — 0 changed labels ⇔
-    every edge joins equal labels ⇔ global fixed point.  (The earlier
-    Sum("label") witness could in principle terminate early on an int64
-    wrap-around delta ≡ 0 mod 2^64; the changed-count is exact.)  Never
-    materializes nodes/edges on the driver.
+    """Connected components over (left_id, right_id) edges by iterated
+    min-label propagation: every node starts labelled with its own id;
+    each round a node's label becomes the min of its own and its
+    neighbors' labels, and from round 3 on one pointer-jumping step
+    (label ← label[label], a miss keeps the pointer) halves long
+    chains, so convergence takes O(log diameter) rounds.  Convergence
+    witness: the count of labels the min step changed — 0 changed
+    labels ⇔ every edge joins equal labels ⇔ global fixed point.  (The
+    earlier Sum("label") witness could in principle terminate early on
+    an int64 wrap-around delta ≡ 0 mod 2^64; the changed-count is
+    exact.)
+
+    The rounds run through the graph family's ``_fixed_point`` on the
+    route ``_local_route`` picks from the bidirected edge count (an
+    upper bound on the node count, known from block metadata):
+
+    * local (≤ LOCAL_STATE_MAX_NODES): the sorted node ids (merged
+      per-group ``np.unique`` partials of raw tasks over the edge
+      blocks) and the label vector are driver-held; a round ray.puts
+      the labels once and fans ``_min_label_kernel`` out over static
+      groups of the materialized edge blocks (``_LocalFanout``), whose
+      per-dst minima the driver applies with ``np.minimum.at``;
+    * exchange (above the gate): label rows go through two bucketed
+      groupby shuffles per round (plus a third for pointer jumping),
+      executed and re-bound each round (``graph._rebind``) — the label
+      state is never materialized on the driver.
+
+    Both routes run the same recurrence, so every round's labels and
+    changed count are identical across routes.
 
     ``checkpoint_dir``: optional commit+resume (the reference's
     move-as-commit pattern, update_delivery_file.py ref:72-83,
@@ -527,11 +553,22 @@ def connected_components(pairs, max_iters: int = 50,
     are written as parquet, renamed into place atomically, and recorded
     in a CommitManifest; a rerun with the same dir resumes from the last
     committed round instead of restarting a 100 TB dedup from zero.
-    ``_fail_after_round`` is a test-only crash injection (raises AFTER
-    committing that round).
+    Both routes write the same layout, so a run checkpointed on one
+    route resumes on the other.  ``_fail_after_round`` is a test-only
+    crash injection (raises AFTER committing that round).
 
     Returns a Dataset (node, label) where label = min doc_id of the
-    node's component."""
+    node's component; an empty pair set gives an empty table."""
+    return _components(pairs, max_iters, checkpoint_dir,
+                       _fail_after_round)[0]
+
+
+def _components(pairs, max_iters: int = 50,
+                checkpoint_dir: str | None = None,
+                _fail_after_round: int | None = None):
+    """``connected_components``, also returning the local route's
+    driver arrays (sorted node ids, labels) — None on the exchange
+    route."""
     import ray.data
     from ray.data.aggregate import Sum
 
@@ -563,26 +600,85 @@ def connected_components(pairs, max_iters: int = 50,
         os.replace(tmp, final)
         manifest.commit([record])
 
+    def _read(name: str):
+        return ray.data.read_parquet(os.path.join(checkpoint_dir, name))
+
     if manifest and "edges" in committed:
-        edges = ray.data.read_parquet(
-            os.path.join(checkpoint_dir, "edges")) \
-            .repartition(state_blocks).materialize()
+        edges = _read("edges").repartition(state_blocks).materialize()
     else:
         edges = pairs.map_batches(bidirect, batch_format="pyarrow",
                                   zero_copy_batch=True) \
             .repartition(state_blocks).materialize()
-        if manifest:
+        if manifest and edges.count():
             _persist(edges, "edges", {"shard": "edges"})
+    n_edges = edges.count()
+    if n_edges == 0:
+        return graph._empty_table("node", "label"), None
 
-    start_it = 0
     last_round = max(
         (r["iter"] for r in (manifest.records() if manifest else [])
          if str(r.get("shard", "")).startswith("round_")), default=None)
+    start_it = 0 if last_round is None else last_round + 1
+
+    def commit_round(it: int, labels, n_changed: int) -> None:
+        """Checkpoint round ``it``'s (node, label) Dataset."""
+        if not manifest:
+            return
+        _persist(labels, f"labels_r{it}",
+                 {"shard": f"round_{it}", "iter": it,
+                  "n_changed": int(n_changed)})
+        if _fail_after_round is not None and it >= _fail_after_round:
+            raise RuntimeError(
+                f"injected failure after committed round {it}")
+
+    def run(step, labels):
+        """The rounds from ``start_it`` on; raises without a fixed
+        point by ``max_iters``."""
+        (_, labels), done = graph._fixed_point(
+            (start_it, labels), step, max_iters - start_it,
+            "connected_components")
+        if not done:
+            raise RuntimeError(f"connected_components: no fixed point "
+                               f"after {max_iters} iterations")
+        return labels
+
+    if graph._local_route("connected_components", n_edges):
+        groups = graph._LocalFanout.groups(edges.to_arrow_refs())
+        if last_round is None:
+            fan = graph._LocalFanout.over_ids(groups, "src",
+                                              graph._min_label_kernel)
+            labels = fan.sn
+        else:
+            fan = graph._LocalFanout.collect(
+                _read(f"labels_r{last_round}"), ("node", "label"),
+                graph._min_label_kernel)
+            labels = fan.cols[0]
+        sn = fan.sn
+
+        def table(lab):
+            return pa.Table.from_arrays([pa.array(sn), pa.array(lab)],
+                                        names=["node", "label"])
+
+        def local_step(state):
+            it, lab = state
+            new = lab.copy()
+            for pos, low in fan.map(groups, lab):
+                np.minimum.at(new, pos, low)
+            n_changed = int(np.count_nonzero(new != lab))
+            if it >= 3:          # pointer jumping, as compress() below
+                pos = np.minimum(np.searchsorted(sn, new), len(sn) - 1)
+                new = np.where(sn[pos] == new, new[pos], new)
+            if manifest:
+                commit_round(it, ray.data.from_arrow(table(new)),
+                             n_changed)
+            return (it + 1, new), n_changed
+
+        lab = run(local_step, labels)
+        return ray.data.from_arrow(table(lab)), (sn, lab)
+
     if last_round is not None:
-        labels = ray.data.read_parquet(
-            os.path.join(checkpoint_dir, f"labels_r{last_round}")) \
+        labels = _read(f"labels_r{last_round}") \
             .repartition(state_blocks).materialize()
-        start_it = last_round + 1
     else:
         nodes = edges.groupby("src").count().drop_columns(["count()"])
         labels = nodes.map_batches(
@@ -722,7 +818,8 @@ def connected_components(pairs, max_iters: int = 50,
         return u.groupby("key").map_groups(answer,
                                            batch_format="pyarrow")
 
-    for it in range(start_it, max_iters):
+    def step(state):
+        it, labels = state
         u = labels.map_batches(lab_emit, batch_format="pyarrow",
                                zero_copy_batch=True).union(
             edges.map_batches(edge_emit, batch_format="pyarrow",
@@ -733,27 +830,46 @@ def connected_components(pairs, max_iters: int = 50,
         if it >= 3:
             # typical dup clusters converge within 3 plain rounds; only
             # long-chain stragglers pay the extra compression shuffle.
-            # Materialize first: compress() consumes cand on BOTH union
+            # Execute first: compress() consumes cand on BOTH union
             # branches, and a twice-consumed lazy dataset re-executes
             # its lineage (the spread+reduce shuffles) once per branch.
-            cand = cand.repartition(state_blocks).materialize()
-            cand = compress(cand)
-        full = cand.repartition(state_blocks).materialize()
+            cand = compress(graph._rebind(cand.repartition(state_blocks)))
+        # _rebind, not materialize(): a materialized dataset keeps its
+        # plan, and re-planning every earlier round grew the round wall
+        # from 1.4 s to 8.8 s by round 8 (400 random pairs, 4 Ray
+        # CPUs); rebound rounds stay flat (3.9-4.8 s over rounds 3-16
+        # with the pointer-jumping shuffle)
+        full = graph._rebind(cand.repartition(state_blocks))
         n_changed = full.aggregate(Sum("changed"))["sum(changed)"] or 0
-        # lazy projection over the materialized blocks — consumers
+        # lazy projection over the rebound blocks — consumers
         # (persist / next-round emit / caller) pay only a column drop
         labels = full.drop_columns(["changed"])
-        if manifest:
-            _persist(labels, f"labels_r{it}",
-                     {"shard": f"round_{it}", "iter": it,
-                      "n_changed": int(n_changed)})
-            if _fail_after_round is not None and it >= _fail_after_round:
-                raise RuntimeError(
-                    f"injected failure after committed round {it}")
-        if n_changed == 0:
-            return labels
-    raise RuntimeError(f"connected_components: no fixed point after "
-                       f"{max_iters} iterations")
+        commit_round(it, labels, n_changed)
+        return (it + 1, labels), n_changed
+
+    return run(step, labels), None
+
+
+def _without_ids(ds, ids: np.ndarray, col: str):
+    """The rows of ``ds`` whose int64 ``col`` is not in the sorted
+    driver array ``ids``: ``ids`` is ray.put once and applied by one
+    streaming filter, so nothing is exchanged."""
+    import ray
+
+    if not len(ids):
+        return ds
+    ref = ray.put(ids)
+
+    def keep(batch: pa.Table, *, _ref=ref) -> pa.Table:
+        import ray
+
+        drop = ray.get(_ref)
+        v = _col_i64(batch, col)
+        pos = np.minimum(np.searchsorted(drop, v), len(drop) - 1)
+        return batch.filter(pa.array(drop[pos] != v))
+
+    return ds.map_batches(keep, batch_format="pyarrow",
+                          zero_copy_batch=True)
 
 
 def dedup_apply(ds, threshold: float = 0.5,
@@ -763,52 +879,37 @@ def dedup_apply(ds, threshold: float = 0.5,
     web_text_extractor_ver1.5.py:297-343; this is the corpus analogue):
 
       minhash_lsh_pairs → connected components → keep the min-doc_id
-      representative of each dup cluster → anti-join the corpus.
+      representative of each dup cluster → drop the other members.
 
     ``checkpoint_dir`` makes the CC label rounds resumable (see
     connected_components) — a 100 TB dedup that dies in round 7 picks
     up from the last committed label state.
 
-    Returns the surviving (doc_id, text) rows, fully distributed: the
-    anti-join is the emit-union groupby pattern keyed by doc_id."""
-    pairs = minhash_lsh_pairs(ds, threshold)
-    labels = connected_components(pairs, checkpoint_dir=checkpoint_dir)
+    Returns the surviving rows of ``ds`` with every column kept
+    (``cc_survivors``)."""
+    return cc_survivors(
+        ds, minhash_lsh_pairs(ds.select_columns(["doc_id", "text"]),
+                              threshold),
+        "doc_id", checkpoint_dir)
 
-    def drop_emit(batch: pa.Table) -> pa.Table:
-        mask = pc.not_equal(batch.column("node"), batch.column("label"))
-        dropped = batch.filter(mask)
-        ids = _col_i64(dropped, "node")
-        return pa.Table.from_arrays(
-            [pa.array(_ibucket(ids)), pa.array(ids),
-             pa.array([""] * len(ids), pa.string()),
-             pa.array(np.ones(len(ids), dtype=np.int8))],
-            names=["key", "doc_id", "text", "is_drop"])
 
-    def doc_emit(batch: pa.Table) -> pa.Table:
-        ids = _col_i64(batch, "doc_id")
-        return pa.Table.from_arrays(
-            [pa.array(_ibucket(ids)), pa.array(ids),
-             batch.column("text"),
-             pa.array(np.zeros(len(ids), dtype=np.int8))],
-            names=["key", "doc_id", "text", "is_drop"])
-
-    def keep(group: pa.Table) -> pa.Table:
-        """Vectorized in-bucket anti-join: drop docs whose id appears in
-        the bucket's dropped set."""
-        drops = group.column("is_drop").to_numpy(zero_copy_only=False)
-        ids = group.column("doc_id").to_numpy(zero_copy_only=False)
-        dropped_ids = ids[drops == 1]
-        mask = (drops == 0) & ~np.isin(ids, dropped_ids)
-        kept = group.filter(pa.array(mask))
-        return pa.Table.from_arrays(
-            [kept.column("doc_id"), kept.column("text")],
-            names=["doc_id", "text"])
-
-    u = ds.select_columns(["doc_id", "text"]).map_batches(
-        doc_emit, batch_format="pyarrow", zero_copy_batch=True).union(
-        labels.map_batches(drop_emit, batch_format="pyarrow",
-                           zero_copy_batch=True))
-    return u.groupby("key").map_groups(keep, batch_format="pyarrow")
+def cc_survivors(ds, pairs, col: str, checkpoint_dir: str | None = None):
+    """The rows of ``ds``, every column kept, whose int64 ``col`` is not
+    a dropped member (node ≠ label) of the connected components of
+    ``pairs`` — each component keeps its min id.  The drop follows CC's
+    route: on the local route the sorted dropped ids are on the driver
+    and ``_without_ids`` filters ``ds`` in one streaming map; on the
+    exchange route the dropped label rows anti-join ``ds``
+    (``relational.semi_join``)."""
+    labels, local = _components(pairs, checkpoint_dir=checkpoint_dir)
+    if local is not None:
+        sn, lab = local
+        return _without_ids(ds, sn[sn != lab], col)
+    dropped = labels.map_batches(
+        lambda b: b.filter(pc.not_equal(b.column("node"),
+                                        b.column("label"))),
+        batch_format="pyarrow", zero_copy_batch=True)
+    return relational.semi_join(ds, dropped, col, "node", anti=True)
 
 
 # ---------------------------------------------------------------------------
@@ -1010,9 +1111,12 @@ def dedup_keep_longest(ds, threshold: float = 0.5,
     counts attach to the label table through one hash(node)%256
     bucketed emit-union join (int64 rows, no text), the per-cluster
     argmax is one vectorized lexsort-first pass per hash(label)%256
-    bucket (never per-cluster Python groups), and survivors come from
-    the same bucketed anti-join as dedup_apply."""
-    pairs = minhash_lsh_pairs(ds, threshold)
+    bucket (never per-cluster Python groups), and the dropped ids
+    anti-join the corpus (``relational.semi_join``, dedup_apply's
+    exchange-route survivor step).  Returns the surviving rows of
+    ``ds`` with every column kept."""
+    pairs = minhash_lsh_pairs(ds.select_columns(["doc_id", "text"]),
+                              threshold)
     labels = connected_components(pairs, checkpoint_dir=checkpoint_dir)
 
     def qual_emit(batch: pa.Table) -> pa.Table:
@@ -1068,38 +1172,12 @@ def dedup_keep_longest(ds, threshold: float = 0.5,
         order = np.lexsort((node, -q, lab))
         lab_s, node_s = lab[order], node[order]
         first = np.concatenate([[True], lab_s[1:] != lab_s[:-1]])
-        dropped = node_s[~first]
-        return pa.Table.from_arrays(
-            [pa.array(_ibucket(dropped)), pa.array(dropped),
-             pa.array([""] * len(dropped), pa.string()),
-             pa.array(np.ones(len(dropped), dtype=np.int8))],
-            names=["key", "doc_id", "text", "is_drop"])
+        return pa.Table.from_arrays([pa.array(node_s[~first])],
+                                    names=["doc_id"])
 
     drops = quald.groupby("lkey").map_groups(argmax_drop,
                                              batch_format="pyarrow")
-
-    def doc_emit(batch: pa.Table) -> pa.Table:
-        ids = _col_i64(batch, "doc_id")
-        return pa.Table.from_arrays(
-            [pa.array(_ibucket(ids)), pa.array(ids),
-             batch.column("text"),
-             pa.array(np.zeros(len(ids), dtype=np.int8))],
-            names=["key", "doc_id", "text", "is_drop"])
-
-    def keep(group: pa.Table) -> pa.Table:
-        flags = group.column("is_drop").to_numpy(zero_copy_only=False)
-        ids = group.column("doc_id").to_numpy(zero_copy_only=False)
-        dropped_ids = ids[flags == 1]
-        mask = (flags == 0) & ~np.isin(ids, dropped_ids)
-        kept = group.filter(pa.array(mask))
-        return pa.Table.from_arrays(
-            [kept.column("doc_id"), kept.column("text")],
-            names=["doc_id", "text"])
-
-    u = ds.select_columns(["doc_id", "text"]).map_batches(
-        doc_emit, batch_format="pyarrow", zero_copy_batch=True).union(
-        drops)
-    return u.groupby("key").map_groups(keep, batch_format="pyarrow")
+    return relational.semi_join(ds, drops, "doc_id", "doc_id", anti=True)
 
 
 def dup_rate_by_source(ds, n_buckets: int = N_SHUFFLE_BUCKETS):
@@ -1576,3 +1654,12 @@ def crawl_diff(old_ds, new_ds, n_buckets: int = N_SHUFFLE_BUCKETS):
                      zero_copy_batch=True)
     return old_rows.union(new_rows) \
         .groupby("bucket").map_groups(classify, batch_format="pyarrow")
+
+
+# Last, at module scope: graph (the local-route helpers of connected
+# components) and relational (semi_join) import this module at THEIR
+# module scope, so they can only be imported once every name above
+# exists; a function-level import would break worker-shipped code,
+# which cannot import webtext.
+from . import graph  # noqa: E402
+from ..pipelines import relational  # noqa: E402

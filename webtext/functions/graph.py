@@ -51,7 +51,9 @@ PR_D_NUM, PR_D_DEN = 17, 20
 TRI_BROADCAST_MAX_NODES = 2_000_000
 
 # local-state gate of the iterative graph family (coreness, pagerank,
-# pagerank_personalized, hits): ≤ this many nodes, the per-round state
+# pagerank_personalized, hits, and dedup.connected_components, which
+# passes its bidirected edge count — an upper bound on its node
+# count): ≤ this many nodes, the per-round state
 # (a few node-sized int64 arrays, ≤ 16 MB each) is driver-held and
 # ray.put-broadcast each round (the TRI_BROADCAST_MAX_NODES posture)
 # to raw Ray tasks over the static edge side; above it, the rounds run
@@ -80,18 +82,20 @@ LOCAL_STATE_MAX_NODES = 2_000_000
 # chosen per call from the node count (``_local_route``):
 #
 # * local (≤ LOCAL_STATE_MAX_NODES nodes — coreness, pagerank,
-#   pagerank_personalized, hits): the state is a driver-held node-sized
-#   int64 vector, ray.put once per round, and ``_LocalFanout`` runs one
-#   raw Ray task per static group of parts; each task gathers the state
-#   for its parts' rows and returns pre-summed partials.  coreness's
-#   parts are its adjacency slice buckets (its dirty frontier needs the
-#   bucket deps); pagerank's and hits' parts are the materialized
-#   (src, dst, w) edge blocks themselves, so they persist no slices —
-#   the driver sums the partials densely, and bucket locality would buy
-#   nothing;
+#   pagerank_personalized, hits, connected components): the state is a
+#   driver-held node-sized int64 vector, ray.put once per round, and
+#   ``_LocalFanout`` runs one raw Ray task per static group of parts;
+#   each task gathers the state for its parts' rows and returns
+#   pre-reduced partials.  coreness's parts are its adjacency slice
+#   buckets (its dirty frontier needs the bucket deps); the other ops'
+#   parts are the materialized edge blocks themselves, so they persist
+#   no slices — the driver reduces the partials densely (sum, or min
+#   for connected components), and bucket locality would buy nothing;
 # * exchange (above the gate, and always for lpa/bfs): each round's
 #   bucketed map_groups cell loads ONLY its own bucket slice, so the
-#   per-round exchange carries node-sized state rows only.
+#   per-round exchange carries node-sized state rows only
+#   (connected components' exchange rounds, in dedup.py, still
+#   union the edges into each round's shuffle).
 #
 # A worker caches the slices it read across rounds.  A
 # bucket the handle records as present must have a readable file — a
@@ -333,15 +337,15 @@ def _adjacency_slices(edges, n_buckets: int = N_SHUFFLE_BUCKETS,
 
 
 class _LocalFanout:
-    """The local route's round fan-out.  Collects the int64 ``cols`` of
-    Dataset ``ds`` onto the driver sorted by ``cols[0]`` (``sn``: the
-    sorted node ids, ray.put once; ``cols``: the other columns, aligned
-    with ``sn``); ``map`` then runs ``kernel(sn, value, *args, *parts)``
-    as one raw Ray task per group of parts (slice bucket ids, or edge
-    block refs, which Ray resolves to the blocks), with ``value`` (a
-    node-sized array aligned with ``sn``) ray.put once per call.  Raw
-    tasks, not a Dataset round: a per-round Dataset job pays a
-    streaming-executor spin-up and two sort-based exchanges for
+    """The local route's round fan-out over the sorted node ids ``sn``
+    (ray.put once) and the int64 ``cols`` aligned with them; ``map``
+    runs ``kernel(sn, value, *args, *parts)`` as one raw Ray task per
+    group of parts (slice bucket ids, or edge block refs, which Ray
+    resolves to the blocks), with ``value`` (a node-sized array aligned
+    with ``sn``) ray.put once per call.  ``collect`` builds one from a
+    node-keyed Dataset, ``over_ids`` from the distinct ids of edge
+    blocks.  Raw tasks, not a Dataset round: a per-round Dataset job
+    pays a streaming-executor spin-up and two sort-based exchanges for
     node-sized data, while a synchronous barrier over static partitions
     plus a small broadcast is exactly what plain tasks express.
     ``groups`` is a static round-robin split, so a worker's slice cache
@@ -350,26 +354,48 @@ class _LocalFanout:
     once and each extra task only adds its fixed cost — 32 groups on 4
     CPUs measured ~0.13 s per pagerank round against ~0.06 s for 4."""
 
-    def __init__(self, ds, cols, kernel):
+    def __init__(self, kernel, sn, *cols):
         import ray
 
-        self._n_groups = max(1, min(
-            32, int(ray.cluster_resources().get("CPU", 1))))
+        self.sn, self.cols = sn, list(cols)
+        self._sn_ref = ray.put(sn)
+        self._kern = ray.remote(kernel)
+
+    @classmethod
+    def collect(cls, ds, cols, kernel):
+        """Collect the int64 ``cols`` of Dataset ``ds`` onto the driver
+        sorted by ``cols[0]`` (the node ids)."""
+        import ray
+
         blocks = [b for b in ray.get(ds.to_arrow_refs()) if b.num_rows]
         arrs = [np.concatenate([_col_i64(b, c) for b in blocks])
                 if blocks else np.array([], dtype=np.int64) for c in cols]
         order = np.argsort(arrs[0], kind="stable")
-        self.sn, *self.cols = (np.ascontiguousarray(a[order])
-                               for a in arrs)
-        self._sn_ref = ray.put(self.sn)
-        self._kern = ray.remote(kernel)
+        return cls(kernel, *(np.ascontiguousarray(a[order])
+                             for a in arrs))
 
-    def groups(self, parts) -> list:
-        """The static round-robin split of ``parts`` into at most
-        n_groups non-empty groups."""
+    @classmethod
+    def over_ids(cls, groups, col: str, kernel):
+        """Node ids = the distinct ``col`` values of the edge-block
+        ``groups``: one raw task per group returns its ``np.unique``
+        partial and the driver merges them, so it never holds more
+        than the groups' rows."""
+        import ray
+
+        uniq = ray.remote(_unique_kernel)
+        return cls(kernel, np.unique(np.concatenate(
+            [np.array([], dtype=np.int64)] +
+            ray.get([uniq.remote(col, *g) for g in groups]))))
+
+    @staticmethod
+    def groups(parts) -> list:
+        """The static round-robin split of ``parts`` into at most one
+        non-empty group per cluster CPU."""
+        import ray
+
+        n = max(1, min(32, int(ray.cluster_resources().get("CPU", 1))))
         parts = list(parts)
-        return [g for g in (parts[i::self._n_groups]
-                            for i in range(self._n_groups)) if g]
+        return [g for g in (parts[i::n] for i in range(n)) if g]
 
     def map(self, groups, value, *args) -> list:
         """Kernel results, one per non-empty group of ``groups``."""
@@ -391,6 +417,23 @@ class _LocalFanout:
         return inflow
 
 
+def _unique_kernel(col: str, *blocks) -> np.ndarray:
+    """The sorted distinct int64 ``col`` values of ``blocks``."""
+    return np.unique(np.concatenate(
+        [np.array([], dtype=np.int64)] +
+        [_col_i64(blk, col) for blk in blocks if blk.num_rows]))
+
+
+def _reduce_at(pos: np.ndarray, part: np.ndarray, ufunc):
+    """(unique pos, ``ufunc``-reduced part per pos)."""
+    if not len(pos):
+        return pos, part
+    order = np.argsort(pos, kind="stable")
+    pos, part = pos[order], part[order]
+    starts = np.flatnonzero(np.r_[True, pos[1:] != pos[:-1]])
+    return pos[starts], ufunc.reduceat(part, starts)
+
+
 def _inflow_kernel(sn, value, key_col: str, other_col: str, *blocks):
     """One local-route task over (src, dst, w) edge blocks: gather
     ``value[searchsorted(sn, key)] · w`` for every row and pre-sum per
@@ -402,13 +445,22 @@ def _inflow_kernel(sn, value, key_col: str, other_col: str, *blocks):
         pos.append(np.searchsorted(sn, _col_i64(blk, other_col)))
         part.append(value[np.searchsorted(sn, _col_i64(blk, key_col))] *
                     _col_i64(blk, "w"))
-    pos, part = np.concatenate(pos), np.concatenate(part)
-    if not len(pos):
-        return pos, part
-    order = np.argsort(pos, kind="stable")
-    pos, part = pos[order], part[order]
-    starts = np.flatnonzero(np.r_[True, pos[1:] != pos[:-1]])
-    return pos[starts], np.add.reduceat(part, starts)
+    return _reduce_at(np.concatenate(pos), np.concatenate(part), np.add)
+
+
+def _min_label_kernel(sn, label, *blocks):
+    """One connected-components local-route task over (src, dst) edge
+    blocks: per dst, the min of ``label[src]`` over its rows.  Returns
+    (position of dst in ``sn``, min label), positions unique."""
+    pos, part = [np.array([], dtype=np.int64)], \
+        [np.array([], dtype=np.int64)]
+    for blk in blocks:
+        if not blk.num_rows:       # a repartitioned empty block has
+            continue               # no columns
+        pos.append(np.searchsorted(sn, _col_i64(blk, "dst")))
+        part.append(label[np.searchsorted(sn, _col_i64(blk, "src"))])
+    return _reduce_at(np.concatenate(pos), np.concatenate(part),
+                      np.minimum)
 
 
 def lineitem_edges(ds):
@@ -576,8 +628,8 @@ def _pagerank_rounds(edges, teleport, n_nodes: int, iters: int,
     import ray.data
 
     if _local_route(name, n_nodes):
-        fan = _LocalFanout(teleport, ("node", "outdeg", "p"),
-                           _inflow_kernel)
+        fan = _LocalFanout.collect(teleport, ("node", "outdeg", "p"),
+                                   _inflow_kernel)
         outdeg, p = fan.cols
         base = _pr_base(p)
         groups = fan.groups(edges.to_arrow_refs())
@@ -862,7 +914,7 @@ def hits(edges, iters: int = HITS_ITERS, scale: int = HITS_SCALE,
                                zero_copy_batch=True)
 
     if _local_route("hits", n_nodes):
-        fan = _LocalFanout(deg, ("node",), _inflow_kernel)
+        fan = _LocalFanout.collect(deg, ("node",), _inflow_kernel)
         groups = fan.groups(edges.to_arrow_refs())
 
         def local_half(val, key_col, other_col):
@@ -1818,7 +1870,8 @@ def _coreness_local(deg, slices: _Slices, n_buckets, max_rounds):
     """
     import ray.data
 
-    fan = _LocalFanout(deg, ("node", "deg"), _core_round_kernel)
+    fan = _LocalFanout.collect(deg, ("node", "deg"),
+                               _core_round_kernel)
     sn, (sv,) = fan.sn, fan.cols
     present = sorted(slices.present)
     groups = fan.groups(present)

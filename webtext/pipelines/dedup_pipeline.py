@@ -4,9 +4,9 @@ composition an LLM-data user runs end-to-end.
 The extraction table keys documents by string doc_id (URL role); the
 dedup/CC machinery works over int64 ids (bucketing, min-label
 representatives).  Bridge: a deterministic 63-bit surrogate id from
-md5(doc_id), with the surviving surrogate set joined back to string ids
-via the same bucketed emit-union groupby used everywhere else — no
-driver materialization, no broadcast.
+md5(doc_id) is the dedup key, and the string id rides along as a
+column of the surviving rows — no join back, no driver
+materialization.
 
 Representative choice: min *surrogate* id per duplicate cluster (an
 arbitrary-but-deterministic member, matching the reference's
@@ -21,7 +21,7 @@ import os
 import numpy as np
 import pyarrow as pa
 
-from ..functions.dedup import _ibucket, dedup_apply
+from ..functions.dedup import dedup_apply
 from .extract_pipeline import read_output
 
 
@@ -33,8 +33,9 @@ def surrogate_id(doc_id: str) -> int:
 
 
 def _to_docs(batch: pa.Table) -> pa.Table:
-    """Extraction output row → (iid, doc_id, text): text spans joined in
-    offset order (media spans contribute nothing to dedup text)."""
+    """Extraction output row → (doc_id = surrogate id, sid = string
+    doc_id, text): text spans joined in offset order (media spans
+    contribute nothing to dedup text)."""
     sids = batch.column("doc_id").to_pylist()
     texts = []
     for spans in batch.column("spans").to_pylist():
@@ -46,56 +47,21 @@ def _to_docs(batch: pa.Table) -> pa.Table:
     return pa.Table.from_arrays(
         [pa.array(iids, pa.int64()), pa.array(sids, pa.string()),
          pa.array(texts, pa.string())],
-        names=["iid", "doc_id", "text"])
+        names=["doc_id", "sid", "text"])
 
 
 def dedup_extracted(extracted_dir: str, threshold: float = 0.5):
     """Survivor view of a committed extraction output: near-dup clusters
     (MinHash-LSH over the joined text spans) collapse to one
-    representative.  Returns a Dataset of surviving (doc_id) strings."""
-    ds = read_output(extracted_dir)
-    docs = ds.map_batches(_to_docs, batch_format="pyarrow",
-                          zero_copy_batch=True)
-
-    survivors = dedup_apply(
-        docs.select_columns(["iid", "text"]).map_batches(
-            lambda b: b.rename_columns(["doc_id", "text"]),
-            batch_format="pyarrow", zero_copy_batch=True),
-        threshold)
-
-    # join surviving surrogate ids back to string doc ids (bucketed)
-    def surv_emit(batch: pa.Table) -> pa.Table:
-        iids = batch.column("doc_id").cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        return pa.Table.from_arrays(
-            [pa.array(_ibucket(iids)), pa.array(iids),
-             pa.array([""] * len(iids), pa.string()),
-             pa.array(np.ones(len(iids), dtype=np.int8))],
-            names=["key", "iid", "doc_id", "is_surv"])
-
-    def map_emit(batch: pa.Table) -> pa.Table:
-        iids = batch.column("iid").cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        return pa.Table.from_arrays(
-            [pa.array(_ibucket(iids)), pa.array(iids),
-             batch.column("doc_id"),
-             pa.array(np.zeros(len(iids), dtype=np.int8))],
-            names=["key", "iid", "doc_id", "is_surv"])
-
-    def resolve(group: pa.Table) -> pa.Table:
-        flags = group.column("is_surv").to_numpy(zero_copy_only=False)
-        iids = group.column("iid").to_numpy(zero_copy_only=False)
-        surv = set(iids[flags == 1].tolist())
-        mask = (flags == 0) & np.isin(iids, list(surv))
-        kept = group.filter(pa.array(mask))
-        return pa.Table.from_arrays([kept.column("doc_id")],
-                                    names=["doc_id"])
-
-    u = docs.select_columns(["iid", "doc_id"]).map_batches(
-        map_emit, batch_format="pyarrow", zero_copy_batch=True).union(
-        survivors.select_columns(["doc_id"]).map_batches(
-            surv_emit, batch_format="pyarrow", zero_copy_batch=True))
-    return u.groupby("key").map_groups(resolve, batch_format="pyarrow")
+    representative.  Returns a Dataset of surviving (doc_id) strings:
+    dedup_apply keys on the surrogate and carries the string id through
+    as a column, so no join back is needed."""
+    docs = read_output(extracted_dir).map_batches(
+        _to_docs, batch_format="pyarrow", zero_copy_batch=True)
+    return dedup_apply(docs, threshold).map_batches(
+        lambda b: pa.Table.from_arrays([b.column("sid")],
+                                       names=["doc_id"]),
+        batch_format="pyarrow", zero_copy_batch=True)
 
 
 def _fp_batch(batch: pa.Table) -> pa.Table:

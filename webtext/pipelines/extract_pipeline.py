@@ -143,10 +143,11 @@ def run_extraction(
 ) -> dict:
     """Extract every pending input shard; returns manifest totals.
 
-    A round of one fragment per cluster CPU, with near-equal document
-    counts, runs one extraction task per fragment; every other round
-    keeps Ray Data's default read (see the module docstring for why and
-    what it costs).
+    A round of one non-empty fragment per cluster CPU, with near-equal
+    document counts, runs one extraction task per fragment; every other
+    round keeps Ray Data's default read (see the module docstring for
+    why and what it costs).  0-row fragments are committed with 0-doc
+    records but never read.
 
     ``rebalance=True`` inserts the salted-domain repartition before the
     classify stage (see webtext.stages.skew for when that pays off).
@@ -175,25 +176,32 @@ def run_extraction(
             shutil.rmtree(round_dir)   # uncommitted partial from a crash
 
         t0 = time.perf_counter()
-        per_fragment = _one_task_per_fragment(
-            [pq.read_metadata(s).num_rows for s in round_shards], cpus)
-        ds = ray.data.read_parquet(
-            round_shards, columns=["doc_id", "spans"], include_paths=True,
-            override_num_blocks=len(round_shards) if per_fragment else None)
-        ds = ds.map_batches(_tag_shard, batch_format="pyarrow",
-                            zero_copy_batch=True)
-        if rebalance:
-            from ..stages.skew import rebalance_for_extraction
-            # one materialized pass detects hot domains AND feeds the
-            # scope="hot" split: extraction wants WORKER BALANCE, not
-            # cold-domain co-location — only the skewed rows pay the
-            # exchange; the cold majority streams into the extraction map
-            ds, _hot = rebalance_for_extraction(
-                ds, hot_fraction=hot_fraction, buckets=salt_buckets)
+        # 0-row fragments are committed below but never read: their
+        # read yields a block with an empty schema (Ray Data warns on
+        # every such round), and the gate must count real fragments
+        rows = {s: pq.read_metadata(s).num_rows for s in round_shards}
+        read = [s for s in round_shards if rows[s]]
+        if read:
+            per_fragment = _one_task_per_fragment(
+                [rows[s] for s in read], cpus)
+            ds = ray.data.read_parquet(
+                read, columns=["doc_id", "spans"], include_paths=True,
+                override_num_blocks=len(read) if per_fragment else None)
+            ds = ds.map_batches(_tag_shard, batch_format="pyarrow",
+                                zero_copy_batch=True)
+            if rebalance:
+                from ..stages.skew import rebalance_for_extraction
+                # one materialized pass detects hot domains AND feeds
+                # the scope="hot" split: extraction wants WORKER
+                # BALANCE, not cold-domain co-location — only the
+                # skewed rows pay the exchange; the cold majority
+                # streams into the extraction map
+                ds, _hot = rebalance_for_extraction(
+                    ds, hot_fraction=hot_fraction, buckets=salt_buckets)
 
-        extracted = extract_dataset(ds, batch_size=batch_size,
-                                    concurrency=concurrency)
-        extracted.write_parquet(round_dir, partition_cols=["shard"])
+            extracted = extract_dataset(ds, batch_size=batch_size,
+                                        concurrency=concurrency)
+            extracted.write_parquet(round_dir, partition_cols=["shard"])
         seconds = time.perf_counter() - t0
 
         records = _collect_round_metrics(round_dir, round_shards, seconds)

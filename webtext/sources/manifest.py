@@ -14,9 +14,15 @@ Each commit record carries lineage + throughput metrics per the
 north_rule: shard id, row counts by status, method histogram, output
 bytes, seconds, docs/sec.
 
-The manifest is a JSONL file rewritten atomically (tmp + os.replace) on
-each commit; at real scale one manifest per job lives beside the output
-and each round appends O(shards) bytes.
+The manifest is an append-only JSON-lines file beside the output: each
+commit appends ONE line (the JSON list of that round's records) and
+flushes and fsyncs it, so a round costs O(shards) bytes, not a rewrite
+of every earlier round.  A crash mid-append can leave only the last
+line unterminated; ``records()`` skips exactly that torn tail (the
+round never committed) and raises on any other unreadable line, and
+the next ``commit`` truncates the tail away before appending.  Lines
+holding a single record object, as older manifests wrote them, read
+as one record.
 """
 
 from __future__ import annotations
@@ -38,25 +44,32 @@ class CommitManifest:
         if not os.path.exists(self.path):
             return []
         out = []
-        with open(self.path, encoding="utf-8") as f:
-            for line in f:
-                line = line.strip()
-                if line:
-                    out.append(json.loads(line))
+        with open(self.path, "rb") as f:    # a torn tail may split a
+            for line in f:                   # UTF-8 sequence
+                if not line.endswith(b"\n"):
+                    break            # torn tail: an uncommitted append
+                if line.strip():
+                    rec = json.loads(line)
+                    out.extend(rec if isinstance(rec, list) else [rec])
         return out
 
     def committed_shards(self) -> set[str]:
         return {r["shard"] for r in self.records()}
 
     def commit(self, records: list[dict]) -> None:
-        """Atomic append of one round's shard records."""
-        existing = self.records()
-        tmp = self.path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as f:
-            for r in existing + records:
-                f.write(json.dumps(r, ensure_ascii=False, sort_keys=True)
-                        + "\n")
-        os.replace(tmp, self.path)
+        """Append one round's shard records as one line, durably."""
+        line = json.dumps(records, ensure_ascii=False,
+                          sort_keys=True) + "\n"
+        with open(self.path, "a+b") as f:
+            size = f.seek(0, os.SEEK_END)
+            if size:
+                f.seek(size - 1)
+                if f.read(1) != b"\n":      # drop a torn tail
+                    f.seek(0)
+                    f.truncate(f.read().rfind(b"\n") + 1)
+            f.write(line.encode("utf-8"))
+            f.flush()
+            os.fsync(f.fileno())
 
     def totals(self) -> dict:
         recs = self.records()
