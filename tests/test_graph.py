@@ -312,6 +312,28 @@ def test_pagerank_hits_exchange_route_matches_local(ray_session,
                               .to_pandas().itertuples(index=False, name=None))
 
 
+def test_local_route_skips_schemaless_empty_edge_blocks(ray_session,
+                                                        monkeypatch):
+    """An edge Dataset repartitioned into more blocks than rows holds
+    0-row blocks with no columns (as an exchange's output can); the
+    local route's pagerank and hits read its blocks directly and give
+    the one-block result."""
+    import ray
+
+    rows = [(0, 1, 2), (1, 2, 1), (2, 0, 3)]
+    monkeypatch.setattr(graph, "LOCAL_STATE_MAX_NODES", 10**9)
+    one = _edges_ds(rows).materialize()
+    sparse = _edges_ds(rows).repartition(8).materialize()
+    assert any(not b.num_rows and not b.num_columns
+               for b in ray.get(sparse.to_arrow_refs()))
+    for op in (graph.pagerank, graph.hits):
+        assert sorted(op(sparse).take_all(), key=str) == \
+            sorted(op(one).take_all(), key=str)
+    assert dict((r["node"], r["rank"])
+                for r in graph.pagerank(sparse).take_all()) == \
+        _dense_pagerank(rows)
+
+
 def test_bucket_cache_evicts_removed_dirs_then_oldest(tmp_path,
                                                       monkeypatch):
     """Over budget, ``_load_bucket`` first evicts entries of slice dirs

@@ -68,10 +68,11 @@ def test_module_level_partial_fns_ship_by_value():
     from webtext.functions.events import _partial_window_counts
     from webtext.pipelines.extract_pipeline import _tag_shard
     from webtext.pipelines.links import _mine_batch
+    from webtext.exchange import _combine, _partial
     from webtext.stages.skew import _partial_domain_counts
 
     fns = [_band_rows, _partial_window_counts, _tag_shard, _mine_batch,
-           _partial_domain_counts]
+           _partial_domain_counts, _partial, _combine]
 
     def thunk():
         return ",".join(f.__name__ for f in fns)
@@ -95,7 +96,7 @@ def test_no_lazy_webtext_imports_in_worker_modules():
         "functions/textstats.py", "functions/events.py",
         "functions/media.py", "stages/extractor.py", "stages/skew.py",
         "synth.py", "pipelines/links.py", "pipelines/relational.py",
-        "pipelines/bench_corpus.py",
+        "pipelines/bench_corpus.py", "exchange.py",
     ]
     pat = re.compile(r"^[^\S\n]+(from \.|from webtext|import webtext)",
                      re.MULTILINE)

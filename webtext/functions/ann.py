@@ -24,9 +24,10 @@ import os
 import numpy as np
 import pyarrow as pa
 
-from .dedup import (_ibucket, _pair_bucket,  # module scope: worker code
-                    cc_survivors,            # is shipped by value and
-                    connected_components)    # cannot lazy-import webtext
+from ..exchange import _ibucket, aggregate  # module scope: worker code
+from .dedup import (_pair_bucket,            # is shipped by value and
+                    cc_survivors,            # cannot lazy-import webtext
+                    connected_components)
 from .textstats import bm25_topk
 
 
@@ -561,7 +562,7 @@ def lsh_cosine_dup_pairs(ds, threshold: float = 0.4, n_planes: int = 5,
                                   zero_copy_batch=True)
         cand = bucketed.groupby(["table", "bucket"]).map_groups(
             _candidate_pairs_in_cell, batch_format="pyarrow")
-        uniq = cand.groupby(["left_id", "right_id"]).count() \
+        uniq = aggregate(cand, ["left_id", "right_id"], ("count",)) \
             .drop_columns(["count()"])
         verified = _pair_cosine_join(uniq, ds)
 
@@ -604,7 +605,7 @@ def lsh_cosine_dup_pairs(ds, threshold: float = 0.4, n_planes: int = 5,
     # (table, bucket) cells are a CONSTANT n_tables × 2^n_planes groups
     pairs = bucketed.groupby(["table", "bucket"]).map_groups(
         pairs_in_cell, batch_format="pyarrow")
-    uniq = pairs.groupby(["left_id", "right_id"]).count()
+    uniq = aggregate(pairs, ["left_id", "right_id"], ("count",))
     return uniq.drop_columns(["count()"])
 
 
@@ -660,7 +661,7 @@ def lsh_nearest_neighbor_ids(ds, n_planes: int = 5, n_tables: int = 8,
                                   zero_copy_batch=True)
         cand = bucketed.groupby(["table", "bucket"]).map_groups(
             _candidate_pairs_in_cell, batch_format="pyarrow")
-        uniq = cand.groupby(["left_id", "right_id"]).count() \
+        uniq = aggregate(cand, ["left_id", "right_id"], ("count",)) \
             .drop_columns(["count()"])
         sims = _pair_cosine_join(uniq, ds)
 
@@ -793,7 +794,7 @@ def label_centroids(ds, scale: int = CENTROID_SCALE):
     order-invariant — same trick as the distributed IVF k-means fit).
 
     Combiner shape: each batch reduces to (labels-in-batch × dim) rows
-    via one np.add.at, then a native groupby sum — the shuffle ships
+    via one np.add.at, then a sum aggregate — the shuffle ships
     per-batch partial centroids, never embeddings."""
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -816,10 +817,11 @@ def label_centroids(ds, scale: int = CENTROID_SCALE):
              pa.array(np.repeat(counts, d))],
             names=["label", "dim", "sum_fp", "n"])
 
-    summed = ds.select_columns(["label", "embedding"]) \
+    summed = aggregate(
+        ds.select_columns(["label", "embedding"])
         .map_batches(partial, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .groupby(["label", "dim"]).sum(["sum_fp", "n"])
+                     zero_copy_batch=True),
+        ["label", "dim"], ("sum", "sum_fp"), ("sum", "n"))
     return summed.map_batches(
         lambda b: b.rename_columns(["label", "dim", "sum_fp", "n"]),
         batch_format="pyarrow", zero_copy_batch=True)
@@ -1114,7 +1116,7 @@ def centroid_classify(ds, scale: int = CENTROID_SCALE,
         .map_batches(Classify, batch_format="pyarrow",
                      zero_copy_batch=True, concurrency=(1, 4),
                      fn_constructor_args=(ref,))
-    summed = partials.groupby(["label", "pred_label"]).sum("n")
+    summed = aggregate(partials, ["label", "pred_label"], ("sum", "n"))
     return summed.map_batches(
         lambda b: b.rename_columns(["label", "pred_label", "n"]),
         batch_format="pyarrow", zero_copy_batch=True)
@@ -1445,10 +1447,12 @@ def embedding_dim_stats(ds):
              pa.array(ss % 1_000_000_000)],
             names=["dim", "n", "sum_q", "hi", "lo"])
 
-    summed = ds.select_columns(["embedding"]) \
+    summed = aggregate(
+        ds.select_columns(["embedding"])
         .map_batches(partial, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .groupby("dim").sum(["n", "sum_q", "hi", "lo"]) \
+                     zero_copy_batch=True),
+        "dim", ("sum", "n"), ("sum", "sum_q"), ("sum", "hi"),
+        ("sum", "lo")) \
         .map_batches(lambda t: t.rename_columns(
             ["dim", "n", "sum_q", "hi", "lo"]),
             batch_format="pyarrow", zero_copy_batch=True)
@@ -1495,10 +1499,11 @@ def _gram_limb_rows(ds):
             [pa.array(iu[0] * d + iu[1]), pa.array(hi), pa.array(lo)],
             names=["ij", "hi", "lo"])
 
-    return ds.select_columns(["embedding"]) \
+    return aggregate(
+        ds.select_columns(["embedding"])
         .map_batches(partial, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .groupby("ij").sum(["hi", "lo"]).take_all()
+                     zero_copy_batch=True),
+        "ij", ("sum", "hi"), ("sum", "lo")).take_all()
 
 
 def _gram_exact(rows):
@@ -1525,7 +1530,7 @@ def pca_top_component(ds, iters: int = 100):
     signed half-away-from-zero round; each block emits its EXACT d×d
     Gram partial q·qᵀ as base-1e9 (hi, lo) limb rows keyed by the
     packed upper-triangle index (d(d+1)/2 constant-size rows per
-    block), one native groupby sum reduces, and the driver reassembles
+    block), one sum aggregate reduces, and the driver reassembles
     the exact integer Gram in Python big-ints — order-invariant,
     bit-identical under any blocking.  The eigenvector then comes from
     a FIXED-ITERATION power iteration in float64 on the driver
@@ -2122,8 +2127,8 @@ def cluster_census(ds, nlist: int = 16, index_path: str | None = None):
     Shape: centroids broadcast once (index load or one distributed
     fit); ONE streaming scan — per block a nearest-centroid assign
     (`_assign_clusters`, the shared spec formula) + a bincount/
-    fixed-point-sum partial of at most nlist rows; one native
-    groupby(cluster).sum over nlist × blocks partial rows.  Inertia
+    fixed-point-sum partial of at most nlist rows; one keyed
+    aggregate(cluster).sum over nlist × blocks partial rows.  Inertia
     quantizes per VECTOR (floor(d²·1e6) int64) before summation, so
     the reduce is order-invariant and the dense golden bit-equal."""
     import ray
@@ -2149,10 +2154,11 @@ def cluster_census(ds, nlist: int = 16, index_path: str | None = None):
              pa.array(n[nz]), pa.array(iner[nz])],
             names=["cluster", "n", "inertia_micro"])
 
-    summed = ds.select_columns(["embedding"]) \
+    summed = aggregate(
+        ds.select_columns(["embedding"])
         .map_batches(partial, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .groupby("cluster").sum(["n", "inertia_micro"])
+                     zero_copy_batch=True),
+        "cluster", ("sum", "n"), ("sum", "inertia_micro"))
     return summed.map_batches(
         lambda b: b.rename_columns(["cluster", "n", "inertia_micro"]),
         batch_format="pyarrow", zero_copy_batch=True).sort("cluster")

@@ -29,7 +29,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .dedup import _ibucket, _sbucket  # module scope: worker-path rule
+from ..exchange import _ibucket, _sbucket, aggregate  # module scope:
+# worker-path rule
 from .textstats import chunk_documents_batch  # module scope: worker
 
 # --------------------------------------------------------------------------
@@ -355,12 +356,12 @@ def canonicalize_urls(ds, col: str = "url"):
 
 
 def url_dedup(ds, col: str = "url"):
-    """First-occurrence page dedup by CANONICAL url: one native
-    groupby(canon_url).min(doc_id) hash aggregate — no per-URL Python
+    """First-occurrence page dedup by CANONICAL url: one keyed
+    aggregate(canon_url).min(doc_id) hash aggregate — no per-URL Python
     groups (the dedup_links lesson), shuffle ships (canon_url, doc_id)
     only."""
     canon = canonicalize_urls(ds, col)
-    out = canon.groupby("canon_url").min("doc_id")
+    out = aggregate(canon, "canon_url", ("min", "doc_id"))
     return out.map_batches(
         lambda b: pa.Table.from_arrays(
             [b.column("min(doc_id)").cast(pa.int64()),
@@ -599,7 +600,7 @@ def word_window_lines_batch(batch: pa.Table, width: int = 4) -> pa.Table:
 #
 # Scale shape: (1) ONE combiner pass emits sparse (bucket, n_target,
 # n_raw) partials per block — the feature space is B hashed buckets, so
-# the aggregate is constant-size; a native groupby sums it and only B
+# the aggregate is constant-size; a keyed aggregate sums it and only B
 # rows reach the driver.  (2) The per-bucket log-ratio LUT (B int64
 # fixed-point entries — float64 log of integer-count rationals,
 # quantized to nanos) is ray.put-broadcast once.  (3) The scoring pass
@@ -632,7 +633,7 @@ def dsir_log_ratio_lut(target_ds, raw_ds,
     """int64 fixed-point log-ratio LUT over the hashed feature space:
     lut[b] = rint(1e9 · (ln p_b − ln q_b)) with Laplace-smoothed
     p_b = (t_b + 1)/(T + B), q_b = (r_b + 1)/(R + B).  Each side is one
-    sparse combiner pass + native groupby; the merged table is ≤ B
+    sparse combiner pass + keyed aggregate; the merged table is ≤ B
     rows."""
     def counts_of(ds):
         def partial(batch: pa.Table) -> pa.Table:
@@ -648,9 +649,10 @@ def dsir_log_ratio_lut(target_ds, raw_ds,
             return pa.Table.from_pydict(
                 {"b": pa.array(u), "n": pa.array(c.astype(np.int64))})
 
-        rows = ds.map_batches(partial, batch_format="pyarrow",
-                              zero_copy_batch=True) \
-            .groupby("b").sum("n").take_all()
+        rows = aggregate(
+            ds.map_batches(partial, batch_format="pyarrow",
+                           zero_copy_batch=True),
+            "b", ("sum", "n")).take_all()
         dense = np.zeros(DSIR_BUCKETS, dtype=np.int64)
         for r in rows:
             dense[int(r["b"])] = int(r["sum(n)"])
@@ -706,8 +708,8 @@ def temperature_sample(ds, lang_col: str = "lang", salt: str = "ts"):
     that flattens the head languages toward ∝ n^α (the smallest
     language keeps everything).  Returns the kept (doc_id, lang) rows.
 
-    Per-language keep thresholds derive from ONE native
-    groupby(lang).count() (languages are constant-cardinality); the
+    Per-language keep thresholds derive from ONE keyed
+    aggregate(lang).count() (languages are constant-cardinality); the
     keep decision is the md5-prefix hex compare of ``sample_by_hash``
     with a per-language integer threshold
     ``floor(4096 · sqrt(n_min / n_ℓ))`` — sqrt is IEEE
@@ -716,7 +718,7 @@ def temperature_sample(ds, lang_col: str = "lang", salt: str = "ts"):
     engines.  Content-addressed → reproducible under any blocking or
     cluster size.  α is fixed at 0.5 because sqrt is the one power
     with a cross-engine exactness guarantee."""
-    counts = ds.groupby(lang_col).count().take_all()
+    counts = aggregate(ds, lang_col, ("count",)).take_all()
     n_of = {r[lang_col]: int(r["count()"]) for r in counts}
     if not n_of:
         return ds.select_columns(["doc_id", lang_col])
@@ -790,7 +792,7 @@ def k_anonymity(ds, k: int = 5, chars_bucket: int = 200):
     finds rows whose mere attribute combination leaks).
 
     Shape: a pure combiner — per batch one vectorized bucket map +
-    Arrow group_by partial counts, ONE native groupby-sum over the
+    Arrow group_by partial counts, ONE sum aggregate over the
     QI-domain-bounded class table (never corpus-sized), then a scalar
     filter n < k.  No driver materialization of anything row-shaped."""
     def partial(batch: pa.Table) -> pa.Table:
@@ -804,10 +806,11 @@ def k_anonymity(ds, k: int = 5, chars_bucket: int = 200):
         return agg.rename_columns(
             ["lang", "source", "chars_bucket", "n"])
 
-    summed = ds.select_columns(["lang", "source", "n_chars"]) \
+    summed = aggregate(
+        ds.select_columns(["lang", "source", "n_chars"])
         .map_batches(partial, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .groupby(["lang", "source", "chars_bucket"]).sum("n") \
+                     zero_copy_batch=True),
+        ["lang", "source", "chars_bucket"], ("sum", "n")) \
         .map_batches(lambda b: b.rename_columns(
             ["lang", "source", "chars_bucket", "n"]),
             batch_format="pyarrow", zero_copy_batch=True)
@@ -826,9 +829,9 @@ def l_diversity(ds, l: int = 3, chars_bucket: int = 200):
 
     Shape: per batch one Arrow group_by over (source, bucket, lang) —
     the partial is distinct-triple counts, bounded by the QI × lang
-    domain — then ONE native groupby-sum; the per-class row count and
+    domain — then ONE sum aggregate; the per-class row count and
     distinct-lang count both derive from that bounded table in a
-    second TINY native groupby (rows = distinct triples, never corpus
+    second TINY keyed aggregate (rows = distinct triples, never corpus
     size)."""
     def partial(batch: pa.Table) -> pa.Table:
         cb = pc.divide(batch.column("n_chars").cast(pa.int64()),
@@ -841,10 +844,11 @@ def l_diversity(ds, l: int = 3, chars_bucket: int = 200):
         return agg.rename_columns(
             ["source", "chars_bucket", "lang", "n"])
 
-    triples = ds.select_columns(["source", "n_chars", "lang"]) \
+    triples = aggregate(
+        ds.select_columns(["source", "n_chars", "lang"])
         .map_batches(partial, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .groupby(["source", "chars_bucket", "lang"]).sum("n") \
+                     zero_copy_batch=True),
+        ["source", "chars_bucket", "lang"], ("sum", "n")) \
         .map_batches(lambda b: b.rename_columns(
             ["source", "chars_bucket", "lang", "n"]),
             batch_format="pyarrow", zero_copy_batch=True)
@@ -856,10 +860,11 @@ def l_diversity(ds, l: int = 3, chars_bucket: int = 200):
              pa.array(np.ones(batch.num_rows, dtype=np.int64))],
             names=["source", "chars_bucket", "n_rows", "n_langs"])
 
-    classes = triples.map_batches(fold, batch_format="pyarrow",
-                                  zero_copy_batch=True) \
-        .groupby(["source", "chars_bucket"]) \
-        .sum(["n_rows", "n_langs"]) \
+    classes = aggregate(
+        triples.map_batches(fold, batch_format="pyarrow",
+                            zero_copy_batch=True),
+        ["source", "chars_bucket"], ("sum", "n_rows"),
+        ("sum", "n_langs")) \
         .map_batches(lambda b: b.rename_columns(
             ["source", "chars_bucket", "n_rows", "n_langs"]),
             batch_format="pyarrow", zero_copy_batch=True)

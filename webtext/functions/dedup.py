@@ -36,6 +36,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..exchange import N_SHUFFLE_BUCKETS, _ibucket, _sbucket, aggregate
 from ..sources.manifest import CommitManifest  # module scope: worker
 # code is shipped by value and cannot lazy-import webtext
 
@@ -89,49 +90,6 @@ def word_jaccard(a: str, b: str) -> tuple[int, int]:
     thresholds compare exactly across engines."""
     sa, sb = set(a.split(" ")), set(b.split(" "))
     return len(sa & sb), len(sa | sb)
-
-
-# Shuffle fan-out for every join-by-groupby stage: grouping by
-# hash(key) % N instead of by raw key keeps the group count CONSTANT
-# (not O(rows)), so map_groups pays Python/slice overhead 256 times per
-# shuffle instead of once per doc/pair — the in-bucket work is a dict
-# pass over the same total rows.  At cluster scale, buckets are the
-# partitioning unit; raise N_SHUFFLE_BUCKETS with the cluster size.
-N_SHUFFLE_BUCKETS = 256
-
-
-def _ibucket(a: np.ndarray, n: int = N_SHUFFLE_BUCKETS) -> np.ndarray:
-    """Deterministic hash bucket for int64 keys (Knuth multiplicative,
-    wrap-around is defined int64 overflow)."""
-    with np.errstate(over="ignore"):
-        mixed = a.astype(np.int64) * np.int64(2654435761)
-    return (mixed & np.int64(0x7FFFFFFFFFFFFFFF)) % np.int64(n)
-
-
-def _sbucket(strings, n: int = N_SHUFFLE_BUCKETS) -> np.ndarray:
-    """Deterministic hash bucket for string keys (vectorized siphash via
-    pandas.util.hash_array; stable across processes — fixed hash key, no
-    PYTHONHASHSEED dependence).
-
-    categorize=False is REQUIRED, not an optimization choice: the
-    default categorize=True path (factorize → hash the category
-    values) mis-hashes strings containing embedded NUL bytes — the
-    per-element hash then depends on the OTHER elements in the array,
-    so the same key gets different buckets in different tasks and a
-    downstream groupby silently fails to co-locate (caught by
-    host_cocitation's NUL-joined pair keys; pinned by
-    tests/test_webgraph.py::test_sbucket_nul_batch_equals_solo).  The
-    direct path hashes each element's utf-8 bytes independently and is
-    value-identical to the default path for NUL-free strings (verified
-    over the repo's key shapes), so no existing exchange changes."""
-    import pandas as pd
-
-    arr = np.asarray(list(strings) if not isinstance(strings, np.ndarray)
-                     else strings, dtype=object)
-    if arr.size == 0:
-        return np.empty(0, dtype=np.int64)
-    return (pd.util.hash_array(arr, categorize=False)
-            % np.uint64(n)).astype(np.int64)
 
 
 def _col_i64(batch: pa.Table, name: str) -> np.ndarray:
@@ -336,8 +294,8 @@ def band_candidates(bands, dedupe: bool = True):
         bucket_pairs, batch_format="pyarrow")
     if not dedupe:
         return candidates
-    # dedupe candidate pairs found in multiple bands (native aggregate)
-    candidates = candidates.groupby(["left_id", "right_id"]).count()
+    # dedupe candidate pairs found in multiple bands
+    candidates = aggregate(candidates, ["left_id", "right_id"], ("count",))
     return candidates.drop_columns(["count()"])
 
 
@@ -364,7 +322,7 @@ def minhash_lsh_pairs(ds, threshold: float = 0.5):
 
 def exact_dedup(ds):
     """First (min doc_id) document per distinct text."""
-    agg = ds.groupby("text").min("doc_id")
+    agg = aggregate(ds, "text", ("min", "doc_id"))
     return agg.map_batches(
         lambda b: b.rename_columns(
             ["text", "doc_id"]).select(["doc_id", "text"]),
@@ -388,7 +346,7 @@ def exact_dedup_hashed(ds):
 
     fps = ds.map_batches(fp_batch, batch_format="pyarrow",
                          zero_copy_batch=True)
-    agg = fps.groupby("fp").min("doc_id")
+    agg = aggregate(fps, "fp", ("min", "doc_id"))
     return agg.map_batches(
         lambda b: b.rename_columns(["fp", "doc_id"]).select(
             ["doc_id", "fp"]),
@@ -506,7 +464,7 @@ def simhash_dup_pairs(ds, max_hamming: int = 8):
                             zero_copy_batch=True)
     pairs = banded.groupby("bucket").map_groups(
         bucket_pairs, batch_format="pyarrow")
-    uniq = pairs.groupby(["left_id", "right_id"]).count()
+    uniq = aggregate(pairs, ["left_id", "right_id"], ("count",))
     return uniq.drop_columns(["count()"])
 
 
@@ -680,7 +638,7 @@ def _components(pairs, max_iters: int = 50,
         labels = _read(f"labels_r{last_round}") \
             .repartition(state_blocks).materialize()
     else:
-        nodes = edges.groupby("src").count().drop_columns(["count()"])
+        nodes = aggregate(edges, "src", ("count",)).drop_columns(["count()"])
         labels = nodes.map_batches(
             lambda b: pa.Table.from_arrays(
                 [b.column("src"), b.column("src")],
@@ -979,7 +937,7 @@ def dup_cluster_stats(ds, threshold: float = 0.5):
     committing a removal run.
 
     Shape: minhash_lsh_pairs → connected_components → per-batch label
-    counts (combiner) → native groupby(label).sum → per-batch histogram
+    counts (combiner) → sum aggregate by label → per-batch histogram
     partial → one tiny groupby(cluster_size).sum.  Every shuffle after
     CC ships counts, never documents."""
     labels = connected_components(minhash_lsh_pairs(ds, threshold))
@@ -993,9 +951,10 @@ def dup_cluster_stats(ds, threshold: float = 0.5):
         agg = t.group_by("label").aggregate([("n", "sum")])
         return agg.rename_columns(["label", "n"])
 
-    sizes = labels.map_batches(label_partial, batch_format="pyarrow",
-                               zero_copy_batch=True) \
-        .groupby("label").sum("n")
+    sizes = aggregate(
+        labels.map_batches(label_partial, batch_format="pyarrow",
+                           zero_copy_batch=True),
+        "label", ("sum", "n"))
 
     def hist_partial(batch: pa.Table) -> pa.Table:
         col = "sum(n)" if "sum(n)" in batch.column_names else "n"
@@ -1007,9 +966,10 @@ def dup_cluster_stats(ds, threshold: float = 0.5):
                                                      "sum")])
         return agg.rename_columns(["cluster_size", "n_clusters"])
 
-    return sizes.map_batches(hist_partial, batch_format="pyarrow",
-                             zero_copy_batch=True) \
-        .groupby("cluster_size").sum("n_clusters") \
+    return aggregate(
+        sizes.map_batches(hist_partial, batch_format="pyarrow",
+                          zero_copy_batch=True),
+        "cluster_size", ("sum", "n_clusters")) \
         .map_batches(lambda b: b.rename_columns(
             ["cluster_size", "n_clusters"]),
             batch_format="pyarrow", zero_copy_batch=True)
@@ -1094,7 +1054,7 @@ def edit1_name_pairs(ds, col: str = "p_name",
         .groupby("bucket").map_groups(bucket_pairs,
                                       batch_format="pyarrow")
     # the same pair can surface via several shared signatures
-    uniq = pairs.groupby(["left_name", "right_name"]).count()
+    uniq = aggregate(pairs, ["left_name", "right_name"], ("count",))
     return uniq.drop_columns(["count()"])
 
 
@@ -1228,11 +1188,10 @@ def dup_rate_by_source(ds, n_buckets: int = N_SHUFFLE_BUCKETS):
         pairs, batch_format="pyarrow", zero_copy_batch=True) \
         .groupby("bucket").map_groups(count_bucket,
                                       batch_format="pyarrow")
-    return partial.groupby("source") \
-        .sum(["n_docs", "n_distinct"]).map_batches(
-            lambda b: b.rename_columns(["source", "n_docs",
-                                        "n_distinct"]),
-            batch_format="pyarrow", zero_copy_batch=True)
+    return aggregate(partial, "source",
+                     ("sum", "n_docs"), ("sum", "n_distinct")).map_batches(
+        lambda b: b.rename_columns(["source", "n_docs", "n_distinct"]),
+        batch_format="pyarrow", zero_copy_batch=True)
 
 
 def prefix_filter_pairs(ds, threshold: float = 0.5, n_buckets: int = 256):
@@ -1437,12 +1396,13 @@ def source_overlap(ds, n_buckets: int = 256):
              pa.array(n[keep])],
             names=["source_a", "source_b", "n_shared"])
 
-    return ds.select_columns(["source", "text"]) \
+    return aggregate(
+        ds.select_columns(["source", "text"])
         .map_batches(fp_rows, batch_format="pyarrow",
-                     zero_copy_batch=True) \
+                     zero_copy_batch=True)
         .groupby("bucket").map_groups(count_cell,
-                                      batch_format="pyarrow") \
-        .groupby(["source_a", "source_b"]).sum("n_shared") \
+                                      batch_format="pyarrow"),
+        ["source_a", "source_b"], ("sum", "n_shared")) \
         .map_batches(lambda b: b.rename_columns(
             ["source_a", "source_b", "n_shared"]),
             batch_format="pyarrow", zero_copy_batch=True)

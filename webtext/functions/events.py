@@ -21,7 +21,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .dedup import _ibucket
+from ..exchange import _ibucket, aggregate
 
 SESSION_GAP_MINUTES = 30
 
@@ -44,7 +44,7 @@ def windowed_counts(ds):
     """(event_type, w, n): events per type per tumbling 1-hour window."""
     partial = ds.map_batches(_partial_window_counts, batch_format="pyarrow",
                              zero_copy_batch=True)
-    summed = partial.groupby(["event_type", "w"]).sum("n")
+    summed = aggregate(partial, ["event_type", "w"], ("sum", "n"))
     return summed.map_batches(
         lambda b: b.rename_columns(["event_type", "w", "n"]),
         batch_format="pyarrow", zero_copy_batch=True)
@@ -91,7 +91,7 @@ def hopping_counts(ds, hop_minutes: int = HOP_MINUTES,
     partial = ds.map_batches(
         lambda b: _partial_hopping_counts(b, hop_minutes, window_minutes),
         batch_format="pyarrow", zero_copy_batch=True)
-    summed = partial.groupby(["event_type", "w"]).sum("n")
+    summed = aggregate(partial, ["event_type", "w"], ("sum", "n"))
     return summed.map_batches(
         lambda b: b.rename_columns(["event_type", "w", "n"]),
         batch_format="pyarrow", zero_copy_batch=True)
@@ -237,7 +237,7 @@ def distinct_users(ds, n_buckets: int = 256):
                      zero_copy_batch=True) \
         .groupby("bucket").map_groups(count_bucket,
                                       batch_format="pyarrow")
-    return partial.groupby("event_type").sum("n").map_batches(
+    return aggregate(partial, "event_type", ("sum", "n")).map_batches(
         lambda b: b.rename_columns(["event_type", "n_users"]),
         batch_format="pyarrow", zero_copy_batch=True)
 
@@ -268,10 +268,11 @@ def pivot_events(ds, types: tuple[str, ...] = EVENT_TYPES):
             [(f"n_{t}", "sum") for t in types])
         return agg.rename_columns(["day"] + [f"n_{t}" for t in types])
 
-    summed = ds.select_columns(["ts", "event_type"]) \
+    summed = aggregate(
+        ds.select_columns(["ts", "event_type"])
         .map_batches(partial, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .groupby("day").sum([f"n_{t}" for t in types])
+                     zero_copy_batch=True),
+        "day", *(("sum", c) for c in [f"n_{t}" for t in types]))
     return summed.map_batches(
         lambda b: b.rename_columns(["day"] + [f"n_{t}" for t in types]),
         batch_format="pyarrow", zero_copy_batch=True)
@@ -422,8 +423,8 @@ def user_growth(ds):
     combiner-reduced exchanges over tiny state:
 
     1. per-batch Arrow group_by min(day) per user (shuffle ships one
-       row per (batch, user), never events), then a native
-       groupby(user).min to settle each user's true first day;
+       row per (batch, user), never events), then a keyed
+       aggregate(user).min to settle each user's true first day;
     2. per-batch count per first-day (days are few), one tiny
        groupby-sum, then a single-block cumulative sum (the day table
        is bounded by the calendar at any corpus size)."""
@@ -437,10 +438,11 @@ def user_growth(ds):
         agg = t.group_by(["user_id"]).aggregate([("day_us", "min")])
         return agg.rename_columns(["user_id", "day_us"])
 
-    first = ds.select_columns(["user_id", "ts"]) \
+    first = aggregate(
+        ds.select_columns(["user_id", "ts"])
         .map_batches(first_day_partial, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .groupby("user_id").min("day_us")
+                     zero_copy_batch=True),
+        "user_id", ("min", "day_us"))
 
     def day_counts(batch: pa.Table) -> pa.Table:
         col = "min(day_us)" if "min(day_us)" in batch.column_names \
@@ -452,9 +454,10 @@ def user_growth(ds):
         agg = t.group_by(["day_us"]).aggregate([("n", "sum")])
         return agg.rename_columns(["day_us", "new_users"])
 
-    per_day = first.map_batches(day_counts, batch_format="pyarrow",
-                                zero_copy_batch=True) \
-        .groupby("day_us").sum("new_users")
+    per_day = aggregate(
+        first.map_batches(day_counts, batch_format="pyarrow",
+                          zero_copy_batch=True),
+        "day_us", ("sum", "new_users"))
 
     def cumulate(batch: pa.Table) -> pa.Table:
         day = batch.column("day_us").to_numpy(zero_copy_only=False)
@@ -878,10 +881,11 @@ def zscore_events(ds, n_buckets: int = 256):
             [("n", "sum"), ("s1", "sum"), ("s2", "sum")])
         return agg.rename_columns(["event_type", "n", "s1", "s2"])
 
-    stats_rows = ds.select_columns(["event_type", "value"]) \
+    stats_rows = aggregate(
+        ds.select_columns(["event_type", "value"])
         .map_batches(partial, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .groupby("event_type").sum(["n", "s1", "s2"]).take_all()
+                     zero_copy_batch=True),
+        "event_type", ("sum", "n"), ("sum", "s1"), ("sum", "s2")).take_all()
     # per-type sd computed ONCE, driver-side, in Python arbitrary-
     # precision ints: S2·n − S1² wraps silently in int64 once a type's
     # cents sum passes ~3e9 (the oracle's SUM() promotes to HUGEINT, so
@@ -1000,7 +1004,7 @@ def retention_cohorts(ds, n_buckets: int = 256):
     (user, day) pairs are both in-bucket computable (minimum.at + one
     np.unique over packed (user_code, day) keys — no sort, no per-user
     Python); the shuffle out of the bucket ships one row per distinct
-    (user, day), and a native groupby(cohort, offset).count finishes
+    (user, day), and a count aggregate by (cohort, offset) finishes
     (rows are distinct per user by construction, so count == distinct
     users)."""
 
@@ -1043,9 +1047,10 @@ def retention_cohorts(ds, n_buckets: int = 256):
         return batch.append_column(
             "n_users", pa.array(np.ones(batch.num_rows, dtype=np.int64)))
 
-    summed = rows.map_batches(ones, batch_format="pyarrow",
-                              zero_copy_batch=True) \
-        .groupby(["cohort", "day_offset"]).sum("n_users")
+    summed = aggregate(
+        rows.map_batches(ones, batch_format="pyarrow",
+                         zero_copy_batch=True),
+        ["cohort", "day_offset"], ("sum", "n_users"))
     return summed.map_batches(
         lambda b: b.rename_columns(["cohort", "day_offset", "n_users"]),
         batch_format="pyarrow", zero_copy_batch=True)
@@ -1103,7 +1108,7 @@ def event_transitions(ds, n_buckets: int = 256):
                      zero_copy_batch=True) \
         .groupby("bucket").map_groups(trans_bucket,
                                       batch_format="pyarrow")
-    summed = partials.groupby(["prev_type", "event_type"]).sum("n")
+    summed = aggregate(partials, ["prev_type", "event_type"], ("sum", "n"))
     return summed.map_batches(
         lambda b: b.rename_columns(["prev_type", "event_type", "n"]),
         batch_format="pyarrow", zero_copy_batch=True)
@@ -1137,8 +1142,8 @@ def props_field_stats(ds, field: str = "k"):
 
     partials = ds.select_columns(["event_type", "props"]).map_batches(
         partial, batch_format="pyarrow", zero_copy_batch=True)
-    summed = partials.groupby("event_type") \
-        .sum(["n_with_field", "field_sum"])
+    summed = aggregate(partials, "event_type",
+                       ("sum", "n_with_field"), ("sum", "field_sum"))
     return summed.map_batches(
         lambda b: b.rename_columns(
             ["event_type", "n_with_field", "field_sum"]),
@@ -1152,8 +1157,8 @@ def mode_by_type(ds, n_buckets: int = 256):
 
     Classic two-level combiner: per-batch (type, cents, n) partial
     counts (one factorize + bincount over packed codes — the shuffle
-    ships distinct pairs per block, never events), one native
-    groupby(type, cents).sum, then a per-type argmax over that
+    ships distinct pairs per block, never events), one keyed
+    aggregate(type, cents).sum, then a per-type argmax over that
     already-tiny table via groupby(type).map_groups (group payload =
     the type's distinct values, not its events)."""
     import pandas as pd
@@ -1187,10 +1192,11 @@ def mode_by_type(ds, n_buckets: int = 256):
              pa.array([int(n[i])], pa.int64())],
             names=["event_type", "mode_cents", "n"])
 
-    return ds.select_columns(["event_type", "value"]) \
+    return aggregate(
+        ds.select_columns(["event_type", "value"])
         .map_batches(partial, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .groupby(["event_type", "cents"]).sum("n") \
+                     zero_copy_batch=True),
+        ["event_type", "cents"], ("sum", "n")) \
         .map_batches(
             lambda b: b.rename_columns(["event_type", "cents", "n"]),
             batch_format="pyarrow", zero_copy_batch=True) \
@@ -1311,12 +1317,13 @@ def event_cooccurrence(ds, n_buckets: int = 256):
              pa.array(n[keep])],
             names=["type_a", "type_b", "n_users"])
 
-    return ds.select_columns(["user_id", "event_type"]) \
+    return aggregate(
+        ds.select_columns(["user_id", "event_type"])
         .map_batches(partial, batch_format="pyarrow",
-                     zero_copy_batch=True) \
+                     zero_copy_batch=True)
         .groupby("bucket").map_groups(count_bucket,
-                                      batch_format="pyarrow") \
-        .groupby(["type_a", "type_b"]).sum("n_users") \
+                                      batch_format="pyarrow"),
+        ["type_a", "type_b"], ("sum", "n_users")) \
         .map_batches(lambda b: b.rename_columns(
             ["type_a", "type_b", "n_users"]),
             batch_format="pyarrow", zero_copy_batch=True)
@@ -1332,7 +1339,7 @@ def ks_drift(ds, n_buckets: int = 256):
     oracle's HUGEINT arithmetic), so the scalar matches bit-for-bit.
 
     Scale shape: per-batch (cents, side) count partials (combiner) →
-    one native groupby(cents).sum — after which the table has ONE row
+    one sum aggregate by cents — after which the table has ONE row
     per distinct cents value, bounded by the value domain (like the
     quantile-threshold tables), NOT by corpus size — so the driver
     finish (sort, cumsum, max) is a constant-size reduction."""
@@ -1354,10 +1361,11 @@ def ks_drift(ds, n_buckets: int = 256):
              pa.array(np.where(sa == 1, counts, 0).astype(np.int64))],
             names=["v", "ca", "cb"])
 
-    agg = ds.select_columns(["user_id", "value"]) \
+    agg = aggregate(
+        ds.select_columns(["user_id", "value"])
         .map_batches(partial, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .groupby("v").sum(["ca", "cb"])
+                     zero_copy_batch=True),
+        "v", ("sum", "ca"), ("sum", "cb"))
     rows = agg.take_all()           # one row per DISTINCT cents value
     rows.sort(key=lambda r: r["v"])
     fa = fb = 0
@@ -1429,7 +1437,7 @@ def ks_by_type(ds, n_buckets: int = 256):
     values drifted, not just whether anything did).
 
     Same reduction posture as ks_drift: per-batch (type, cents) count
-    partials (combiner) → one native groupby — the result has one row
+    partials (combiner) → one keyed aggregate — the result has one row
     per DISTINCT (type, cents) pair, bounded by |types| × the value
     domain, never corpus size — then a driver finish walks the global
     sorted grid once per type with Python big-int cross-products (the
@@ -1451,10 +1459,11 @@ def ks_by_type(ds, n_buckets: int = 256):
              pa.array(counts.astype(np.int64))],
             names=["g", "v", "n"])
 
-    rows = ds.select_columns(["event_type", "value"]) \
+    rows = aggregate(
+        ds.select_columns(["event_type", "value"])
         .map_batches(partial, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .groupby(["g", "v"]).sum("n").take_all()
+                     zero_copy_batch=True),
+        ["g", "v"], ("sum", "n")).take_all()
     # distinct (type, cents) table — constant-bounded driver finish
     from collections import defaultdict
     per_gv: dict[str, dict[int, int]] = defaultdict(dict)
@@ -1555,7 +1564,7 @@ def cusum_changepoints(ds):
 
     Reduction posture (the `ks_by_type` convention): per-batch
     (type, epoch_day, cents) sum partials — a combiner, all numpy —
-    then ONE native groupby whose result has one row per DISTINCT
+    then ONE keyed aggregate whose result has one row per DISTINCT
     (type, day), bounded by |types| × calendar days, never corpus
     size; a constant-size driver finish walks each type's day-ordered
     series once in Python big-int arithmetic (the oracle's HUGEINT
@@ -1583,10 +1592,11 @@ def cusum_changepoints(ds):
              pa.array(d[starts]), pa.array(sums.astype(np.int64))],
             names=["g", "day", "x"])
 
-    rows = ds.select_columns(["event_type", "ts", "value"]) \
+    rows = aggregate(
+        ds.select_columns(["event_type", "ts", "value"])
         .map_batches(partial, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .groupby(["g", "day"]).sum("x").take_all()
+                     zero_copy_batch=True),
+        ["g", "day"], ("sum", "x")).take_all()
     # distinct (type, day) table — constant-bounded driver finish
     from collections import defaultdict
     series: dict[str, dict[int, int]] = defaultdict(dict)
@@ -1633,7 +1643,7 @@ def top_event_trigrams(ds, k: int = 50, n_buckets: int = 256):
     shifted Arrow gathers + one ``binary_join_element_wise`` (pairs
     crossing a user boundary masked out — no per-user loop), and
     pre-counts with Arrow ``value_counts`` so the second exchange
-    ships (trigram, partial_n) rows only; one native groupby-sum and
+    ships (trigram, partial_n) rows only; one sum aggregate and
     a tiny deterministic sort+limit finish (the `top_bigrams`
     convention)."""
     def emit(batch: pa.Table) -> pa.Table:
@@ -1682,7 +1692,7 @@ def top_event_trigrams(ds, k: int = 50, n_buckets: int = 256):
                      zero_copy_batch=True) \
         .groupby("bucket").map_groups(count_cell,
                                       batch_format="pyarrow")
-    summed = partials.groupby("trigram").sum("n").map_batches(
+    summed = aggregate(partials, "trigram", ("sum", "n")).map_batches(
         lambda b: b.rename_columns(["trigram", "n"]),
         batch_format="pyarrow", zero_copy_batch=True)
     return summed.sort(["n", "trigram"],
@@ -1698,7 +1708,7 @@ def dow_profile(ds):
 
     Pure combiner: per batch one vectorized epoch-day → weekday map
     (the 1970-01-01 Thursday anchor, no calendar library) + lexsort
-    reduceat partials, then ONE native groupby over the ≤ |types|×7
+    reduceat partials, then ONE keyed aggregate over the ≤ |types|×7
     row table."""
     def partial(batch: pa.Table) -> pa.Table:
         ts = batch.column("ts").cast(pa.timestamp("us")) \
@@ -1722,10 +1732,11 @@ def dow_profile(ds):
              pa.array(sums.astype(np.int64))],
             names=["event_type", "dow", "n", "sum_cents"])
 
-    return ds.select_columns(["event_type", "ts", "value"]) \
+    return aggregate(
+        ds.select_columns(["event_type", "ts", "value"])
         .map_batches(partial, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .groupby(["event_type", "dow"]).sum(["n", "sum_cents"]) \
+                     zero_copy_batch=True),
+        ["event_type", "dow"], ("sum", "n"), ("sum", "sum_cents")) \
         .map_batches(lambda b: b.rename_columns(
             ["event_type", "dow", "n", "sum_cents"]),
             batch_format="pyarrow", zero_copy_batch=True) \
@@ -1772,10 +1783,11 @@ def poisson_bootstrap(ds, n_replicas: int = 32):
              pa.array((w * cents[:, None]).sum(axis=0))],
             names=["replica", "n", "sum_cents"])
 
-    return ds.select_columns(["event_id", "value"]) \
+    return aggregate(
+        ds.select_columns(["event_id", "value"])
         .map_batches(partial, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .groupby("replica").sum(["n", "sum_cents"]) \
+                     zero_copy_batch=True),
+        "replica", ("sum", "n"), ("sum", "sum_cents")) \
         .map_batches(lambda b: b.rename_columns(
             ["replica", "n", "sum_cents"]),
             batch_format="pyarrow", zero_copy_batch=True) \
@@ -1882,8 +1894,8 @@ def ltv_cohorts(ds, value_type: str = "purchase", n_buckets: int = 256):
     in-bucket the user's first day comes from one np.minimum.at, the
     distinct (user, day) activity pairs from one packed np.unique, and
     the per-(user, day) purchase cents from one lexsort reduceat —
-    the shuffle out ships one row per distinct (user, day); a native
-    groupby(cohort, offset) sums users and cents exactly."""
+    the shuffle out ships one row per distinct (user, day); a keyed
+    aggregate(cohort, offset) sums users and cents exactly."""
     def add_bucket(batch: pa.Table) -> pa.Table:
         uid = batch.column("user_id").cast(pa.int64()) \
             .to_numpy(zero_copy_only=False)
@@ -1934,8 +1946,8 @@ def ltv_cohorts(ds, value_type: str = "purchase", n_buckets: int = 256):
                      zero_copy_batch=True) \
         .groupby("bucket").map_groups(cohort_bucket,
                                       batch_format="pyarrow")
-    summed = rows.groupby(["cohort", "day_offset"]) \
-        .sum(["n_users", "sum_cents"])
+    summed = aggregate(rows, ["cohort", "day_offset"],
+                       ("sum", "n_users"), ("sum", "sum_cents"))
     return summed.map_batches(
         lambda b: b.rename_columns(
             ["cohort", "day_offset", "n_users", "sum_cents"]),
@@ -1953,11 +1965,11 @@ def rfm_stats(ds, value_type: str = "purchase"):
     ``value_type`` events emit nothing (they have no R to measure).
 
     One pass, one exchange: per-batch (user, last_ts, n, cents)
-    combiner partials (lexsort + reduceat, all numpy) → one native
-    groupby(user) with max/sum/sum; the anchor is a scalar Dataset.max
-    over the SAME filtered stream, and the day conversion is a final
-    cheap map."""
-    from ray.data.aggregate import Max, Sum
+    combiner partials (lexsort + reduceat, all numpy) → one
+    ``exchange.aggregate`` by user with max/sum/sum; the anchor is a
+    scalar Dataset.max over the SAME filtered stream, and the day
+    conversion is a final cheap map."""
+    from ray.data.aggregate import Max
 
     def partial(batch: pa.Table) -> pa.Table:
         is_val = np.asarray(batch.column("event_type").to_pylist(),
@@ -1992,8 +2004,9 @@ def rfm_stats(ds, value_type: str = "purchase"):
         .map_batches(partial, batch_format="pyarrow",
                      zero_copy_batch=True).materialize()
     anchor = partials.aggregate(Max("last_ts"))["max(last_ts)"]
-    summed = partials.groupby("user_id").aggregate(
-        Max("last_ts"), Sum("frequency"), Sum("monetary_cents"))
+    summed = aggregate(partials, "user_id",
+                       ("max", "last_ts"), ("sum", "frequency"),
+                       ("sum", "monetary_cents"))
 
     def finish(batch: pa.Table) -> pa.Table:
         last = batch.column("max(last_ts)") \
@@ -2084,7 +2097,7 @@ def ab_test_summary(ds, value_type: str = "purchase"):
     One combiner pass (per-batch distinct-user partials can't be
     exact for n_users, so users ship as per-batch DISTINCT (variant,
     user) rows — bounded by distinct users, never events) + two
-    native groupbys over variant-keyed tiny tables."""
+    keyed aggregates over variant-keyed tiny tables."""
     import hashlib as _h
 
     def emit(batch: pa.Table) -> pa.Table:
@@ -2128,16 +2141,18 @@ def ab_test_summary(ds, value_type: str = "purchase"):
 
     src = ds.select_columns(["user_id", "event_type", "value"]) \
         .materialize()
-    ev = src.map_batches(emit_events, batch_format="pyarrow",
-                         zero_copy_batch=True) \
-        .groupby("variant").sum(["n_events", "sum_cents"]) \
+    ev = aggregate(
+        src.map_batches(emit_events, batch_format="pyarrow",
+                        zero_copy_batch=True),
+        "variant", ("sum", "n_events"), ("sum", "sum_cents")) \
         .map_batches(lambda b: b.rename_columns(
             ["variant", "n_events", "sum_cents"]),
             batch_format="pyarrow", zero_copy_batch=True).take_all()
-    nu = src.map_batches(emit_users, batch_format="pyarrow",
-                         zero_copy_batch=True) \
-        .groupby(["variant", "user_id"]).count() \
-        .groupby("variant").count().take_all()
+    pairs = aggregate(
+        src.map_batches(emit_users, batch_format="pyarrow",
+                        zero_copy_batch=True),
+        ["variant", "user_id"], ("count",))
+    nu = aggregate(pairs, "variant", ("count",)).take_all()
     users = {int(r["variant"]): int(r["count()"]) for r in nu}
     out = sorted((int(r["variant"]), int(r["n_events"]),
                   int(r["sum_cents"])) for r in ev)

@@ -9,8 +9,10 @@ Everything here follows the repo's two scale rules:
 
 * shuffles are constant-fan-out — the only map_groups is over
   hash(key) % N_SHUFFLE_BUCKETS buckets (256 Python groups per
-  all-to-all, never one per node); per-node aggregation uses NATIVE
-  ``groupby(...).sum`` hash aggregates;
+  all-to-all, never one per node); per-node aggregation is
+  ``exchange.aggregate``, Arrow hash aggregates on both sides of one
+  such bucketed exchange (Ray 2.49's native ``groupby(...).sum`` is
+  sort-based and walks rows in Python on both sides);
 * PageRank state is integer fixed-point (rank in 1e-12 units of total
   mass, shares via int64 floor division), so every distributed sum is
   order-invariant and the result is bit-identical to the dense
@@ -35,7 +37,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .dedup import N_SHUFFLE_BUCKETS, _col_i64, _ibucket
+from ..exchange import N_SHUFFLE_BUCKETS, _ibucket, aggregate
+from .dedup import _col_i64
 
 PAGERANK_SCALE = 10**12        # fixed-point quantum: 1e-12 of total mass
 PAGERANK_ITERS = 8
@@ -442,6 +445,8 @@ def _inflow_kernel(sn, value, key_col: str, other_col: str, *blocks):
     pos, part = [np.array([], dtype=np.int64)], \
         [np.array([], dtype=np.int64)]
     for blk in blocks:
+        if not blk.num_rows:       # an exchange's empty output block
+            continue               # has no columns
         pos.append(np.searchsorted(sn, _col_i64(blk, other_col)))
         part.append(value[np.searchsorted(sn, _col_i64(blk, key_col))] *
                     _col_i64(blk, "w"))
@@ -466,7 +471,7 @@ def _min_label_kernel(sn, label, *blocks):
 def lineitem_edges(ds):
     """(src, dst, w): weighted part->supplier edges from lineitem,
     multi-edges collapsed to integer weights by a per-batch combiner +
-    one native groupby sum (the shuffle ships (src, dst, w) partials,
+    one sum aggregate (the shuffle ships (src, dst, w) partials,
     never lineitem rows)."""
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -477,9 +482,10 @@ def lineitem_edges(ds):
         agg = t.group_by(["src", "dst"]).aggregate([("dst", "count")])
         return agg.rename_columns(["src", "dst", "w"])
 
-    summed = ds.map_batches(partial, batch_format="pyarrow",
-                            zero_copy_batch=True) \
-        .groupby(["src", "dst"]).sum("w")
+    summed = aggregate(
+        ds.map_batches(partial, batch_format="pyarrow",
+                       zero_copy_batch=True),
+        ["src", "dst"], ("sum", "w"))
     return summed.map_batches(
         lambda b: b.rename_columns(["src", "dst", "w"]),
         batch_format="pyarrow", zero_copy_batch=True)
@@ -487,8 +493,9 @@ def lineitem_edges(ds):
 
 def degrees(edges):
     """(node, out_deg, in_deg) with edge multiplicity: both roles emit
-    per-batch partial counts, one native groupby(node).sum — no Python
-    groups anywhere."""
+    per-batch partial counts, one sum aggregate by node
+    (``exchange.aggregate``: Arrow hash aggregates, no per-row or
+    per-node Python)."""
 
     def partial(batch: pa.Table) -> pa.Table:
         src = _col_i64(batch, "src")
@@ -501,9 +508,10 @@ def degrees(edges):
              pa.array(np.concatenate([np.zeros_like(w), w]))],
             names=["node", "out_deg", "in_deg"])
 
-    summed = edges.map_batches(partial, batch_format="pyarrow",
-                               zero_copy_batch=True) \
-        .groupby("node").sum(["out_deg", "in_deg"])
+    summed = aggregate(
+        edges.map_batches(partial, batch_format="pyarrow",
+                          zero_copy_batch=True),
+        "node", ("sum", "out_deg"), ("sum", "in_deg"))
     return summed.map_batches(
         lambda b: b.rename_columns(["node", "out_deg", "in_deg"]),
         batch_format="pyarrow", zero_copy_batch=True)
@@ -551,7 +559,7 @@ def _spread_cell(slices: _Slices, carry: tuple):
 def _spread(state, slices: _Slices, val, carry: tuple, n_buckets: int):
     """One spread exchange of state rows (node, …) over directed
     slices: a constant-fan-out bucketed map_groups keyed by hash(node)
-    (``_spread_cell``) then ONE native groupby(node).sum, giving
+    (``_spread_cell``) then ONE sum aggregate by node, giving
     (node, sum(contrib), *sum(carry)) — contrib = Σ val(u)·w over the
     slice edges u→node.  ``val(batch)`` derives each state row's
     spread value.  Per-round shuffle bytes: O(nodes) state +
@@ -564,11 +572,12 @@ def _spread(state, slices: _Slices, val, carry: tuple, n_buckets: int):
             [batch.column(c).cast(pa.int64()) for c in carry],
             names=["bucket", "key", "val", *carry])
 
-    return state.map_batches(emit, batch_format="pyarrow",
-                             zero_copy_batch=True) \
+    return aggregate(
+        state.map_batches(emit, batch_format="pyarrow",
+                          zero_copy_batch=True)
         .groupby("bucket").map_groups(_spread_cell(slices, carry),
-                                      batch_format="pyarrow") \
-        .groupby("node").sum(["contrib", *carry])
+                                      batch_format="pyarrow"),
+        "node", *(("sum", c) for c in ["contrib", *carry]))
 
 
 # The PageRank integer recurrence, shared by both routes.
@@ -619,7 +628,7 @@ def _pagerank_rounds(edges, teleport, n_nodes: int, iters: int,
     * exchange: the edges are persisted once as directed slices keyed
       by hash(src), and state rows (node, rank, outdeg, base) go
       through ``_spread`` (a bucketed map_groups over the slices, then
-      a native groupby(node).sum) carrying outdeg and base, compacted
+      a sum aggregate by node) carrying outdeg and base, compacted
       to STATE_BLOCKS and materialized each round.
 
     ``edges`` must be materialized (its blocks are the local route's
@@ -704,7 +713,7 @@ def pagerank(edges, iters: int = PAGERANK_ITERS,
     round is one raw-task fan-out over the materialized edge blocks
     plus a dense driver sum; above it the edges are persisted once as
     per-bucket slices (``_directed_slices``) and each round is a
-    bucketed spread over rank rows plus one native groupby(node).sum,
+    bucketed spread over rank rows plus one sum aggregate by node,
     O(nodes) shuffle bytes, not O(E)."""
     edges = edges.materialize()     # degrees + the rounds
     # deg is a derived dataset consumed twice (count + rank init) —
@@ -756,7 +765,7 @@ def pagerank_personalized(edges, weights,
     The rounds are `pagerank`'s own (``_pagerank_rounds``: a
     driver-held rank vector and a raw-task fan-out over the edge blocks
     per round up to LOCAL_STATE_MAX_NODES nodes, static edges persisted
-    once and a bucketed spread plus one native groupby per round above
+    once and a bucketed spread plus one keyed aggregate per round above
     it, the per-node teleport term as the base column); only the
     initial ranks differ.  The weight attach
     is a bucketed emit-union join (weights are sf-proportional — never
@@ -850,8 +859,8 @@ def hits(edges, iters: int = HITS_ITERS, scale: int = HITS_SCALE,
     dense driver array; above it, two edge copies are persisted once
     per invocation by ``_directed_slices`` — keyed by src for the auth
     half-step, by dst for the hub half-step — and a half-step is one
-    bucketed spread over the STATE rows (``_spread``), one NATIVE
-    groupby(node).sum and a materialize of the compacted STATE_BLOCKS
+    bucketed spread over the STATE rows (``_spread``), one keyed
+    aggregate(node).sum and a materialize of the compacted STATE_BLOCKS
     state.  Normalization:
     the raw L1 mass S is an EXACT int64 sum (one driver scalar per
     half-step; bound: max in-/out-weight per node must stay below
@@ -957,7 +966,8 @@ def hits(edges, iters: int = HITS_ITERS, scale: int = HITS_SCALE,
              b.column("val")],
             names=["node", "hub", "auth"]),
         batch_format="pyarrow", zero_copy_batch=True)
-    merged = tag_h.union(tag_a).groupby("node").sum(["hub", "auth"])
+    merged = aggregate(tag_h.union(tag_a), "node",
+                       ("sum", "hub"), ("sum", "auth"))
     return merged.map_batches(
         lambda b: b.rename_columns(["node", "hub", "auth"]),
         batch_format="pyarrow", zero_copy_batch=True)
@@ -986,7 +996,7 @@ def butterfly_count(edges):
     np.unique; (2) pair partials bucket by hash(pair) % 256, so every
     pair's global count settles inside one cell, which folds directly
     to a single (butterflies, wedges) partial row — the driver sums
-    256 scalars.  No high-cardinality native groupby anywhere.  At
+    256 scalars.  No high-cardinality keyed aggregate anywhere.  At
     100 TB a user centers on the lower-Σdeg² side (as here), caps hub
     degrees, or samples wedges — the operator documents the
     exact-count contract, so no silent cap is applied.
@@ -1083,8 +1093,8 @@ def copurchase_edges(lineitem, n_buckets: int = N_SHUFFLE_BUCKETS):
     FULLY vectorized (the repeat/cumsum run expansion — no per-order
     Python), and collapses them to (pair, partial_count) via
     np.unique; pair partials settle in ONE further hash(pair) % 256
-    exchange.  Nothing high-cardinality hits a native groupby; the order
-    fan-out C(k, 2) is the true output size of the projection (at
+    exchange.  Nothing high-cardinality hits a keyed aggregate; the
+    order fan-out C(k, 2) is the true output size of the projection (at
     100 TB a user caps per-order basket size k — the operator keeps
     the exact contract and documents the cost instead of silently
     sampling)."""
@@ -1161,7 +1171,7 @@ def copurchase_edges(lineitem, n_buckets: int = N_SHUFFLE_BUCKETS):
 
 def _edge_degrees(edges, n_buckets: int = N_SHUFFLE_BUCKETS):
     """(node, deg) over an undirected (p1, p2) distinct-edge table:
-    per-block np.unique combiner partials, one native groupby.sum.
+    per-block np.unique combiner partials, one sum aggregate.
     Materialized — every caller consumes it more than once."""
 
     def deg_partial(batch: pa.Table) -> pa.Table:
@@ -1174,9 +1184,10 @@ def _edge_degrees(edges, n_buckets: int = N_SHUFFLE_BUCKETS):
             [pa.array(u), pa.array(cnt.astype(np.int64))],
             names=["node", "deg"])
 
-    return edges.map_batches(deg_partial, batch_format="pyarrow",
-                             zero_copy_batch=True) \
-        .groupby("node").sum("deg") \
+    return aggregate(
+        edges.map_batches(deg_partial, batch_format="pyarrow",
+                          zero_copy_batch=True),
+        "node", ("sum", "deg")) \
         .map_batches(lambda b: b.rename_columns(["node", "deg"]),
                      batch_format="pyarrow", zero_copy_batch=True) \
         .materialize()
@@ -1286,8 +1297,8 @@ def triangle_census(edges, n_buckets: int = N_SHUFFLE_BUCKETS,
 
     Degree-oriented wedge algorithm, every exchange constant-fan-out:
 
-      1. degrees — per-block endpoint partials, one native
-         groupby(node).sum;
+      1. degrees — per-block endpoint partials, one keyed
+         aggregate(node).sum;
       2. both endpoint degrees reach every edge through a ROUTED plan
          (the ANN EXACT_MAX_ROWS pattern): the degree table is
          node-sized, so up to ``TRI_BROADCAST_MAX_NODES`` it
@@ -1313,7 +1324,7 @@ def triangle_census(edges, n_buckets: int = N_SHUFFLE_BUCKETS,
          hash(pair) % 256 cells, which removes the false positives;
       5. a closed wedge (u, v, w) emits +1 for each of its three
          corners; corner partials and the degree rows settle together
-         in ONE native groupby(node).sum over (deg, tri) — no separate
+         in ONE sum aggregate by node over (deg, tri) — no separate
          re-join exchange.
 
     Everything is integer-exact; no floats anywhere.  At 100 TB the
@@ -1495,10 +1506,11 @@ def triangle_census(edges, n_buckets: int = N_SHUFFLE_BUCKETS,
              pa.array(np.zeros(batch.num_rows, dtype=np.int64))],
             names=["node", "deg", "tri"])
 
-    out = corner_partials.union(
-        deg.map_batches(deg_rows, batch_format="pyarrow",
-                        zero_copy_batch=True)) \
-        .groupby("node").sum(["deg", "tri"])
+    out = aggregate(
+        corner_partials.union(
+            deg.map_batches(deg_rows, batch_format="pyarrow",
+                            zero_copy_batch=True)),
+        "node", ("sum", "deg"), ("sum", "tri"))
     return out.map_batches(
         lambda b: b.rename_columns(["node", "deg", "tri"]),
         batch_format="pyarrow", zero_copy_batch=True)
@@ -1513,7 +1525,7 @@ def degree_assortativity(edges, n_buckets: int = N_SHUFFLE_BUCKETS):
     the standard structural health check before trusting
     degree-targeted curation or sampling on a link graph.
 
-    Shape: degrees via ``_edge_degrees`` (one native groupby), endpoint
+    Shape: degrees via ``_edge_degrees`` (one keyed aggregate), endpoint
     degrees attached through the routed ``_edges_with_degrees`` plan
     (broadcast LUT under the node gate, bucketed attaches past it),
     then ONE streaming pass emits a single int64 partial-sums row per
@@ -2004,7 +2016,7 @@ def bfs_distances(edges, seeds, max_hops: int = 32,
     whose distance improved last hop, geometrically shrinking — key by
     hash(node) into one map_groups exchange whose cells load their
     slice and emit (neighbour, dist+1) candidates; candidates union
-    the running state into ONE native groupby(node).min over
+    the running state into ONE min aggregate by node over
     (dist, prev), so settlement is a C++ aggregate, not Python.  prev
     rides along (state rows carry prev = dist, candidates
     prev = BFS_BIG), making "improved" a vectorized new < prev compare
@@ -2065,9 +2077,11 @@ def bfs_distances(edges, seeds, max_hops: int = 32,
                 .groupby("key").map_groups(
                     expand, batch_format="pyarrow")
             merged = _rebind(
-                state.map_batches(state_rows, batch_format="pyarrow",
-                                  zero_copy_batch=True)
-                .union(cand).groupby("node").min(["dist", "prev"])
+                aggregate(
+                    state.map_batches(state_rows, batch_format="pyarrow",
+                                      zero_copy_batch=True)
+                    .union(cand),
+                    "node", ("min", "dist"), ("min", "prev"))
                 .map_batches(
                     lambda b: b.rename_columns(
                         ["node", "dist", "prev"]),
@@ -2161,7 +2175,7 @@ def association_rules(lineitem, edges, min_support: int = 2,
     Shape: per-part supports come from hash(order) cells (an order's
     lines co-locate, so in-cell (order, part) dedup is globally exact;
     cells partition the order space, so per-cell distinct-order counts
-    SUM exactly to N) followed by one native groupby(part).sum; rule
+    SUM exactly to N) followed by one sum aggregate by part; rule
     rows then pick up n_ante and n_cons via the two chained bucketed
     emit-union attaches (the local_supplier_volume pattern) — no
     broadcast of anything sf-proportional, N alone rides as a driver
@@ -2197,12 +2211,13 @@ def association_rules(lineitem, edges, min_support: int = 2,
                             np.int64(n_orders)])],
             names=["part", "n"])
 
-    supports = lineitem.select_columns(["l_orderkey", "l_partkey"]) \
+    supports = aggregate(
+        lineitem.select_columns(["l_orderkey", "l_partkey"])
         .map_batches(op_emit, batch_format="pyarrow",
-                     zero_copy_batch=True) \
+                     zero_copy_batch=True)
         .groupby("bucket").map_groups(support_cell,
-                                      batch_format="pyarrow") \
-        .groupby("part").sum("n") \
+                                      batch_format="pyarrow"),
+        "part", ("sum", "n")) \
         .repartition(STATE_BLOCKS).materialize()
     total_n = int(supports.map_batches(
         lambda b: b.filter(pc.equal(b.column("part"), -1)),
@@ -2339,7 +2354,7 @@ def lineitem_degrees(ds):
     collapsed edge weight IS the multi-edge row count,
     Σ_dst w(src, dst) is just the raw per-part row count, so the
     edge-collapse groupby of ``degrees(lineitem_edges(ds))`` cancels
-    algebraically and one per-node combiner + ONE native groupby
+    algebraically and one per-node combiner + ONE keyed aggregate
     yields the identical table (pinned by the shared live SQL oracle;
     measured 12.6 s → ~6 s at sf0.1/32 — the saved exchange is the
     whole difference).  ``degrees()`` stays for callers holding an
@@ -2361,9 +2376,10 @@ def lineitem_degrees(ds):
              pa.array(cnt - outd)],
             names=["node", "out_deg", "in_deg"])
 
-    summed = ds.map_batches(partial, batch_format="pyarrow",
-                            zero_copy_batch=True) \
-        .groupby("node").sum(["out_deg", "in_deg"])
+    summed = aggregate(
+        ds.map_batches(partial, batch_format="pyarrow",
+                       zero_copy_batch=True),
+        "node", ("sum", "out_deg"), ("sum", "in_deg"))
     return summed.map_batches(
         lambda b: b.rename_columns(["node", "out_deg", "in_deg"]),
         batch_format="pyarrow", zero_copy_batch=True)

@@ -38,8 +38,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..exchange import N_SHUFFLE_BUCKETS, _ibucket, _sbucket, aggregate
 from .curation import _gram_hashes, _token_hash_lut, _MIX
-from .dedup import N_SHUFFLE_BUCKETS, _ibucket, _sbucket
 
 LM_SCALE = 1_000_000            # conditional probabilities in micro-units
 
@@ -79,7 +79,7 @@ def bigram_lm_scores(ds, scale: int = LM_SCALE,
     One bucketed all-to-all keyed by hash(w1) computes corpus counts
     AND per-doc partial scores together (every occurrence of a bigram
     and every sibling sharing its history land in the same bucket), one
-    native groupby(doc_id).sum merges partials.  Documents with no
+    sum aggregate by doc_id merges partials.  Documents with no
     bigram (single-token) emit nothing — mirrored by the oracle's inner
     join."""
 
@@ -140,11 +140,12 @@ def bigram_lm_scores(ds, scale: int = LM_SCALE,
             [pa.array(doc_u), pa.array(nbig), pa.array(score)],
             names=["doc_id", "n_bigrams", "lm_score_micro"])
 
-    summed = ds.map_batches(emit, batch_format="pyarrow",
-                            zero_copy_batch=True) \
+    summed = aggregate(
+        ds.map_batches(emit, batch_format="pyarrow",
+                       zero_copy_batch=True)
         .groupby("bucket").map_groups(score_bucket,
-                                      batch_format="pyarrow") \
-        .groupby("doc_id").sum(["n_bigrams", "lm_score_micro"])
+                                      batch_format="pyarrow"),
+        "doc_id", ("sum", "n_bigrams"), ("sum", "lm_score_micro"))
     return summed.map_batches(
         lambda b: b.rename_columns(["doc_id", "n_bigrams",
                                     "lm_score_micro"]),
@@ -164,7 +165,7 @@ def dup_ngram_flags(ds, n: int = 8,
     every occurrence of a gram lands in one bucket, so the gram's
     document frequency, the per-(doc, gram) occurrence counts, and the
     per-doc partial sums are all in-bucket computable — one all-to-all
-    plus one native groupby(doc_id).sum.  Documents shorter than n
+    plus one sum aggregate by doc_id.  Documents shorter than n
     tokens emit nothing (mirrored by the oracle)."""
 
     def emit(batch: pa.Table) -> pa.Table:
@@ -200,11 +201,12 @@ def dup_ngram_flags(ds, n: int = 8,
             [pa.array(doc_u), pa.array(nwin), pa.array(ndup)],
             names=["doc_id", "n_windows", "n_dup_windows"])
 
-    summed = ds.map_batches(emit, batch_format="pyarrow",
-                            zero_copy_batch=True) \
+    summed = aggregate(
+        ds.map_batches(emit, batch_format="pyarrow",
+                       zero_copy_batch=True)
         .groupby("bucket").map_groups(flag_bucket,
-                                      batch_format="pyarrow") \
-        .groupby("doc_id").sum(["n_windows", "n_dup_windows"])
+                                      batch_format="pyarrow"),
+        "doc_id", ("sum", "n_windows"), ("sum", "n_dup_windows"))
     return summed.map_batches(
         lambda b: b.rename_columns(["doc_id", "n_windows",
                                     "n_dup_windows"]),
@@ -444,8 +446,8 @@ def dice_collocations(ds, k: int = 50, min_count: int = 2,
     scale while DuckDB silently promotes to HUGEINT (the
     zscore-ADVICE overflow trap, avoided by construction).
 
-    Shape: per-batch pandas value_counts partials → one native
-    groupby(w1,w2).sum → TWO bucketed all-to-alls over the type-sized
+    Shape: per-batch pandas value_counts partials → one keyed
+    aggregate(w1,w2).sum → TWO bucketed all-to-alls over the type-sized
     bigram table (hash(w1) colocates a row marginal, hash(w2) a column
     marginal; both computed vectorized in-bucket, no per-pair Python) →
     min_count filter → tiny deterministic sort (dice desc, w1, w2)
@@ -481,11 +483,12 @@ def dice_collocations(ds, k: int = 50, min_count: int = 2,
              pa.array(vc.to_numpy().astype(np.int64), pa.int64())],
             names=["w1", "w2", "c"])
 
-    c2 = ds.map_batches(big_partial, batch_format="pyarrow",
-                        zero_copy_batch=True) \
-        .groupby(["w1", "w2"]).sum("c").map_batches(
-            lambda b: b.rename_columns(["w1", "w2", "c2"]),
-            batch_format="pyarrow", zero_copy_batch=True)
+    c2 = aggregate(
+        ds.map_batches(big_partial, batch_format="pyarrow",
+                       zero_copy_batch=True),
+        ["w1", "w2"], ("sum", "c")).map_batches(
+        lambda b: b.rename_columns(["w1", "w2", "c2"]),
+        batch_format="pyarrow", zero_copy_batch=True)
 
     def key1(batch: pa.Table) -> pa.Table:
         w1 = batch.column("w1").to_numpy(zero_copy_only=False)
@@ -638,10 +641,11 @@ def nb_classify(ds, n_feats: int = NB_FEATS, train_mod: int = 10,
              pa.array(out_cnt, pa.int64())],
             names=["lang", "feat", "cnt"])
 
-    model_rows = ds.select_columns(["doc_id", "lang", "text"]) \
+    model_rows = aggregate(
+        ds.select_columns(["doc_id", "lang", "text"])
         .map_batches(train_partial, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .groupby(["lang", "feat"]).sum("cnt") \
+                     zero_copy_batch=True),
+        ["lang", "feat"], ("sum", "cnt")) \
         .take_all()               # ≤ n_langs·(n_feats+1) rows, constant
     langs = sorted({r["lang"] for r in model_rows})
     if not langs:

@@ -17,8 +17,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .dedup import (_cell_member_pairs, _col_i64, _ibucket,
-                    _popcount64, connected_components)
+from ..exchange import _ibucket, aggregate
+from .dedup import (_cell_member_pairs, _col_i64, _popcount64,
+                    connected_components)
 # module scope: worker closures must never lazy-import webtext
 
 MEDIA_FEATURES_SCHEMA = pa.schema([
@@ -476,9 +477,9 @@ def media_phash_pairs(extracted_ds, max_hamming: int = 6):
                             zero_copy_batch=True)
     pairs = banded.groupby("bucket").map_groups(
         bucket_pairs, batch_format="pyarrow")
-    # a pair can match several bands — collapse via a native min (the
-    # hamming is identical on every copy)
-    uniq = pairs.groupby(["left_ref", "right_ref"]).min("hamming")
+    # a pair can match several bands — collapse via a min (the hamming
+    # is identical on every copy)
+    uniq = aggregate(pairs, ["left_ref", "right_ref"], ("min", "hamming"))
     return uniq.map_batches(
         lambda b: b.rename_columns(["left_ref", "right_ref", "hamming"]),
         batch_format="pyarrow", zero_copy_batch=True)

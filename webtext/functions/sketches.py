@@ -30,6 +30,8 @@ import hashlib
 import numpy as np
 import pyarrow as pa
 
+from ..exchange import _ibucket, aggregate
+
 HLL_P = 12                      # 2^12 = 4096 registers
 _ALPHA_4096 = 0.7213 / (1 + 1.079 / 4096)
 
@@ -104,10 +106,11 @@ def hll_distinct(ds, col: str, p: int = HLL_P):
     """Single-row (n_approx,) HyperLogLog estimate of the number of
     distinct values in ``col``.  Shuffle payload is bounded by 2^p rows
     per block regardless of input size."""
-    merged = ds.select_columns([col]) \
+    merged = aggregate(
+        ds.select_columns([col])
         .map_batches(lambda b: _partial_registers(b, col, p),
-                     batch_format="pyarrow", zero_copy_batch=True) \
-        .groupby("register").max("rho")
+                     batch_format="pyarrow", zero_copy_batch=True),
+        "register", ("max", "rho"))
     return merged.map_batches(
         lambda b: b.rename_columns(["register", "rho"]),
         batch_format="pyarrow", zero_copy_batch=True) \
@@ -149,18 +152,19 @@ def hll_distinct_by_group(ds, group_col: str, col: str, p: int = HLL_P):
     """(g, n_approx): per-group HyperLogLog distinct estimate (e.g.
     distinct users per event_type).  Same register algebra as
     hll_distinct, keyed by group: the shuffle carries at most
-    ``k_groups × 2^p`` tiny (g, register, rho) rows per block, a native
-    groupby(g, register).max merges, and the finalize runs per group.
+    ``k_groups × 2^p`` tiny (g, register, rho) rows per block, a keyed
+    aggregate(g, register).max merges, and the finalize runs per group.
     The finalize uses groupby(g).map_groups — legitimate here because
     the group key is a LOW-cardinality dimension (event types, not
     documents) and each group's payload is exactly 2^p rows; for a
     high-cardinality group column the register table itself would be
     the bottleneck long before the map_groups."""
-    merged = ds.select_columns([group_col, col]) \
+    merged = aggregate(
+        ds.select_columns([group_col, col])
         .map_batches(
             lambda b: _partial_registers_by_group(b, group_col, col, p),
-            batch_format="pyarrow", zero_copy_batch=True) \
-        .groupby(["g", "register"]).max("rho")
+            batch_format="pyarrow", zero_copy_batch=True),
+        ["g", "register"], ("max", "rho"))
 
     def finalize(group: pa.Table) -> pa.Table:
         group = group.rename_columns(["g", "register", "rho"])
@@ -229,10 +233,11 @@ def cms_sketch(ds, d: int = CMS_D, w: int = CMS_W):
     """(cell, n) count-min sketch of whitespace-token frequencies —
     mergeable by construction (cell counts sum associatively); total
     size ≤ d·w rows at ANY corpus size."""
-    return ds.select_columns(["text"]) \
+    return aggregate(
+        ds.select_columns(["text"])
         .map_batches(lambda b: _cms_partial(b, d, w),
-                     batch_format="pyarrow", zero_copy_batch=True) \
-        .groupby("cell").sum("n") \
+                     batch_format="pyarrow", zero_copy_batch=True),
+        "cell", ("sum", "n")) \
         .map_batches(lambda b: b.rename_columns(["cell", "n"]),
                      batch_format="pyarrow", zero_copy_batch=True)
 
@@ -325,7 +330,7 @@ def heavy_hitters(ds, threshold: int = 100, d: int = CMS_D,
 
     partials = ds.select_columns(["text"]).map_batches(
         candidates, batch_format="pyarrow", zero_copy_batch=True)
-    summed = partials.groupby("token").sum("n").map_batches(
+    summed = aggregate(partials, "token", ("sum", "n")).map_batches(
         lambda b: b.rename_columns(["token", "n"]),
         batch_format="pyarrow", zero_copy_batch=True)
     return summed.filter(expr=f"n >= {int(threshold)}")
@@ -558,10 +563,11 @@ def dd_quantiles_by_group(ds, group_col: str = "event_type",
             [("grp", pa.string()), ("q_pct", pa.int64()),
              ("est_cents", pa.int64())]))
 
-    return ds.select_columns([group_col, value_col]) \
+    return aggregate(
+        ds.select_columns([group_col, value_col])
         .map_batches(partial, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .groupby(["grp", "key"]).sum("n") \
+                     zero_copy_batch=True),
+        ["grp", "key"], ("sum", "n")) \
         .map_batches(lambda b: b.rename_columns(["grp", "key", "n"]),
                      batch_format="pyarrow", zero_copy_batch=True) \
         .groupby("grp").map_groups(finalize, batch_format="pyarrow")
@@ -608,7 +614,6 @@ def kmv_distinct(ds, col: str = "user_id", k: int = 256):
     merged unique+head is the same merge any tree topology would
     produce, so the result is blocking-invariant.  Fewer than k
     distinct values ⇒ the exact count is returned (kth_hash = max)."""
-    from .dedup import _ibucket
 
     def partial(batch: pa.Table) -> pa.Table:
         h = _hash64(batch.column(col).combine_chunks()
@@ -662,12 +667,11 @@ def hll_error_audit(ds, col: str = "user_id", p: int = HLL_P):
     rows per block); the exact side ships per-block UNIQUE values
     bucketed by hash(value)%256 — each cell counts its disjoint slice
     of the value space exactly, the driver sums 256 ints."""
-    from .dedup import _ibucket
-
-    est_rows = ds.select_columns([col]) \
+    est_rows = aggregate(
+        ds.select_columns([col])
         .map_batches(lambda b: _partial_registers(b, col, p),
-                     batch_format="pyarrow", zero_copy_batch=True) \
-        .groupby("register").max("rho") \
+                     batch_format="pyarrow", zero_copy_batch=True),
+        "register", ("max", "rho")) \
         .map_batches(lambda b: b.rename_columns(["register", "rho"]),
                      batch_format="pyarrow", zero_copy_batch=True) \
         .repartition(1) \
@@ -857,7 +861,7 @@ def cms_join_estimate(ds, d: int = CMS_D, w: int = 8):
 
     Shape: the estimate side is the d·w-cell cms_sketch (constant at
     any corpus size); the exact side is the vocab-bounded
-    (token, n) combiner + one native groupby, squared and summed in
+    (token, n) combiner + one keyed aggregate, squared and summed in
     driver Python big-ints (cnt² wraps int64 past ~3e9-occurrence
     tokens; the golden's arbitrary-precision walk matches exactly)."""
     from .textstats import token_frequencies

@@ -19,9 +19,10 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .dedup import (_ibucket, _sbucket,  # module scope: worker
-                    dedup_keep_longest, exact_dedup)
-# is shipped by value and cannot lazy-import webtext
+# module scope: worker code is shipped by value and cannot lazy-import
+# webtext
+from ..exchange import _ibucket, _sbucket, aggregate
+from .dedup import dedup_keep_longest, exact_dedup
 
 # tiny per-language stopword tables for the n-gram/stopword lang-id
 # heuristic; tie-break = table order, all-zero → 'und'
@@ -594,7 +595,7 @@ def pack_sequences(ds, token_budget: int = PACK_TOKEN_BUDGET,
 def token_frequencies(ds, k: int = 50):
     """Top-k corpus token frequencies via the combiner pattern: each
     batch pre-aggregates with Arrow value_counts (C kernel), the shuffle
-    carries (token, partial_n) only, a native groupby-sum reduces, and a
+    carries (token, partial_n) only, a sum aggregate reduces, and a
     tiny deterministic sort+limit finishes (ties → token asc)."""
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -609,7 +610,7 @@ def token_frequencies(ds, k: int = 50):
 
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               zero_copy_batch=True)
-    summed = partials.groupby("token").sum("n").map_batches(
+    summed = aggregate(partials, "token", ("sum", "n")).map_batches(
         lambda b: b.rename_columns(["token", "n"]),
         batch_format="pyarrow", zero_copy_batch=True)
     return summed.sort(["n", "token"], descending=[True, False]).limit(k)
@@ -631,7 +632,7 @@ def length_histogram(ds, bucket_chars: int = 100):
 
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               zero_copy_batch=True)
-    return partials.groupby("len_bucket").sum("n").map_batches(
+    return aggregate(partials, "len_bucket", ("sum", "n")).map_batches(
         lambda b: b.rename_columns(["len_bucket", "n"]),
         batch_format="pyarrow", zero_copy_batch=True)
 
@@ -743,7 +744,7 @@ def tokenizer_fertility(ds):
     tokenizer spends per whitespace token, ``bpe*1e6 // ws`` in integer
     micros.  Combiner pattern: each batch factorizes lang locally and
     ships one partial row per (batch, lang); the all-to-all carries
-    O(n_langs) rows per block, the native groupby-sum reduces, and the
+    O(n_langs) rows per block, the sum aggregate reduces, and the
     ratio is computed on the already-tiny result."""
     import pandas as pd
 
@@ -765,9 +766,11 @@ def tokenizer_fertility(ds):
              pa.array(n_docs), pa.array(ws_sum), pa.array(bpe_sum)],
             names=["lang", "n_docs", "ws_tokens", "bpe_tokens"])
 
-    summed = ds.map_batches(partial, batch_format="pyarrow",
-                            zero_copy_batch=True) \
-        .groupby("lang").sum(["n_docs", "ws_tokens", "bpe_tokens"])
+    summed = aggregate(
+        ds.map_batches(partial, batch_format="pyarrow",
+                       zero_copy_batch=True),
+        "lang", ("sum", "n_docs"), ("sum", "ws_tokens"),
+        ("sum", "bpe_tokens"))
 
     def finish(batch: pa.Table) -> pa.Table:
         batch = batch.rename_columns(
@@ -814,10 +817,11 @@ def source_stats(ds):
              pa.array(n_docs), pa.array(t_sum), pa.array(c_sum)],
             names=["source", "lang", "n_docs", "sum_tokens", "sum_chars"])
 
-    lvl1 = ds.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-        .groupby(["source", "lang"]) \
-        .sum(["n_docs", "sum_tokens", "sum_chars"])
+    lvl1 = aggregate(
+        ds.map_batches(partial, batch_format="pyarrow",
+                       zero_copy_batch=True),
+        ["source", "lang"], ("sum", "n_docs"), ("sum", "sum_tokens"),
+        ("sum", "sum_chars"))
 
     def mark(batch: pa.Table) -> pa.Table:
         batch = batch.rename_columns(
@@ -829,10 +833,11 @@ def source_stats(ds):
             names=["source", "n_docs", "sum_tokens", "sum_chars",
                    "n_langs"])
 
-    lvl2 = lvl1.map_batches(mark, batch_format="pyarrow",
-                            zero_copy_batch=True) \
-        .groupby("source") \
-        .sum(["n_docs", "sum_tokens", "sum_chars", "n_langs"])
+    lvl2 = aggregate(
+        lvl1.map_batches(mark, batch_format="pyarrow",
+                         zero_copy_batch=True),
+        "source", ("sum", "n_docs"), ("sum", "sum_tokens"),
+        ("sum", "sum_chars"), ("sum", "n_langs"))
     return lvl2.map_batches(
         lambda b: b.rename_columns(
             ["source", "n_docs", "sum_tokens", "sum_chars", "n_langs"]),
@@ -1250,7 +1255,7 @@ def topk_tokens_per_group(ds, group_col: str = "lang", k: int = 10,
 
     Combiner: each batch pre-aggregates (group, token) counts with one
     Arrow group_by (C kernel), so the shuffle ships partial counts.
-    One native groupby(group, token).sum makes counts exact, then a
+    One sum aggregate by (group, token) makes counts exact, then a
     bucketed partial top-k per group (hash(group) co-locates a group's
     rows; groups are few but may be heavy — the top_links_per_domain
     lesson) finishes with a deterministic tie order (n desc, token
@@ -1289,10 +1294,11 @@ def topk_tokens_per_group(ds, group_col: str = "lang", k: int = 10,
              pa.array(n[keep])],
             names=["group", "token", "n"])
 
-    summed = ds.select_columns([group_col, "text"]) \
+    summed = aggregate(
+        ds.select_columns([group_col, "text"])
         .map_batches(partial, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .groupby(["group", "token"]).sum("n") \
+                     zero_copy_batch=True),
+        ["group", "token"], ("sum", "n")) \
         .map_batches(lambda b: b.rename_columns(["group", "token", "n"]),
                      batch_format="pyarrow", zero_copy_batch=True)
 
@@ -1401,10 +1407,11 @@ def bpe_train(ds, n_merges: int = 16, min_count: int = 2):
         # over it is safe at any corpus size; a distributed
         # Max-then-filter fallback costs two more executions per round
         # (measured 3× the round wall) for no bound improvement
-        counts = ds.map_batches(_bpe_pair_partials(list(merges)),
-                                batch_format="pyarrow",
-                                zero_copy_batch=True) \
-            .groupby(["a", "b"]).sum("n").take_all()
+        counts = aggregate(
+            ds.map_batches(_bpe_pair_partials(list(merges)),
+                           batch_format="pyarrow",
+                           zero_copy_batch=True),
+            ["a", "b"], ("sum", "n")).take_all()
         if not counts:
             break
         top_n = max(r["sum(n)"] for r in counts)
@@ -1775,7 +1782,7 @@ def top_bigrams(ds, k: int = 50):
     token with its successor via two shifted gathers, drop the
     row-boundary pairs with an offsets mask, join element-wise, and
     pre-count with Arrow value_counts — the shuffle ships (bigram,
-    partial_n) rows only; one native groupby-sum and a tiny
+    partial_n) rows only; one sum aggregate and a tiny
     deterministic sort+limit finish."""
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -1802,7 +1809,7 @@ def top_bigrams(ds, k: int = 50):
 
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               zero_copy_batch=True)
-    summed = partials.groupby("bigram").sum("n").map_batches(
+    summed = aggregate(partials, "bigram", ("sum", "n")).map_batches(
         lambda b: b.rename_columns(["bigram", "n"]),
         batch_format="pyarrow", zero_copy_batch=True)
     return summed.sort(["n", "bigram"], descending=[True, False]).limit(k)
@@ -1816,7 +1823,7 @@ def vocab_divergence(ds, k: int = 50, n_buckets: int = 256):
     templates, another language) before mixing it in.
 
     All arithmetic exact: per-(token, side) occurrence counts from one
-    combiner + native groupby(token).sum; side totals from a second
+    combiner + sum aggregate by token; side totals from a second
     narrow scalar pass; χ² = N·(ad−bc)²·10⁶ // ((a+b)(c+d)(a+c)(b+d))
     evaluated in Python big-ints per DISTINCT token (the vocab-bounded
     distinct-table convention of `mode_by_type` — (ad−bc)² alone
@@ -1847,10 +1854,11 @@ def vocab_divergence(ds, k: int = 50, n_buckets: int = 256):
              pa.array(counts[0::2]), pa.array(counts[1::2])],
             names=["token", "a", "b"])
 
-    summed = ds.select_columns(["source", "text"]) \
+    summed = aggregate(
+        ds.select_columns(["source", "text"])
         .map_batches(partial, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .groupby("token").sum(["a", "b"]) \
+                     zero_copy_batch=True),
+        "token", ("sum", "a"), ("sum", "b")) \
         .map_batches(lambda t: t.rename_columns(["token", "a", "b"]),
                      batch_format="pyarrow", zero_copy_batch=True)
 
@@ -1900,7 +1908,7 @@ def token_burstiness(ds, k: int = 50):
 
     Exact integers end-to-end: each block emits per-token (Σc, Σc²)
     partials over ITS documents (a doc lives in one block, so per-doc
-    counts are block-complete), one native groupby(token).sum merges,
+    counts are block-complete), one sum aggregate by token merges,
     and D_micro = (N·Σc² − (Σc)²)·10⁶ // (N·Σc) is evaluated in Python
     big-ints per DISTINCT token (the vocab-bounded distinct-table
     convention; Σc² products wrap int64 on heavy tokens at scale) —
@@ -1936,10 +1944,11 @@ def token_burstiness(ds, k: int = 50):
                       pa.string()), pa.array(s1), pa.array(s2)],
             names=["token", "s1", "s2"])
 
-    summed = ds.select_columns(["text"]) \
+    summed = aggregate(
+        ds.select_columns(["text"])
         .map_batches(partial, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .groupby("token").sum(["s1", "s2"]) \
+                     zero_copy_batch=True),
+        "token", ("sum", "s1"), ("sum", "s2")) \
         .map_batches(lambda t: t.rename_columns(["token", "s1", "s2"]),
                      batch_format="pyarrow", zero_copy_batch=True)
 
@@ -2114,10 +2123,11 @@ def vocab_growth(ds, pcts: tuple[int, ...] = (1, 2, 5, 10, 25, 50,
              pa.array(d[starts])],
             names=["token", "fd"])
 
-    firsts = ds.select_columns(["doc_id", "text"]) \
+    firsts = aggregate(
+        ds.select_columns(["doc_id", "text"])
         .map_batches(first_doc, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .groupby("token").min("fd")
+                     zero_copy_batch=True),
+        "token", ("min", "fd"))
 
     def bin_partial(batch: pa.Table) -> pa.Table:
         fd = batch.column("min(fd)" if "min(fd)" in batch.column_names
@@ -2129,9 +2139,10 @@ def vocab_growth(ds, pcts: tuple[int, ...] = (1, 2, 5, 10, 25, 50,
              pa.array(counts)],
             names=["pct", "n_distinct"])
 
-    summed = firsts.map_batches(bin_partial, batch_format="pyarrow",
-                                zero_copy_batch=True) \
-        .groupby("pct").sum("n_distinct")
+    summed = aggregate(
+        firsts.map_batches(bin_partial, batch_format="pyarrow",
+                           zero_copy_batch=True),
+        "pct", ("sum", "n_distinct"))
     return summed.map_batches(
         lambda b: b.rename_columns(["pct", "n_distinct"]),
         batch_format="pyarrow", zero_copy_batch=True)
@@ -2147,7 +2158,7 @@ def hapax_stats(ds):
 
     Scale shape: per-batch Arrow group_by((source, token)) partial
     counts (the shuffle ships one row per (batch, source, token),
-    never tokens), ONE native groupby sum settles true per-source
+    never tokens), ONE sum aggregate settles true per-source
     token frequencies, then a second combiner + constant-size
     groupby(source) folds vocab/hapax/token counts."""
 
@@ -2165,10 +2176,11 @@ def hapax_stats(ds):
             [("token", "count")])
         return agg.rename_columns(["source", "token", "c"])
 
-    freqs = ds.select_columns(["source", "text"]) \
+    freqs = aggregate(
+        ds.select_columns(["source", "text"])
         .map_batches(partial, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .groupby(["source", "token"]).sum("c")
+                     zero_copy_batch=True),
+        ["source", "token"], ("sum", "c"))
 
     def fold(batch: pa.Table) -> pa.Table:
         batch = batch.rename_columns(["source", "token", "c"])
@@ -2183,9 +2195,11 @@ def hapax_stats(ds):
         return agg.rename_columns(["source", "vocab_size", "n_hapax",
                                    "n_tokens"])
 
-    return freqs.map_batches(fold, batch_format="pyarrow",
-                             zero_copy_batch=True) \
-        .groupby("source").sum(["vocab_size", "n_hapax", "n_tokens"]) \
+    return aggregate(
+        freqs.map_batches(fold, batch_format="pyarrow",
+                          zero_copy_batch=True),
+        "source", ("sum", "vocab_size"), ("sum", "n_hapax"),
+        ("sum", "n_tokens")) \
         .map_batches(lambda b: b.rename_columns(
             ["source", "vocab_size", "n_hapax", "n_tokens"]),
             batch_format="pyarrow", zero_copy_batch=True)
@@ -2344,7 +2358,7 @@ def hhi_by_source(ds):
     plate feeds spike it long before dedup sees exact copies).
 
     Per-batch (source, token) count partials (one Arrow group_by
-    combiner) → ONE native groupby-sum whose result is vocab × sources
+    combiner) → ONE sum aggregate whose result is vocab × sources
     rows, never corpus-sized — then a driver finish sums n_t² per
     source in Python big-ints (n_t² alone overflows int64 once a
     token passes ~3e9 occurrences; the oracle's HUGEINT promotion is
@@ -2364,10 +2378,11 @@ def hhi_by_source(ds):
             [("token", "count")])
         return agg.rename_columns(["source", "token", "n"])
 
-    rows = ds.select_columns(["source", "text"]) \
+    rows = aggregate(
+        ds.select_columns(["source", "text"])
         .map_batches(partial, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .groupby(["source", "token"]).sum("n").take_all()
+                     zero_copy_batch=True),
+        ["source", "token"], ("sum", "n")).take_all()
     from collections import defaultdict
     sq: dict[str, int] = defaultdict(int)
     tot: dict[str, int] = defaultdict(int)
@@ -2431,7 +2446,7 @@ def borda_blend(ds, k: int = 100):
 
     luts = []
     for col in ("m1", "m2", "m3"):
-        vals = mt.select_columns([col]).groupby(col).count() \
+        vals = aggregate(mt.select_columns([col]), col, ("count",)) \
             .select_columns([col]).take_all()
         arr = np.sort(np.array([int(r[col]) for r in vals],
                                dtype=np.int64))

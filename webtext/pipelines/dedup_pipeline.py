@@ -21,6 +21,7 @@ import os
 import numpy as np
 import pyarrow as pa
 
+from ..exchange import aggregate
 from ..functions.dedup import dedup_apply
 from .extract_pipeline import read_output
 
@@ -91,9 +92,11 @@ def build_fingerprint_index(hist_ds, path: str) -> None:
         return
     tmp = f"{path}.tmp-{os.getpid()}"
     shutil.rmtree(tmp, ignore_errors=True)
-    hist_ds.map_batches(_fp_batch, batch_format="pyarrow",
-                        zero_copy_batch=True) \
-        .select_columns(["fp"]).groupby("fp").count() \
+    aggregate(
+        hist_ds.map_batches(_fp_batch, batch_format="pyarrow",
+                            zero_copy_batch=True)
+        .select_columns(["fp"]),
+        "fp", ("count",)) \
         .select_columns(["fp"]).write_parquet(tmp)
     try:
         os.rename(tmp, path)
@@ -114,7 +117,8 @@ def incremental_dedup(new_ds, seen_ds, hist_fp_path: str | None = None):
     Scale shape: both sides reduce to md5 keys before any shuffle (the
     historical index ships fingerprints, never text); the anti-join is
     the bucketed semi_join with per-block distinct-key combiners; the
-    final first-wins is a native groupby.min over (fp, doc_id) pairs."""
+    final first-wins is one ``exchange.aggregate`` min over (fp, doc_id)
+    pairs."""
     from .relational import semi_join
 
     new_f = new_ds.map_batches(_fp_batch, batch_format="pyarrow",
@@ -128,7 +132,7 @@ def incremental_dedup(new_ds, seen_ds, hist_fp_path: str | None = None):
                                      zero_copy_batch=True) \
             .select_columns(["fp"])
     fresh = semi_join(new_f, seen_f, "fp", "fp", anti=True)
-    agg = fresh.groupby("fp").min("doc_id")
+    agg = aggregate(fresh, "fp", ("min", "doc_id"))
     return agg.map_batches(
         lambda b: pa.Table.from_arrays(
             [b.column("min(doc_id)" if "min(doc_id)" in b.column_names

@@ -21,7 +21,7 @@ import re
 import pyarrow as pa
 
 from ..dom import parse_html
-from ..functions.dedup import _sbucket
+from ..exchange import _sbucket, aggregate
 from ..oracle.rules import domain_strip_www
 
 # U2 exclude regex blocklist (google_url_serch.py:22-48)
@@ -509,7 +509,7 @@ def dedup_links(links_ds):
 
     packed = links_ds.map_batches(pack, batch_format="pyarrow",
                                   zero_copy_batch=True)
-    return packed.groupby("url").min("key").map_batches(
+    return aggregate(packed, "url", ("min", "key")).map_batches(
         unpack, batch_format="pyarrow", zero_copy_batch=True)
 
 

@@ -5,7 +5,9 @@ order restoration (A1), small aggregates (A2), failure filtering
 (E12/E13's relational shape).
 
 Every function takes/returns a ``ray.data.Dataset``; column names match
-the DuckDB oracles in ``__ray_entry__`` exactly.
+the DuckDB oracles in ``__ray_entry__`` exactly.  Keyed aggregates go
+through ``exchange.aggregate`` (Arrow hash aggregates around one
+bucketed exchange), not Ray Data's row-walking native groupby.
 """
 
 from __future__ import annotations
@@ -13,9 +15,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-from ray.data.aggregate import Max, Min
 
-from ..functions.dedup import _ibucket, _sbucket  # module scope: worker
+from ..exchange import _ibucket, _sbucket, aggregate  # module scope: worker
 # code is shipped by value and cannot lazy-import webtext
 
 
@@ -36,8 +37,8 @@ def topk_per_group(ds, group_col: str = "lang", order_col: str = "n_chars",
 
 def ordered_dedup(ds, key_col: str = "source"):
     """First-occurrence-wins dedup (U9): min doc_id per key."""
-    agg = ds.select_columns([key_col, "doc_id"]).groupby(key_col) \
-            .min("doc_id")
+    agg = aggregate(ds.select_columns([key_col, "doc_id"]), key_col,
+                    ("min", "doc_id"))
     return agg.map_batches(
         lambda b: b.rename_columns([key_col, "doc_id"]),
         batch_format="pyarrow", zero_copy_batch=True)
@@ -66,7 +67,7 @@ def group_counts(ds, group_col: str = "lang"):
 
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               zero_copy_batch=True)
-    summed = partials.groupby(group_col).sum("n")
+    summed = aggregate(partials, group_col, ("sum", "n"))
     return summed.map_batches(
         lambda b: b.rename_columns([group_col, "n"]),
         batch_format="pyarrow", zero_copy_batch=True)
@@ -447,8 +448,8 @@ def string_intersect(a_ds, b_ds, col: str = "token"):
 
     Each side emits its batch-DISTINCT (value, side-bit) pairs — the
     combiner bounds the shuffle to distinct values per block — and one
-    native groupby(value).min/max over the side bit finds values seen
-    from both sides (min==0 and max==1).  No Python groups, no
+    min/max aggregate by value over the side bit finds values seen
+    from both sides (min==0 and max==1).  No per-value Python, no
     broadcast; either side may be corpus-sized."""
 
     def emit(side: int):
@@ -464,7 +465,7 @@ def string_intersect(a_ds, b_ds, col: str = "token"):
         emit(0), batch_format="pyarrow", zero_copy_batch=True).union(
         b_ds.select_columns([col]).map_batches(
             emit(1), batch_format="pyarrow", zero_copy_batch=True))
-    agg = u.groupby(col).aggregate(Min("side"), Max("side"))
+    agg = aggregate(u, col, ("min", "side"), ("max", "side"))
 
     def both(batch: pa.Table) -> pa.Table:
         lo = batch.column("min(side)").to_numpy(zero_copy_only=False)
@@ -947,12 +948,9 @@ def zorder_stats(ds, col_a: str = "l_partkey",
     surface returns the stats table the pruning decision would read.
 
     Shape: the z-key is a pure vectorized bit-interleave map (no
-    Python rows, no shuffle); the stats are ONE native
-    groupby(zbucket) with min/max/count aggregates — combiner-friendly
-    per-block partials, constant-size output (2^ZORDER_BUCKET_BITS
-    rows)."""
-
-    from ray.data.aggregate import Count
+    Python rows, no shuffle); the stats are ONE
+    ``exchange.aggregate`` by zbucket with count/min/max — per-block
+    partials, constant-size output (2^ZORDER_BUCKET_BITS rows)."""
 
     # bucket by the leading bits of the OCCUPIED width (bit_length of
     # the global max), else small key domains collapse into one
@@ -984,11 +982,12 @@ def zorder_stats(ds, col_a: str = "l_partkey",
             [pa.array(z >> shift), pa.array(a), pa.array(b)],
             names=["zbucket", "a", "b"])
 
-    agg = ds.select_columns([col_a, col_b]) \
+    agg = aggregate(
+        ds.select_columns([col_a, col_b])
         .map_batches(zkey, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .groupby("zbucket") \
-        .aggregate(Count(), Min("a"), Max("a"), Min("b"), Max("b"))
+                     zero_copy_batch=True),
+        "zbucket", ("count",), ("min", "a"), ("max", "a"),
+        ("min", "b"), ("max", "b"))
     return agg.map_batches(
         lambda b: b.rename_columns(
             ["zbucket", "n_rows", "a_min", "a_max", "b_min", "b_max"]),
@@ -1026,10 +1025,11 @@ def volume_spikes(ds, k: int = 3):
              pa.array(d[starts]), pa.array(n.astype(np.int64))],
             names=["event_type", "day", "n"])
 
-    daily = ds.select_columns(["event_type", "ts"]) \
+    daily = aggregate(
+        ds.select_columns(["event_type", "ts"])
         .map_batches(partial, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .groupby(["event_type", "day"]).sum("n") \
+                     zero_copy_batch=True),
+        ["event_type", "day"], ("sum", "n")) \
         .map_batches(lambda b: b.rename_columns(
             ["event_type", "day", "n"]),
             batch_format="pyarrow", zero_copy_batch=True) \

@@ -26,8 +26,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions.dedup import _ibucket  # module scope: worker code is
-# shipped by value and cannot lazy-import webtext
+from ..exchange import _ibucket, aggregate  # module scope: worker
+# code is shipped by value and cannot lazy-import webtext
 
 
 def _cents(x: np.ndarray) -> np.ndarray:
@@ -83,8 +83,9 @@ def pricing_summary(lineitem):
         ["l_returnflag", "l_linestatus", "l_quantity",
          "l_extendedprice"]).map_batches(
         _pricing_partial, batch_format="pyarrow", zero_copy_batch=True)
-    summed = partial.groupby(["l_returnflag", "l_linestatus"]).sum(
-        ["sum_qty", "sum_base_cents", "n_rows"])
+    summed = aggregate(partial, ["l_returnflag", "l_linestatus"],
+                       ("sum", "sum_qty"), ("sum", "sum_base_cents"),
+                       ("sum", "n_rows"))
     return summed.map_batches(
         lambda b: b.rename_columns(
             ["l_returnflag", "l_linestatus", "sum_qty",
@@ -204,7 +205,7 @@ def region_customer_counts(customer, nation, region):
     partial = customer.select_columns(["c_nationkey"]).map_batches(
         CountPerRegion, batch_format="pyarrow", zero_copy_batch=True,
         concurrency=(1, 4), fn_constructor_args=(ref,))
-    summed = partial.groupby("r_name").sum("n_customers")
+    summed = aggregate(partial, "r_name", ("sum", "n_customers"))
     return summed.map_batches(
         lambda b: b.rename_columns(["r_name", "n_customers"]),
         batch_format="pyarrow", zero_copy_batch=True)
@@ -233,7 +234,8 @@ def supplier_shipments(lineitem, supplier):
     partial = lineitem.select_columns(["l_suppkey", "l_quantity"]) \
         .map_batches(_supp_partial, batch_format="pyarrow",
                      zero_copy_batch=True)
-    summed = partial.groupby("s_suppkey").sum(["sum_qty", "n_lines"])
+    summed = aggregate(partial, "s_suppkey",
+                       ("sum", "sum_qty"), ("sum", "n_lines"))
 
     def fact_emit(batch: pa.Table) -> pa.Table:
         batch = batch.rename_columns(["s_suppkey", "sum_qty", "n_lines"])
@@ -419,8 +421,9 @@ def pricing_rollup(lineitem):
         ["l_returnflag", "l_linestatus", "l_quantity",
          "l_extendedprice"]).map_batches(
         _rollup_partial, batch_format="pyarrow", zero_copy_batch=True)
-    summed = partial.groupby(["l_returnflag", "l_linestatus"]).sum(
-        ["sum_qty", "sum_base_cents", "n_rows"])
+    summed = aggregate(partial, ["l_returnflag", "l_linestatus"],
+                       ("sum", "sum_qty"), ("sum", "sum_base_cents"),
+                       ("sum", "n_rows"))
     return summed.map_batches(
         lambda b: b.rename_columns(
             ["l_returnflag", "l_linestatus", "sum_qty",
@@ -455,13 +458,12 @@ def profile_columns(ds, columns: tuple[str, ...]):
              pa.array(mn, pa.float64()), pa.array(mx, pa.float64())],
             names=["column", "n_rows", "n_null", "min_v", "max_v"])
 
-    from ray.data.aggregate import Max, Min, Sum
-
-    agg = ds.select_columns(list(columns)) \
+    agg = aggregate(
+        ds.select_columns(list(columns))
         .map_batches(partial, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .groupby("column").aggregate(
-            Sum("n_rows"), Sum("n_null"), Min("min_v"), Max("max_v"))
+                     zero_copy_batch=True),
+        "column", ("sum", "n_rows"), ("sum", "n_null"),
+        ("min", "min_v"), ("max", "max_v"))
     return agg.map_batches(
         lambda b: b.rename_columns(
             ["column", "n_rows", "n_null", "min_v", "max_v"]),
@@ -542,11 +544,13 @@ def corr_by_group(ds, group_col: str = "l_returnflag",
 
     import math
 
-    stats = ds.select_columns([group_col, x_col, y_col]) \
+    stats = aggregate(
+        ds.select_columns([group_col, x_col, y_col])
         .map_batches(partial, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .groupby("grp").sum(["n", "sx", "sy", "sxx_hi", "sxx_lo",
-                             "syy_hi", "syy_lo", "sxy_hi", "sxy_lo"]) \
+                     zero_copy_batch=True),
+        "grp", *(("sum", c) for c in (
+            "n", "sx", "sy", "sxx_hi", "sxx_lo", "syy_hi", "syy_lo",
+            "sxy_hi", "sxy_lo"))) \
         .take_all()                      # constant rows: distinct groups
     out = {group_col: [], "n": [], "corr_micro": []}
     for r in sorted(stats, key=lambda r: r["grp"]):
@@ -987,9 +991,10 @@ def local_supplier_volume(customer, orders, lineitem, supplier, nation):
         agg = t.group_by("nat").aggregate([("rev", "sum")])
         return agg.rename_columns(["nat", "revenue_cents"])
 
-    summed = with_snat.map_batches(
-        local_partial, batch_format="pyarrow", zero_copy_batch=True) \
-        .groupby("nat").sum("revenue_cents")
+    summed = aggregate(
+        with_snat.map_batches(
+            local_partial, batch_format="pyarrow", zero_copy_batch=True),
+        "nat", ("sum", "revenue_cents"))
 
     def attach_name(batch: pa.Table, *, _ref=ref) -> pa.Table:
         m = _ref if isinstance(_ref, dict) else ray.get(_ref)
@@ -1158,9 +1163,10 @@ def small_quantity_revenue(lineitem, part, brand: str = "Brand#1"):
         part.select_columns(["p_partkey", "p_brand"])
         .map_batches(part_emit, batch_format="pyarrow",
                      zero_copy_batch=True))
-    summed = u.groupby("bucket").map_groups(
-        filter_bucket, batch_format="pyarrow") \
-        .groupby("k").sum(["n_small_lines", "revenue_cents"])
+    summed = aggregate(
+        u.groupby("bucket").map_groups(
+            filter_bucket, batch_format="pyarrow"),
+        "k", ("sum", "n_small_lines"), ("sum", "revenue_cents"))
     return summed.map_batches(
         lambda b: pa.Table.from_arrays(
             [b.column("sum(n_small_lines)").cast(pa.int64()),
@@ -1200,8 +1206,9 @@ def pricing_cube(lineitem):
         ["l_returnflag", "l_linestatus", "l_quantity",
          "l_extendedprice"]).map_batches(
         cube_partial, batch_format="pyarrow", zero_copy_batch=True)
-    summed = partial.groupby(["l_returnflag", "l_linestatus"]).sum(
-        ["sum_qty", "sum_base_cents", "n_rows"])
+    summed = aggregate(partial, ["l_returnflag", "l_linestatus"],
+                       ("sum", "sum_qty"), ("sum", "sum_base_cents"),
+                       ("sum", "n_rows"))
     return summed.map_batches(
         lambda b: b.rename_columns(
             ["l_returnflag", "l_linestatus", "sum_qty",
@@ -1223,7 +1230,7 @@ def returned_item_report(customer, orders, lineitem, nation,
     2. revenue partials pick up o_custkey through the generic
        `_bucket_attach` on hash(orderkey) % 256 (orders filtered to
        the quarter; inner semantics drop out-of-window revenue);
-    3. one native groupby(custkey).sum;
+    3. one sum aggregate by custkey;
     4. per-customer totals pick up c_nationkey through a second
        `_bucket_attach` on hash(custkey) % 256 — customer is
        sf-proportional, so it rides the shuffle, never ray.put;
@@ -1269,7 +1276,8 @@ def returned_item_report(customer, orders, lineitem, nation,
         orders_window, batch_format="pyarrow", zero_copy_batch=True)
     with_cust = _bucket_attach(rev_parts, in_window, "l_orderkey",
                                "o_custkey", ("rev",))
-    per_cust = with_cust.groupby("o_custkey").sum("rev").map_batches(
+    per_cust = aggregate(with_cust, "o_custkey",
+                         ("sum", "rev")).map_batches(
         lambda b: b.rename_columns(["c_custkey", "rev"]).append_column(
             "ckey", b.column(0).cast(pa.int64())),
         batch_format="pyarrow", zero_copy_batch=True)
@@ -1452,8 +1460,8 @@ def large_volume_orders(orders, lineitem, min_total_qty: int = 150):
     (o_orderkey, o_custkey, o_orderdate, total_qty), unordered.
 
     Scale shape: the HAVING filter runs BEFORE the join — lineitem
-    pre-aggregates quantity per (batch, orderkey), one native
-    groupby(okey).sum totals them, and only the surviving heavy orders
+    pre-aggregates quantity per (batch, orderkey), one keyed
+    aggregate(okey).sum totals them, and only the surviving heavy orders
     (a tiny fraction of all orders at any scale) enter the bucketed
     attach that picks up (o_custkey, o_orderdate) from the orders
     table via `_bucket_attach_multi` — orders is corpus-sized, so it
@@ -1464,10 +1472,11 @@ def large_volume_orders(orders, lineitem, min_total_qty: int = 150):
         return agg.select(["key", "qty"]) \
             .rename_columns(["okey", "qty"])
 
-    totals = lineitem.select_columns(["l_orderkey", "l_quantity"]) \
+    totals = aggregate(
+        lineitem.select_columns(["l_orderkey", "l_quantity"])
         .map_batches(line_partial, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .groupby("okey").sum("qty")
+                     zero_copy_batch=True),
+        "okey", ("sum", "qty"))
 
     def heavy(batch: pa.Table) -> pa.Table:
         batch = batch.rename_columns(["okey", "qty"])
@@ -1523,7 +1532,7 @@ def customer_order_counts(customer, orders):
     bounds the exchange — then customers and count-partials meet in
     hash(custkey) % 256 buckets; each bucket left-joins (customers
     with no orders get 0), collapses straight to a histogram partial
-    (c_count, n_cust), and one tiny native groupby sums the ≤256
+    (c_count, n_cust), and one tiny keyed aggregate sums the ≤256
     partial histograms.  Customer rows never leave their bucket as
     rows — only histogram cells do."""
 
@@ -1570,7 +1579,7 @@ def customer_order_counts(customer, orders):
             cust_emit, batch_format="pyarrow", zero_copy_batch=True))
     hist = u.groupby("bucket").map_groups(bucket_hist,
                                           batch_format="pyarrow")
-    return hist.groupby("c_count").sum("n_cust").map_batches(
+    return aggregate(hist, "c_count", ("sum", "n_cust")).map_batches(
         lambda b: b.rename_columns(["c_count", "custdist"]),
         batch_format="pyarrow", zero_copy_batch=True)
 
@@ -1581,8 +1590,8 @@ def top_supplier(lineitem, date_from: str = "1999-01-01",
     quarter — ALL ties survive, per the reference view semantics.
     Output: (s_suppkey, total_revenue_cents).
 
-    Scale shape: per-(batch, suppkey) revenue combiner → one native
-    groupby(suppkey).sum → the per-supplier table is materialized ONCE
+    Scale shape: per-(batch, suppkey) revenue combiner → one keyed
+    aggregate(suppkey).sum → the per-supplier table is materialized ONCE
     (it fans out to two consumers — the global max and the equality
     filter — and the single-consumption rule says a lazy plan would
     re-execute the whole lineage per consumer); the global max travels
@@ -1608,11 +1617,12 @@ def top_supplier(lineitem, date_from: str = "1999-01-01",
         agg = t.group_by(["s_suppkey"]).aggregate([("rev", "sum")])
         return agg.rename_columns(["s_suppkey", "rev"])
 
-    revs = lineitem.select_columns(
-        ["l_suppkey", "l_shipdate", "l_extendedprice", "l_discount"]) \
+    revs = aggregate(
+        lineitem.select_columns(
+            ["l_suppkey", "l_shipdate", "l_extendedprice", "l_discount"])
         .map_batches(line_partial, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .groupby("s_suppkey").sum("rev").map_batches(
+                     zero_copy_batch=True),
+        "s_suppkey", ("sum", "rev")).map_batches(
         lambda b: b.rename_columns(["s_suppkey",
                                     "total_revenue_cents"]),
         batch_format="pyarrow", zero_copy_batch=True).materialize()
@@ -1656,7 +1666,7 @@ def idle_rich_customers(customer, orders,
     filtered BEFORE the anti-join shuffle (they are a small fraction),
     then anti-join orders' per-batch-distinct custkeys in
     hash(custkey) % 256 buckets; survivors collapse to per-segment
-    partials and one tiny native groupby."""
+    partials and one tiny keyed aggregate."""
 
     def bal_partial(batch: pa.Table) -> pa.Table:
         bal = batch.column("c_acctbal").to_numpy(zero_copy_only=False)
@@ -1732,8 +1742,8 @@ def idle_rich_customers(customer, orders,
             orders_emit, batch_format="pyarrow", zero_copy_batch=True))
     per_bucket = u.groupby("bucket").map_groups(
         anti_bucket, batch_format="pyarrow")
-    return per_bucket.groupby("c_mktsegment").sum(
-        ["n_cust", "sum_acctbal_cents"]).map_batches(
+    return aggregate(per_bucket, "c_mktsegment", ("sum", "n_cust"),
+                     ("sum", "sum_acctbal_cents")).map_batches(
         lambda b: b.rename_columns(
             ["c_mktsegment", "n_cust", "sum_acctbal_cents"]),
         batch_format="pyarrow", zero_copy_batch=True)
@@ -1757,7 +1767,7 @@ def volume_shipping(customer, orders, lineitem, supplier, nation):
     DIM_BROADCAST_MAX_ROWS gate, and rides the bucketed emit-union
     shuffle past it — orders/customer/supplier all scale with the
     corpus, so the gate keeps the 100-TB plan honest); the pair ×
-    year aggregate is a native groupby over ≤ nations² × years rows,
+    year aggregate is a keyed aggregate over ≤ nations² × years rows,
     and the constant 25-row nation name table broadcasts."""
     import ray
 
@@ -1818,9 +1828,10 @@ def volume_shipping(customer, orders, lineitem, supplier, nation):
             [("rev", "sum")])
         return agg.rename_columns(["s_nat", "c_nat", "l_year", "rev"])
 
-    summed = with_snat.map_batches(
-        pair_partial, batch_format="pyarrow", zero_copy_batch=True) \
-        .groupby(["s_nat", "c_nat", "l_year"]).sum("rev")
+    summed = aggregate(
+        with_snat.map_batches(
+            pair_partial, batch_format="pyarrow", zero_copy_batch=True),
+        ["s_nat", "c_nat", "l_year"], ("sum", "rev"))
 
     names = {r["n_nationkey"]: r["n_name"] for r in
              nation.select_columns(["n_nationkey", "n_name"])
@@ -1868,7 +1879,7 @@ def market_share(customer, orders, lineitem, supplier, part, nation,
     4. customer nation then supplier nation attach;
     5. the constant 25-row nation→region map broadcasts; per-year
        numerator/denominator collapse through one-row-per-batch
-       combiners and a native groupby."""
+       combiners and a keyed aggregate."""
     import ray
 
     n_part = part.count()           # metadata-only on source reads
@@ -1984,9 +1995,10 @@ def market_share(customer, orders, lineitem, supplier, part, nation,
         return agg.rename_columns(
             ["o_year", "nation_cents", "total_cents"])
 
-    return with_snat.map_batches(
-        share_partial, batch_format="pyarrow", zero_copy_batch=True) \
-        .groupby("o_year").sum(["nation_cents", "total_cents"]) \
+    return aggregate(
+        with_snat.map_batches(
+            share_partial, batch_format="pyarrow", zero_copy_batch=True),
+        "o_year", ("sum", "nation_cents"), ("sum", "total_cents")) \
         .map_batches(lambda b: b.rename_columns(
             ["o_year", "nation_cents", "total_cents"]),
             batch_format="pyarrow", zero_copy_batch=True)
@@ -2075,7 +2087,7 @@ def order_priority_check(orders, lineitem,
                      zero_copy_batch=True))
     per_bucket = u.groupby("bucket").map_groups(
         check_bucket, batch_format="pyarrow")
-    return per_bucket.groupby("o_orderpriority").sum("n_orders") \
+    return aggregate(per_bucket, "o_orderpriority", ("sum", "n_orders")) \
         .map_batches(lambda b: b.rename_columns(
             ["o_orderpriority", "n_orders"]),
             batch_format="pyarrow", zero_copy_batch=True)
@@ -2193,7 +2205,7 @@ def waiting_suppliers(lineitem, min_suppliers: int = 2):
     lexsort + reduceat segment reduces (re-combine cross-batch
     partials, per-order max, distinct-supplier count, unique-argmax
     test) — never a Python loop over orders.  Buckets emit pre-counted
-    (suppkey, n) partials into one tiny native groupby."""
+    (suppkey, n) partials into one tiny keyed aggregate."""
 
     def line_partial(batch: pa.Table) -> pa.Table:
         okey = batch.column("l_orderkey").cast(pa.int64())
@@ -2249,7 +2261,7 @@ def waiting_suppliers(lineitem, min_suppliers: int = 2):
         line_partial, batch_format="pyarrow", zero_copy_batch=True) \
         .groupby("bucket").map_groups(blame_bucket,
                                       batch_format="pyarrow")
-    return per_bucket.groupby("s_suppkey").sum("n_waiting") \
+    return aggregate(per_bucket, "s_suppkey", ("sum", "n_waiting")) \
         .map_batches(lambda b: b.rename_columns(
             ["s_suppkey", "n_waiting"]),
             batch_format="pyarrow", zero_copy_batch=True)
@@ -2347,8 +2359,8 @@ def late_line_priority(lineitem, orders, late_days: int = 60):
                      zero_copy_batch=True))
     per_bucket = u.groupby("bucket").map_groups(
         join_bucket, batch_format="pyarrow")
-    return per_bucket.groupby("l_linestatus") \
-        .sum(["high_n", "low_n"]) \
+    return aggregate(per_bucket, "l_linestatus",
+                     ("sum", "high_n"), ("sum", "low_n")) \
         .map_batches(lambda b: b.rename_columns(
             ["l_linestatus", "high_line_count", "low_line_count"]),
             batch_format="pyarrow", zero_copy_batch=True)
@@ -2364,7 +2376,7 @@ def important_parts(lineitem, frac_bp: int = 1):
     ops; shape per SURVEY §2.4 note.
 
     Fraction-of-global filters need one scalar, not a join: per-part
-    cents pre-sum per batch (combiner), one native groupby.sum gives
+    cents pre-sum per batch (combiner), one sum aggregate gives
     the sf-proportional per-part table (stays distributed), and the
     global total is a second combiner pass over the same two narrow
     columns reduced to ONE scalar (no groupby, no shuffle — cheaper
@@ -2390,7 +2402,7 @@ def important_parts(lineitem, frac_bp: int = 1):
         ["l_partkey", "l_extendedprice"]) \
         .map_batches(part_partial, batch_format="pyarrow",
                      zero_copy_batch=True)
-    per_part = partial.groupby("l_partkey").sum("rev_cents") \
+    per_part = aggregate(partial, "l_partkey", ("sum", "rev_cents")) \
         .map_batches(lambda b: b.rename_columns(
             ["l_partkey", "rev_cents"]),
             batch_format="pyarrow", zero_copy_batch=True)
@@ -2586,11 +2598,12 @@ def brand_supplier_counts(lineitem, part):
         part.select_columns(["p_partkey", "p_brand", "p_type"])
         .map_batches(dim_emit, batch_format="pyarrow",
                      zero_copy_batch=True))
-    return u.groupby("bucket").map_groups(
-        attach_cell, batch_format="pyarrow") \
+    return aggregate(
+        u.groupby("bucket").map_groups(
+            attach_cell, batch_format="pyarrow")
         .groupby("bucket2").map_groups(count_cell,
-                                       batch_format="pyarrow") \
-        .groupby(["p_brand", "p_type"]).sum("n") \
+                                       batch_format="pyarrow"),
+        ["p_brand", "p_type"], ("sum", "n")) \
         .map_batches(lambda b: b.rename_columns(
             ["p_brand", "p_type", "n_supp"]),
             batch_format="pyarrow", zero_copy_batch=True)
@@ -2614,7 +2627,7 @@ def nation_profit(lineitem, part, supplier, orders, nation,
     orders — each a broadcast LUT under the DIM_BROADCAST_MAX_ROWS
     gate and a constant-fan-out hash(key)%256 emit-union groupby past
     it; the 25-row nation name table always broadcasts.  The (nat,
-    year) rollup is a per-batch combiner + one tiny native groupby."""
+    year) rollup is a per-batch combiner + one tiny keyed aggregate."""
     import ray
 
     n_part = part.count()           # metadata-only on source reads
@@ -2702,9 +2715,10 @@ def nation_profit(lineitem, part, supplier, orders, nation,
         agg = t.group_by("ny").aggregate([("profit", "sum")])
         return agg.rename_columns(["ny", "profit_cents"])
 
-    summed = with_year.map_batches(
-        rollup_partial, batch_format="pyarrow", zero_copy_batch=True) \
-        .groupby("ny").sum("profit_cents")
+    summed = aggregate(
+        with_year.map_batches(
+            rollup_partial, batch_format="pyarrow", zero_copy_batch=True),
+        "ny", ("sum", "profit_cents"))
 
     names = {r["n_nationkey"]: r["n_name"] for r in
              nation.select_columns(["n_nationkey", "n_name"]).take_all()}
@@ -2743,7 +2757,7 @@ def promo_part_suppliers(lineitem, part, supplier, nation,
     (partkey, suppkey) inside map_batches; the prefix-filtered part
     keys attach via one bucketed hash(partkey)%256 emit-union groupby
     (filter BEFORE the shuffle — non-matching parts never ship); the
-    per-supplier rollup is a combiner + native groupby + vectorized
+    per-supplier rollup is a combiner + keyed aggregate + vectorized
     threshold; supplier→nation attaches bucketed (supplier is
     sf-proportional, never broadcast) and only the 25-row nation name
     table broadcasts."""
@@ -2793,10 +2807,11 @@ def promo_part_suppliers(lineitem, part, supplier, nation,
         agg = t.group_by("skey").aggregate([("qty", "sum")])
         return agg.rename_columns(["skey", "sum_qty"])
 
-    per_supp = matched.map_batches(supp_partial,
-                                   batch_format="pyarrow",
-                                   zero_copy_batch=True) \
-        .groupby("skey").sum("sum_qty")
+    per_supp = aggregate(
+        matched.map_batches(supp_partial,
+                            batch_format="pyarrow",
+                            zero_copy_batch=True),
+        "skey", ("sum", "sum_qty"))
 
     def threshold(batch: pa.Table, *, _min=min_qty) -> pa.Table:
         batch = batch.rename_columns(["skey", "sum_qty"])

@@ -30,7 +30,7 @@ pre-aggregates (href, src, anchor) counts per block with a NATIVE Arrow
 group_by, then exchanges partials once into hash(href) % 256 buckets
 (constant fan-out, never one group per href).  ``host_pagerank`` maps
 hosts to md5-u63 surrogate ids, collapses multi-edges with per-block
-combiners + one native groupby-sum, and rides functions.graph.pagerank's
+combiners + one sum aggregate, and rides functions.graph.pagerank's
 integer fixed-point machinery (bit-identical to the dense golden);
 host strings re-attach through one bucketed emit-union groupby — no
 driver materialization anywhere.
@@ -56,7 +56,8 @@ import re
 import numpy as np
 import pyarrow as pa
 
-from ..functions.dedup import N_SHUFFLE_BUCKETS, _col_i64, _sbucket
+from ..exchange import N_SHUFFLE_BUCKETS, _ibucket, _sbucket, aggregate
+from ..functions.dedup import _col_i64
 
 # href must sit before the closing '>' of the same <a ...> tag
 # ([^>]*? cannot cross it); inner text runs to the FIRST </a> (anchors
@@ -232,7 +233,7 @@ def host_edges(links):
     """(src, dst, w) int64 host-graph edges from an outlinks table:
     src = host(src doc), dst = host(href), w = link multiplicity.
     Hostless refs drop; self-loops kept (they carry real mass).
-    Per-block combiner collapses pairs before ONE native groupby-sum."""
+    Per-block combiner collapses pairs before ONE sum aggregate."""
 
     def partial(batch: pa.Table) -> pa.Table:
         sh = [host_of(u) for u in batch.column("src").to_pylist()]
@@ -249,9 +250,10 @@ def host_edges(links):
         agg = t.group_by(["src", "dst"]).aggregate([("dst", "count")])
         return agg.rename_columns(["src", "dst", "w"])
 
-    summed = links.map_batches(partial, batch_format="pyarrow",
-                               zero_copy_batch=True) \
-        .groupby(["src", "dst"]).sum("w")
+    summed = aggregate(
+        links.map_batches(partial, batch_format="pyarrow",
+                          zero_copy_batch=True),
+        ["src", "dst"], ("sum", "w"))
     return summed.map_batches(
         lambda b: b.rename_columns(["src", "dst", "w"]),
         batch_format="pyarrow", zero_copy_batch=True)
@@ -284,7 +286,6 @@ def doc_authority(docs, ranks):
     the link graph).  One bucketed emit-union groupby on u63(host) —
     the rank table is host-sized, the doc side streams; nothing
     broadcasts or materializes on the driver."""
-    from ..functions.dedup import _ibucket
 
     def doc_emit(batch: pa.Table) -> pa.Table:
         ids = batch.column("doc_id").to_pylist()
@@ -389,7 +390,6 @@ def host_ranks_named(links):
     """(host, rank) from a materialized outlinks table — the
     rank-computation core of host_pagerank, reusable when the caller
     already holds the links table (authority_sample)."""
-    from ..functions.dedup import _ibucket
     from ..functions.graph import pagerank
 
     ranks = pagerank(host_edges(links))
@@ -645,9 +645,10 @@ def host_coupling(links, n_buckets: int = N_SHUFFLE_BUCKETS):
             [pa.array(us.tolist(), pa.string()), pa.array(cnt)],
             names=["host", "n_targets"])
 
-    sizes = edges.groupby("bucket").map_groups(
-        size_partial, batch_format="pyarrow") \
-        .groupby("host").sum("n_targets") \
+    sizes = aggregate(
+        edges.groupby("bucket").map_groups(
+            size_partial, batch_format="pyarrow"),
+        "host", ("sum", "n_targets")) \
         .map_batches(lambda b: b.rename_columns(["host", "n_targets"]),
                      batch_format="pyarrow", zero_copy_batch=True)
 

@@ -7,7 +7,7 @@ domain skew explicitly with a salted groupby-aggregate-sort repartition
 
 1. ``domain_counts``: partial per-batch counts inside ``map_batches``
    (the combiner pattern — only (domain, n) pairs enter the shuffle, not
-   rows), then a small ``groupby(domain).sum()``.
+   rows), then one ``exchange.aggregate`` sum by domain.
 2. ``salted_key``: hot domains get ``domain#<hash(doc_id) % K>`` so no
    single partition owns a hot site; cold domains keep ``domain``.
 3. ``rebalance_by_domain``: hash exchange on the salted key
@@ -27,6 +27,8 @@ import zlib
 
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from ..exchange import aggregate
 
 _DOMAIN_PATTERN = r"https?://(?P<domain>[^/]+)"
 
@@ -56,7 +58,7 @@ def domain_counts(ds):
     partial = ds.select_columns(["doc_id"]).map_batches(
         _partial_domain_counts, batch_format="pyarrow",
         zero_copy_batch=True)
-    return partial.groupby("domain").sum("n")
+    return aggregate(partial, "domain", ("sum", "n"))
 
 
 _TOTAL_SENTINEL = "\x00__block_total__"
