@@ -74,3 +74,33 @@ def test_decode_documents_stage(ray_session):
     assert out["b"]["enc_source"] in ("apparent", "default")
     assert out["c"]["text"] == "café crème"
     assert out["c"]["enc_source"] == "header"
+
+
+def test_decode_documents_default_pool_leaves_a_cpu(ray_session, tmp_path):
+    """With default arguments on the 4-CPU test session the decoder
+    pool must not take every CPU: the read tasks feeding it need one,
+    and a full-width pool stalls the streaming executor."""
+    import concurrent.futures
+
+    import pyarrow.parquet as pq
+    import ray
+    import ray.data
+
+    assert int(ray.cluster_resources().get("CPU", 0)) == 4
+    for i in range(8):
+        pq.write_table(pa.table({
+            "doc_id": [f"d{i}-{j}" for j in range(20)],
+            "raw": pa.array([f"text {i} {j}".encode() for j in range(20)],
+                            pa.binary()),
+            "content_type": ["text/html; charset=utf-8"] * 20}),
+            str(tmp_path / f"part{i}.parquet"))
+    ds = ray.data.read_parquet(str(tmp_path)).map_batches(
+        lambda b: b, batch_format="pyarrow")
+    pool = concurrent.futures.ThreadPoolExecutor(1)
+    try:
+        rows = pool.submit(
+            lambda: enc.decode_documents(ds).take_all()).result(timeout=180)
+    finally:
+        pool.shutdown(wait=False)
+    assert sorted(r["text"] for r in rows) == sorted(
+        f"text {i} {j}" for i in range(8) for j in range(20))

@@ -206,3 +206,273 @@ def test_no_keyed_native_aggregate_outside_allowlist():
         "stale allowlist entries"
     assert all(reason.strip()
                for reason in NATIVE_AGGREGATE_ALLOWLIST.values())
+
+
+# -- join -------------------------------------------------------------------
+
+_JOIN_TYPES = {"inner": "inner", "left": "left outer", "semi": "left semi",
+               "anti": "left anti"}
+
+
+@pytest.fixture(scope="module")
+def join_sides() -> dict:
+    """Left rows with null int and string keys, and per key shape a
+    right side with unique keys, a null-key row and keys the left
+    lacks."""
+    rng = np.random.default_rng(11)
+    n = 400
+    left = pa.table({
+        "k": pa.array(rng.integers(0, 60, n), mask=rng.random(n) < 0.05),
+        "s": pa.array([f"s{x}" for x in rng.integers(0, 40, n)],
+                      mask=rng.random(n) < 0.05),
+        "v": pa.array(np.arange(n)),
+    })
+    ks = rng.permutation(80)[:50]
+    pairs = sorted({(int(a), f"s{b}") for a, b in zip(
+        rng.integers(0, 60, 300), rng.integers(0, 40, 300))})
+    return {
+        "int": (left, pa.table({
+            "rk": pa.array(list(ks) + [None], pa.int64()),
+            "a": pa.array(list(ks * 10) + [7], pa.int64()),
+            "t": [f"t{x}" for x in ks] + ["tnull"]}), "k", "rk"),
+        "string": (left, pa.table({
+            "rs": pa.array([f"s{x}" for x in range(0, 50, 2)] + [None]),
+            "a": pa.array(list(range(25)) + [99], pa.int64()),
+            "t": [f"u{x}" for x in range(26)]}), "s", "rs"),
+        "two-column": (left, pa.table({
+            "k": pa.array([p[0] for p in pairs] + [None], pa.int64()),
+            "s": [p[1] for p in pairs] + ["s1"],
+            "a": pa.array(range(len(pairs) + 1), pa.int64()),
+            "t": [f"w{i}" for i in range(len(pairs) + 1)]}),
+            ["k", "s"], ["k", "s"]),
+    }
+
+
+def _reference_join(lt: pa.Table, rt: pa.Table, on, right_on, how: str,
+                    attach: dict) -> pa.Table:
+    """``pa.Table.join`` with the right keys renamed to the left's."""
+    on = [on] if isinstance(on, str) else on
+    right_on = [right_on] if isinstance(right_on, str) else right_on
+    cols = list(right_on) + list(attach)
+    rt = rt.select(cols).rename_columns(list(on) + list(attach.values()))
+    return lt.join(rt, keys=on, join_type=_JOIN_TYPES[how],
+                   coalesce_keys=True, use_threads=False)
+
+
+def _run_join(lt, rt, on, right_on, how, attach, route, n_left=5,
+              n_right=3):
+    import ray
+
+    from webtext.exchange import join
+
+    left = ray.data.from_arrow(lt).repartition(n_left)
+    right = ray.data.from_arrow(rt).repartition(n_right)
+    return join(left, right, on, right_on=right_on, how=how,
+                attach=attach, right_rows=rt.num_rows,
+                broadcast_max_rows=rt.num_rows if route == "broadcast"
+                else 0)
+
+
+@pytest.mark.parametrize("route", ["broadcast", "bucketed"])
+@pytest.mark.parametrize("key", ["int", "string", "two-column"])
+def test_join_matches_arrow_reference(ray_session, join_sides, key,
+                                      route):
+    """Every ``how`` on both routes equals Arrow's hash join: null keys
+    never match, ``left`` pads with nulls, semi/anti keep left rows."""
+    lt, rt, on, right_on = join_sides[key]
+    for how in _JOIN_TYPES:
+        attach = {} if how in ("semi", "anti") else {"a": "a", "t": "t2"}
+        got = _run_join(lt, rt, on, right_on, how, attach, route)
+        want = _reference_join(lt, rt, on, right_on, how, attach)
+        assert sorted(got.columns()) == sorted(want.column_names), how
+        assert _rows(got) == sorted(
+            tuple(sorted((k, repr(v)) for k, v in r.items()))
+            for r in want.to_pylist()), how
+
+
+@pytest.mark.parametrize("route", ["broadcast", "bucketed"])
+def test_join_one_block_each_side(ray_session, join_sides, route):
+    lt, rt, on, right_on = join_sides["int"]
+    for how in ("inner", "left"):
+        got = _run_join(lt, rt, on, right_on, how, ["a"], route, 1, 1)
+        want = _reference_join(lt, rt, on, right_on, how, {"a": "a"})
+        assert _rows(got) == sorted(
+            tuple(sorted((k, repr(v)) for k, v in r.items()))
+            for r in want.to_pylist())
+
+
+@pytest.mark.parametrize("route", ["broadcast", "bucketed"])
+def test_join_empty_sides_and_schemaless_blocks(ray_session, route):
+    """An empty side, and sides of a few rows spread over many blocks
+    (0-row blocks with no columns), on both routes."""
+    import ray
+
+    from webtext.exchange import join
+
+    gate = 10 if route == "broadcast" else 0
+    lt = pa.table({"k": pa.array([1, 2, 3], pa.int64()), "v": [1, 2, 3]})
+    rt = pa.table({"k": pa.array([2, 3], pa.int64()), "a": [20, 30]})
+    sparse = lambda t: ray.data.from_arrow(t).repartition(8).materialize()  # noqa: E731
+    empty = ray.data.from_arrow(lt).filter(expr="k < 0")
+
+    def run(left, right, how, attach=()):
+        return sorted(tuple(r.values()) for r in join(
+            left, right, "k", how=how, attach=attach, right_rows=2,
+            broadcast_max_rows=gate).take_all())
+
+    assert run(sparse(lt), sparse(rt), "inner", ["a"]) == [(2, 2, 20),
+                                                          (3, 3, 30)]
+    assert run(sparse(lt), sparse(rt), "anti") == [(1, 1)]
+    assert run(empty, sparse(rt), "inner", ["a"]) == []
+    assert run(sparse(lt), empty.select_columns(["k"]), "semi") == []
+    assert run(sparse(lt), empty.select_columns(["k"]), "anti") \
+        == [(1, 1), (2, 2), (3, 3)]
+
+
+@pytest.mark.parametrize("route", ["broadcast", "bucketed"])
+def test_join_duplicate_right_key_raises(ray_session, route):
+    import ray
+
+    from webtext.exchange import join
+
+    left = ray.data.from_items([{"k": 1}, {"k": 2}])
+    right = ray.data.from_items([{"k": 2, "a": 1}, {"k": 2, "a": 2}])
+    with pytest.raises(Exception, match="duplicate right key"):
+        join(left, right, "k", attach=["a"], right_rows=2,
+             broadcast_max_rows=2 if route == "broadcast" else 0) \
+            .take_all()
+    # semi/anti only test membership: duplicates are fine
+    assert join(left, right, "k", how="semi", right_rows=2,
+                broadcast_max_rows=2 if route == "broadcast" else 0) \
+        .take_all() == [{"k": 2}]
+
+
+def test_join_rejects_bad_arguments():
+    from webtext.exchange import join
+
+    for kwargs in ({"how": "outer"}, {"how": "semi", "attach": ["a"]},
+                   {"right_on": ["a", "b"]}):
+        with pytest.raises(ValueError):
+            join(None, None, "k", **kwargs)
+
+
+def test_join_route_record_flips_with_gate(ray_session, monkeypatch,
+                                           capsys):
+    """WEBTEXT_TRACE_ROUNDS prints the route, the row bound and the gate
+    in graph._local_route's format."""
+    import ray
+
+    from webtext.exchange import join
+
+    monkeypatch.setenv("WEBTEXT_TRACE_ROUNDS", "1")
+    left = ray.data.from_items([{"k": 1}])
+    right = ray.data.from_items([{"k": 1, "a": 5}])
+    for gate in (10, 0):
+        assert join(left, right, "k", attach=["a"], right_rows=1,
+                    broadcast_max_rows=gate).take_all() \
+            == [{"k": 1, "a": 5}]
+    join(left, right, "k", how="semi")
+    lines = [ln for ln in capsys.readouterr().err.splitlines()
+             if ln.startswith("[join]")]
+    assert lines == ["[join] route=broadcast rows=1 gate=10",
+                     "[join] route=bucketed rows=1 gate=0",
+                     "[join] route=bucketed rows=None gate=4000000"]
+
+
+def test_join_broadcast_runs_the_right_plan_once(ray_session, tmp_path):
+    """The broadcast collect materializes a lazy right side before
+    reading its block refs, so its plan runs once per block — no second
+    ``limit(1)`` schema run, whose task cancels can abort Ray's core
+    worker."""
+    import ray
+
+    from webtext.exchange import join
+
+    log = tmp_path / "calls"
+
+    def counted(batch: pa.Table, *, _log=str(log)) -> pa.Table:
+        with open(_log, "a", encoding="utf-8") as f:
+            f.write("x\n")
+        return batch
+
+    right = ray.data.from_items(
+        [{"k": i, "a": 10 * i} for i in range(30)], override_num_blocks=3) \
+        .map_batches(counted, batch_format="pyarrow")
+    left = ray.data.from_items([{"k": i} for i in range(0, 40, 4)])
+    got = join(left, right, "k", attach=["a"], right_rows=30).take_all()
+    assert sorted(r["a"] for r in got) == [10 * i for i in range(0, 30, 4)]
+    assert log.read_text().count("x") == 3
+
+
+def _near_dup_corpus(n: int = 120) -> pa.Table:
+    """Documents in families of near-duplicates (a few words swapped)
+    plus unrelated ones."""
+    rng = np.random.default_rng(5)
+    vocab = [f"w{i}" for i in range(400)]
+    ids, texts = [], []
+    for d in range(n):
+        fam = rng.integers(0, n // 3)
+        base = np.random.default_rng(int(fam)).choice(vocab, 40)
+        words = base.copy()
+        flip = rng.random(40) < 0.08
+        words[flip] = rng.choice(vocab, int(flip.sum()))
+        ids.append(d)
+        texts.append(" ".join(words))
+    return pa.table({"doc_id": pa.array(ids, pa.int64()), "text": texts,
+                     "extra": [f"x{i}" for i in ids]})
+
+
+def test_minhash_verify_routes_identical(ray_session, monkeypatch):
+    """minhash_lsh_pairs and dedup_apply over a materialized multi-block
+    corpus give the same rows on the broadcast and the bucketed verify,
+    and dedup_apply over the lazy corpus agrees."""
+    import ray
+
+    from webtext.functions import dedup
+
+    ds = ray.data.from_arrow(_near_dup_corpus()).repartition(6) \
+        .materialize()
+
+    def run(gate):
+        monkeypatch.setattr(dedup, "TEXT_BROADCAST_MAX_BYTES", gate)
+        return (_rows(dedup.minhash_lsh_pairs(ds)),
+                _rows(dedup.dedup_apply(ds)))
+
+    monkeypatch.setenv("WEBTEXT_TRACE_ROUNDS", "1")
+    broadcast = run(1 << 40)
+    assert broadcast == run(0)
+    assert len(broadcast[0]) > 20 and 0 < len(broadcast[1]) < 120
+    assert _rows(dedup.dedup_apply(
+        ray.data.from_arrow(_near_dup_corpus()).repartition(4))) \
+        == broadcast[1]
+
+
+def test_dedup_extracted_routes_identical(ray_session, monkeypatch,
+                                          tmp_path):
+    """dedup_extracted over a multi-file committed output: the same
+    survivors with the docs materialized and broadcast, and not."""
+    from webtext.functions import dedup
+    from webtext.pipelines import run_extraction
+    from webtext.pipelines.dedup_pipeline import dedup_extracted
+    from webtext.synth import write_corpus
+
+    inp, out = str(tmp_path / "in"), str(tmp_path / "out")
+    write_corpus(inp, n_per_family=4, seed=13, rows_per_file=20)
+    run_extraction(inp, out, shards_per_round=2)
+    want = sorted(r["doc_id"] for r in dedup_extracted(out).take_all())
+    monkeypatch.setattr(dedup, "TEXT_BROADCAST_MAX_BYTES", 0)
+    assert sorted(r["doc_id"] for r in dedup_extracted(out).take_all()) \
+        == want
+    assert want
+
+
+def test_pair_text_join_is_gone():
+    """The MinHash verify attaches texts through exchange.join; the
+    hand-written emit-union text join it replaced stays deleted."""
+    import webtext
+    from webtext.functions import dedup
+
+    assert not hasattr(dedup, "_pair_text_join")
+    root = pathlib.Path(webtext.__file__).parent
+    assert not [p for p in root.rglob("*.py")
+                if "_pair_text_join" in p.read_text(encoding="utf-8")]

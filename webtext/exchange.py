@@ -1,4 +1,4 @@
-"""One aggregate exchange for keyed Dataset aggregates.
+"""One exchange module: keyed aggregates and keyed joins.
 
 ``aggregate(ds, on, *aggs)`` replaces Ray Data's native
 ``groupby(on).sum/count/min/max/aggregate``.  In Ray 2.49 those are
@@ -25,12 +25,39 @@ sum/min/max is null, as natively.  A floating-point ``sum`` raises
 ``TypeError``: Arrow sums in a different order than Ray, so the float
 result could differ in its last bits.  Float sums stay on the native
 call (listed in ``tests/test_exchange.py``).
+
+``join(left, right, on, how=…, attach=…, right_rows=…)`` is the one
+keyed join.  The route is picked at call time from ``right_rows``, an
+upper bound on the right side's rows that the caller knows without
+executing anything (a parquet footer count, a commit manifest, a
+materialized Dataset):
+
+* broadcast — ``right_rows`` ≤ ``broadcast_max_rows``: the right side
+  is materialized once, sorted by key on the driver and ``ray.put``
+  once; the join is a streaming ``searchsorted`` ``map_batches`` over
+  ``left`` with no exchange;
+* bucketed — otherwise: both sides are cut by hash(key) %
+  N_SHUFFLE_BUCKETS into Arrow IPC slices, one row per (block, bucket),
+  and one ``groupby(bucket).map_groups`` joins each bucket with the same
+  sorted-key probe.  The exchange moves a few hundred rows per block
+  whatever the two schemas are.
+
+Both routes give the same rows: null keys never match, ``inner`` and
+``left`` attach at most one right row per left row (a duplicate right
+key raises ``ValueError``), ``semi``/``anti`` keep the left rows that
+have / have no match.  Left rows keep every column; the broadcast route
+keeps their order.
 """
 
 from __future__ import annotations
 
+import math
+import os
+import sys
+
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 # Shuffle fan-out for every join-by-groupby stage: grouping by
 # hash(key) % N instead of by raw key keeps the group count CONSTANT
@@ -40,7 +67,15 @@ import pyarrow as pa
 # partitioning unit; raise N_SHUFFLE_BUCKETS with the cluster size.
 N_SHUFFLE_BUCKETS = 256
 
+# ``join``'s default broadcast gate: a right side of at most this many
+# rows goes out as one sorted LUT.  4M rows of an int64 (key, value)
+# pair is ~64 MB, one object-store copy per node.
+BROADCAST_MAX_ROWS = 4_000_000
+
 _BUCKET = "__bucket"
+_SIDE = "__side"
+_BLOB = "__blob"
+_HOWS = ("inner", "left", "semi", "anti")
 _MIX = (1 << 61) - 1           # the range of one column's key hash
 # the Arrow hash aggregate of each spec kind on the map side, and the
 # one that combines its partials on the reduce side
@@ -188,3 +223,205 @@ def aggregate(ds, on, *aggs):
         .groupby(_BUCKET).map_groups(
             _combine, batch_format="pyarrow",
             fn_kwargs={"on": on, "aggs": aggs})
+
+
+def _key_codes(table: pa.Table, cols: list, dicts) -> tuple:
+    """(int64 code, valid) per row of ``table``'s key columns.  With
+    ``dicts`` None the one integer key is its own code; otherwise each
+    column's position in its dictionary (``pc.index_in``) is mixed into
+    one code.  ``valid`` is False where a key is null or absent from
+    its dictionary: such a row matches nothing."""
+    if dicts is None:
+        col = table.column(cols[0])
+        return (col.cast(pa.int64()).fill_null(0)
+                .to_numpy(zero_copy_only=False),
+                col.is_valid().to_numpy(zero_copy_only=False))
+    code = np.zeros(table.num_rows, dtype=np.int64)
+    valid = np.ones(table.num_rows, dtype=bool)
+    for c, d in zip(cols, dicts):
+        idx = pc.index_in(table.column(c).cast(d.type), value_set=d)
+        valid &= idx.is_valid().to_numpy(zero_copy_only=False)
+        code = code * len(d) + idx.fill_null(0).cast(pa.int64()) \
+            .to_numpy(zero_copy_only=False)
+    return code, valid
+
+
+def _lut(right, right_on: list, attach: dict, unique: bool) -> tuple:
+    """The probe side of a join: ``right``'s non-null-key rows sorted by
+    key code, as (their attach columns, the sorted codes, the key
+    dictionaries).  ``right`` None is an empty side.  With ``unique``
+    a key held by two rows raises."""
+    if right is None or not right.num_rows:
+        return (pa.table({c: pa.nulls(0) for c in attach}),
+                np.empty(0, dtype=np.int64), None)
+    dicts = None
+    if len(right_on) > 1 or not pa.types.is_integer(
+            right.schema.field(right_on[0]).type):
+        dicts = [pc.unique(right.column(c)).drop_null() for c in right_on]
+        if math.prod(len(d) for d in dicts) >= 1 << 62:
+            raise ValueError("exchange.join: composite key space "
+                             "overflows int64 codes")
+    code, valid = _key_codes(right, right_on, dicts)
+    idx = np.flatnonzero(valid)
+    order = idx[np.argsort(code[idx], kind="stable")]
+    code = code[order]
+    if unique and (code[1:] == code[:-1]).any():
+        raise ValueError(f"exchange.join: duplicate right key on "
+                         f"{right_on}; an attach join is many-to-one")
+    return right.select(list(attach)).take(pa.array(order)), code, dicts
+
+
+def _probe(left: pa.Table, lut: tuple, on: list, how: str,
+           attach: dict) -> pa.Table:
+    """``left`` joined to a ``_lut`` by ``searchsorted`` on key codes."""
+    rows, codes, dicts = lut
+    if len(codes) and left.num_rows:
+        code, valid = _key_codes(left, on, dicts)
+        pos = np.minimum(np.searchsorted(codes, code), len(codes) - 1)
+        hit = valid & (codes[pos] == code)
+    else:
+        pos = np.zeros(left.num_rows, dtype=np.int64)
+        hit = np.zeros(left.num_rows, dtype=bool)
+    if how in ("semi", "anti"):
+        return left.filter(pa.array(hit if how == "semi" else ~hit))
+    if how == "inner":
+        out, idx = left.filter(pa.array(hit)), pa.array(pos[hit])
+    else:
+        out, idx = left, pa.array(pos, mask=~hit)
+    for src, name in attach.items():
+        if name in out.column_names:
+            raise ValueError(f"exchange.join: attach column {name!r} "
+                             f"is already a left column")
+        out = out.append_column(name, rows.column(src).take(idx))
+    return out
+
+
+def _concat(tables: list):
+    tables = [t for t in tables if t.num_columns]
+    return pa.concat_tables(tables, promote_options="permissive") \
+        if tables else None
+
+
+def _collect(ds):
+    """``ds`` on the driver as one table (None when it has no rows).  A
+    lazy plan is materialized first: on a lazy Dataset Ray 2.49's
+    ``to_arrow_refs`` runs the plan, then runs it again under
+    ``limit(1)`` for its schema and cancels that run's in-flight tasks,
+    a cancel that can abort the core worker (``task_manager.cc``)."""
+    import ray
+    from ray.data.dataset import MaterializedDataset
+
+    if not isinstance(ds, MaterializedDataset):
+        ds = ds.materialize()
+    return _concat(ray.get(ds.to_arrow_refs()))
+
+
+def _ship(batch: pa.Table, on: list, side: int, cols=None,
+          distinct: bool = False) -> pa.Table:
+    """Bucketed route, map side: one block's ``cols`` (default: all) as
+    (bucket, side, Arrow IPC stream) rows, one per bucket the block
+    touches.  With ``distinct`` (a semi/anti right side, whose ``cols``
+    are its keys) the block ships each key once."""
+    if batch.num_columns and cols is not None:
+        batch = batch.select(cols)
+        if distinct:
+            batch = batch.group_by(cols, use_threads=False).aggregate([])
+    if not batch.num_rows:
+        return pa.table({_BUCKET: pa.array([], pa.int64()),
+                         _SIDE: pa.array([], pa.int8()),
+                         _BLOB: pa.array([], pa.large_binary())})
+    b = _key_bucket(batch, on)
+    order = np.argsort(b, kind="stable")
+    b = b[order]
+    batch = batch.take(pa.array(order))
+    starts = np.flatnonzero(np.r_[True, b[1:] != b[:-1]])
+    blobs = []
+    for s, e in zip(starts, np.r_[starts[1:], len(b)]):
+        sink = pa.BufferOutputStream()
+        with pa.ipc.new_stream(sink, batch.schema) as w:
+            w.write_table(batch.slice(s, e - s))
+        blobs.append(sink.getvalue().to_pybytes())
+    return pa.table({_BUCKET: pa.array(b[starts]),
+                     _SIDE: pa.array(np.full(len(starts), side, np.int8)),
+                     _BLOB: pa.array(blobs, pa.large_binary())})
+
+
+def _join_cell(group: pa.Table, on: list, right_on: list, how: str,
+               attach: dict) -> pa.Table:
+    """Bucketed route, reduce side: one bucket's left and right slices
+    joined by the broadcast route's probe."""
+    sides = ([], [])
+    blobs = group.column(_BLOB)
+    for i, s in enumerate(group.column(_SIDE).to_numpy(
+            zero_copy_only=False)):
+        sides[s].append(pa.ipc.open_stream(blobs[i].as_buffer()).read_all())
+    left = _concat(sides[0])
+    if left is None:
+        return pa.table({})
+    return _probe(left, _lut(_concat(sides[1]), right_on, attach,
+                             how in ("inner", "left")), on, how, attach)
+
+
+def join(left, right, on, *, how: str = "inner", attach=(),
+         right_on=None, right_rows: int | None = None,
+         broadcast_max_rows: int = BROADCAST_MAX_ROWS):
+    """``left`` joined to ``right`` on key column(s) ``on`` (named
+    ``right_on`` on the right, default the same names).
+
+    ``how``: ``inner`` and ``left`` add the ``attach`` columns of the
+    matching right row (a sequence of right column names, or a dict of
+    right name → output name); ``left`` keeps unmatched rows with nulls
+    there.  ``semi`` / ``anti`` keep the left rows with / without a
+    match and attach nothing.
+
+    ``right_rows`` is an upper bound on the right side's rows that costs
+    no execution, or None when there is none; at or under
+    ``broadcast_max_rows`` the join takes the broadcast route, else the
+    bucketed one (see the module docstring).  With
+    ``WEBTEXT_TRACE_ROUNDS`` set it prints one
+    ``[join] route=broadcast|bucketed rows=N gate=G`` line to stderr."""
+    on = [on] if isinstance(on, str) else list(on)
+    right_on = on if right_on is None else (
+        [right_on] if isinstance(right_on, str) else list(right_on))
+    attach = dict(attach) if isinstance(attach, dict) \
+        else {c: c for c in attach}
+    if how not in _HOWS:
+        raise ValueError(f"exchange.join: how={how!r} not in {_HOWS}")
+    if not on or len(on) != len(right_on):
+        raise ValueError("exchange.join: on and right_on must name the "
+                         "same number of key columns")
+    if attach and how in ("semi", "anti"):
+        raise ValueError(f"exchange.join: a {how} join attaches nothing")
+    broadcast = right_rows is not None and right_rows <= broadcast_max_rows
+    if os.environ.get("WEBTEXT_TRACE_ROUNDS"):
+        print(f"[join] route={'broadcast' if broadcast else 'bucketed'} "
+              f"rows={right_rows} gate={broadcast_max_rows}",
+              file=sys.stderr)
+    unique = how in ("inner", "left")
+    right_cols = list(dict.fromkeys(right_on + list(attach)))
+    if broadcast:
+        import ray
+
+        table = _collect(right)
+        ref = ray.put(_lut(None if table is None
+                           else table.select(right_cols),
+                           right_on, attach, unique))
+
+        def probe(batch: pa.Table, *, _ref=ref) -> pa.Table:
+            if not batch.num_columns:
+                return batch
+            return _probe(batch, ray.get(_ref), on, how, attach)
+
+        return left.map_batches(probe, batch_format="pyarrow",
+                                zero_copy_batch=True)
+    shipped = left.map_batches(
+        _ship, batch_format="pyarrow", zero_copy_batch=True,
+        fn_kwargs={"on": on, "side": 0}).union(
+        right.map_batches(
+            _ship, batch_format="pyarrow", zero_copy_batch=True,
+            fn_kwargs={"on": right_on, "side": 1, "cols": right_cols,
+                       "distinct": not unique}))
+    return shipped.groupby(_BUCKET).map_groups(
+        _join_cell, batch_format="pyarrow",
+        fn_kwargs={"on": on, "right_on": right_on, "how": how,
+                   "attach": attach})

@@ -24,10 +24,10 @@ import os
 import numpy as np
 import pyarrow as pa
 
-from ..exchange import _ibucket, aggregate  # module scope: worker code
-from .dedup import (_pair_bucket,            # is shipped by value and
-                    cc_survivors,            # cannot lazy-import webtext
-                    connected_components)
+# module scope: worker code is shipped by value and cannot lazy-import
+# webtext
+from ..exchange import _ibucket, aggregate, join
+from .dedup import cc_survivors, connected_components
 from .textstats import bm25_topk
 
 
@@ -367,122 +367,41 @@ def _candidate_pairs_in_cell(group: pa.Table) -> pa.Table:
         names=["left_id", "right_id"])
 
 
+def _unit_rows(batch: pa.Table) -> pa.Table:
+    """(vec_id, emb): each embedding scaled to unit length."""
+    mat = _matrix(batch)
+    norms = np.linalg.norm(mat, axis=1, keepdims=True)
+    norms[norms == 0] = 1.0
+    return pa.Table.from_arrays(
+        [batch.column("vec_id").cast(pa.int64()),
+         pa.array(list(mat / norms), pa.list_(pa.float64()))],
+        names=["vec_id", "emb"])
+
+
+def _pair_cosine(batch: pa.Table) -> pa.Table:
+    """(left_id, right_id, sim): the float64 dot product of each pair's
+    attached unit vectors."""
+    sims = np.einsum("ij,ij->i", _matrix(batch, "left_emb"),
+                     _matrix(batch, "right_emb"))
+    return pa.Table.from_arrays(
+        [batch.column("left_id").cast(pa.int64()),
+         batch.column("right_id").cast(pa.int64()),
+         pa.array(sims, pa.float64())],
+        names=["left_id", "right_id", "sim"])
+
+
 def _pair_cosine_join(pairs, ds):
-    """(left_id, right_id) ⋈ embeddings → (left_id, right_id, sim):
-    the bucketed join-by-groupby pattern (dedup._pair_text_join with an
-    embedding payload).  Every vector emits ONE embedding row and every
-    pair two stub rows, keyed by hash(member id); an in-bucket pass
-    attaches vectors to stubs; a second pair-keyed groupby reunites the
-    two sides and computes the normalized dot product in float64 —
-    embeddings ride exactly one all-to-all regardless of n_tables."""
-
-    def emb_emit(batch: pa.Table) -> pa.Table:
-        ids = batch.column("vec_id").cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        mat = _matrix(batch)
-        norms = np.linalg.norm(mat, axis=1, keepdims=True)
-        norms[norms == 0] = 1.0
-        mat = mat / norms
-        neg = pa.array(np.full(len(ids), -1, dtype=np.int64))
-        return pa.Table.from_arrays(
-            [pa.array(_ibucket(ids)), neg, neg, pa.array(ids),
-             pa.array(list(mat), pa.list_(pa.float64()))],
-            names=["key", "left_id", "right_id", "member", "emb"])
-
-    def pairs_emit(batch: pa.Table) -> pa.Table:
-        left = batch.column("left_id").cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        right = batch.column("right_id").cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        empty = pa.array([None] * len(left), pa.list_(pa.float64()))
-
-        def half(member):
-            return pa.Table.from_arrays(
-                [pa.array(_ibucket(member)), pa.array(left),
-                 pa.array(right), pa.array(member), empty],
-                names=["key", "left_id", "right_id", "member", "emb"])
-
-        return pa.concat_tables([half(left), half(right)])
-
-    def attach(group: pa.Table) -> pa.Table:
-        lids = group.column("left_id").to_numpy(zero_copy_only=False)
-        is_emb = lids == -1
-        emb_rows = group.filter(pa.array(is_emb))
-        emb_mat = _matrix(emb_rows, "emb")
-        emb_members = emb_rows.column("member") \
-            .to_numpy(zero_copy_only=False)
-        order = np.argsort(emb_members)
-        sorted_members = emb_members[order]
-        stubs = group.filter(pa.array(~is_emb))
-        want = stubs.column("member").to_numpy(zero_copy_only=False)
-        if len(sorted_members) == 0 or len(want) == 0:
-            keep = np.zeros(len(want), dtype=bool)
-            srows = np.zeros(len(want), dtype=np.int64)
-        else:
-            pos = np.clip(np.searchsorted(sorted_members, want),
-                          0, len(sorted_members) - 1)
-            keep = sorted_members[pos] == want
-            srows = order[pos]
-        stubs = stubs.filter(pa.array(keep))
-        if stubs.num_rows == 0:
-            return pa.Table.from_arrays(
-                [pa.array([], pa.int64()), pa.array([], pa.int64()),
-                 pa.array([], pa.int64()),
-                 pa.array([], pa.list_(pa.float64()))],
-                names=["left_id", "right_id", "member", "emb"])
-        picked = emb_mat[srows[keep]]
-        return pa.Table.from_arrays(
-            [stubs.column("left_id"), stubs.column("right_id"),
-             stubs.column("member"),
-             pa.array(list(picked), pa.list_(pa.float64()))],
-            names=["left_id", "right_id", "member", "emb"])
-
-    def add_pair_key(batch: pa.Table) -> pa.Table:
-        b = _pair_bucket(
-            batch.column("left_id").to_numpy(zero_copy_only=False),
-            batch.column("right_id").to_numpy(zero_copy_only=False))
-        return batch.append_column("key", pa.array(b))
-
-    def cosine(group: pa.Table) -> pa.Table:
-        lids = group.column("left_id").to_numpy(zero_copy_only=False)
-        rids = group.column("right_id").to_numpy(zero_copy_only=False)
-        members = group.column("member").to_numpy(zero_copy_only=False)
-        mat = _matrix(group, "emb")
-        is_left = (members == lids).astype(np.int8)
-        order = np.lexsort((1 - is_left, rids, lids))
-        lids, rids, mat = lids[order], rids[order], mat[order]
-        # rows now pair-adjacent: (left side, right side) per pair
-        n2 = len(lids)
-        if n2 % 2 or n2 == 0:
-            # incomplete pairs can only mean missing vectors; drop them
-            valid = np.ones(n2, dtype=bool)
-            k = 0
-            while k < n2 - 1:
-                if lids[k] == lids[k + 1] and rids[k] == rids[k + 1]:
-                    k += 2
-                    continue
-                valid[k] = False
-                k += 1
-            if k == n2 - 1:
-                valid[k] = False
-            lids, rids, mat = lids[valid], rids[valid], mat[valid]
-        a, b = mat[0::2], mat[1::2]
-        sims = np.einsum("ij,ij->i", a, b)
-        return pa.Table.from_arrays(
-            [pa.array(lids[0::2].astype(np.int64)),
-             pa.array(rids[0::2].astype(np.int64)),
-             pa.array(sims, pa.float64())],
-            names=["left_id", "right_id", "sim"])
-
-    u = ds.map_batches(emb_emit, batch_format="pyarrow",
-                       zero_copy_batch=True).union(
-        pairs.map_batches(pairs_emit, batch_format="pyarrow",
-                          zero_copy_batch=True))
-    joined = u.groupby("key").map_groups(attach, batch_format="pyarrow")
-    keyed = joined.map_batches(add_pair_key, batch_format="pyarrow",
-                               zero_copy_batch=True)
-    return keyed.groupby("key").map_groups(cosine,
-                                           batch_format="pyarrow")
+    """(left_id, right_id) ⋈ embeddings → (left_id, right_id, sim): both
+    members' unit vectors attached by ``exchange.join`` (bucketed: the
+    embeddings have no free row count here), then one map computes the
+    dot products.  A pair with a missing vector drops."""
+    units = ds.map_batches(_unit_rows, batch_format="pyarrow",
+                           zero_copy_batch=True)
+    for side in ("left", "right"):
+        pairs = join(pairs, units, f"{side}_id", right_on="vec_id",
+                     attach={"emb": f"{side}_emb"})
+    return pairs.map_batches(_pair_cosine, batch_format="pyarrow",
+                             zero_copy_batch=True)
 
 
 def _lsh_band_emb_fn(planes: np.ndarray):

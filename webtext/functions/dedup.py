@@ -9,9 +9,13 @@ here Ray-Data-first:
                       keys, then resolve winners; here the text column
                       itself is the key for oracle-exactness.
 * minhash_lsh_pairs — shingle → minhash → band → bucket groupby →
-                      candidate pairs → Jaccard verify.  The banding
-                      groupby is the only all-to-all exchange, and it
-                      ships (band, hash, id) triples, never documents.
+                      candidate pairs → deduped (exchange.aggregate) →
+                      both texts attached (exchange.join) → Jaccard in
+                      one map.  The banding exchange ships (band, hash,
+                      id) triples, never documents; the texts go out
+                      once as a broadcast LUT when the input is
+                      materialized and under TEXT_BROADCAST_MAX_BYTES,
+                      else they ride the join's bucketed exchange.
 * simhash           — 64-bit simhash per doc + banded duplicate pairs.
 * ngram_jaccard_pairs — word-set Jaccard of consecutive-id pairs, the
                       shuffle-join expressed as an emit-twice groupby
@@ -36,7 +40,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..exchange import N_SHUFFLE_BUCKETS, _ibucket, _sbucket, aggregate
+from ..exchange import (N_SHUFFLE_BUCKETS, _ibucket, _sbucket, aggregate,
+                        join)
 from ..sources.manifest import CommitManifest  # module scope: worker
 # code is shipped by value and cannot lazy-import webtext
 
@@ -155,102 +160,54 @@ def _cell_member_pairs(cell_keys, members: np.ndarray,
     return out
 
 
-def _pair_text_join(pairs, docs):
-    """(left_id, right_id) ⋈ (doc_id, text) without driver
-    materialization: the bucketed join-by-groupby pattern.  Every doc
-    emits one text row and every pair two stub rows, all keyed by
-    hash(member_id) % N_SHUFFLE_BUCKETS; one map_groups per bucket
-    attaches texts to stubs via an in-bucket dict.  Texts ride exactly
-    one all-to-all — never a broadcast side-table.  Output: (left_id,
-    right_id, side, text), two rows per pair (side 0 = left's text)."""
-
-    def docs_emit(batch: pa.Table) -> pa.Table:
-        ids = _col_i64(batch, "doc_id")
-        neg = pa.array(np.full(len(ids), -1, dtype=np.int64))
-        return pa.Table.from_arrays(
-            [pa.array(_ibucket(ids)), neg, neg, pa.array(ids),
-             batch.column("text")],
-            names=["key", "left_id", "right_id", "member", "text"])
-
-    def pairs_emit(batch: pa.Table) -> pa.Table:
-        left = _col_i64(batch, "left_id")
-        right = _col_i64(batch, "right_id")
-        empty = pa.array([""] * len(left), pa.string())
-
-        def half(member):
-            return pa.Table.from_arrays(
-                [pa.array(_ibucket(member)), pa.array(left),
-                 pa.array(right), pa.array(member), empty],
-                names=["key", "left_id", "right_id", "member", "text"])
-
-        return pa.concat_tables([half(left), half(right)])
-
-    def attach(group: pa.Table) -> pa.Table:
-        lids = group.column("left_id").to_pylist()
-        rids = group.column("right_id").to_pylist()
-        members = group.column("member").to_pylist()
-        texts = group.column("text").to_pylist()
-        by_id = {m: t for lid, m, t in zip(lids, members, texts)
-                 if lid == -1}
-        out_l, out_r, out_s, out_t = [], [], [], []
-        for lid, rid, m in zip(lids, rids, members):
-            if lid == -1 or m not in by_id:
-                continue
-            out_l.append(lid)
-            out_r.append(rid)
-            out_s.append(0 if m == lid else 1)
-            out_t.append(by_id[m])
-        return pa.Table.from_arrays(
-            [pa.array(out_l, pa.int64()), pa.array(out_r, pa.int64()),
-             pa.array(out_s, pa.int32()), pa.array(out_t, pa.string())],
-            names=["left_id", "right_id", "side", "text"])
-
-    u = docs.map_batches(docs_emit, batch_format="pyarrow",
-                         zero_copy_batch=True).union(
-        pairs.map_batches(pairs_emit, batch_format="pyarrow",
-                          zero_copy_batch=True))
-    return u.groupby("key").map_groups(attach, batch_format="pyarrow")
+# The verify's text LUT gate, in bytes: the ~64 MB of the 4M int64
+# (key, value) rows that tpch.DIM_BROADCAST_MAX_ROWS was sized for.
+TEXT_BROADCAST_MAX_BYTES = 64 << 20
 
 
-def _pair_bucket(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    return _ibucket(left * np.int64(1_000_003) + right)
+def _text_lut_rows(docs) -> int | None:
+    """The verify join's ``right_rows``: ``docs``' row count when it is
+    free and the texts fit TEXT_BROADCAST_MAX_BYTES — a materialized
+    Dataset knows both from its block metadata — else None (the
+    bucketed route)."""
+    from ray.data.dataset import MaterializedDataset
+
+    if isinstance(docs, MaterializedDataset) \
+            and docs.size_bytes() <= TEXT_BROADCAST_MAX_BYTES:
+        return docs.count()
+    return None
 
 
-def _jaccard_verify_pairs(pairs, docs, threshold: float):
-    """Verify candidate (left_id, right_id) pairs by word-set Jaccard ≥
-    threshold, texts joined distributively via _pair_text_join; the
-    verify shuffle is bucketed by hash(pair)."""
-    joined = _pair_text_join(pairs, docs)
+def _keep_similar(batch: pa.Table, threshold: float) -> pa.Table:
+    """The (left_id, right_id) pairs of a block whose texts have word
+    Jaccard ≥ threshold."""
+    if not batch.num_columns:
+        return batch
+    keep = []
+    for a, b in zip(batch.column("left_text").to_pylist(),
+                    batch.column("right_text").to_pylist()):
+        inter, union = word_jaccard(a, b)
+        keep.append(bool(union) and inter / union >= threshold)
+    return batch.filter(pa.array(keep, pa.bool_())) \
+        .select(["left_id", "right_id"])
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        b = _pair_bucket(_col_i64(batch, "left_id"),
-                         _col_i64(batch, "right_id"))
-        return batch.append_column("key", pa.array(b))
 
-    def verify(group: pa.Table) -> pa.Table:
-        lids = group.column("left_id").to_pylist()
-        rids = group.column("right_id").to_pylist()
-        sides = group.column("side").to_pylist()
-        texts = group.column("text").to_pylist()
-        halves: dict[tuple[int, int], list] = {}
-        for lid, rid, s, t in zip(lids, rids, sides, texts):
-            slot = halves.setdefault((lid, rid), [None, None])
-            slot[s] = t
-        keep_l, keep_r = [], []
-        for (lid, rid), (a, b) in sorted(halves.items()):
-            if a is None or b is None:
-                continue
-            inter, union = word_jaccard(a, b)
-            if union and inter / union >= threshold:
-                keep_l.append(lid)
-                keep_r.append(rid)
-        return pa.Table.from_arrays(
-            [pa.array(keep_l, pa.int64()), pa.array(keep_r, pa.int64())],
-            names=["left_id", "right_id"])
-
-    keyed = joined.map_batches(add_bucket, batch_format="pyarrow",
-                               zero_copy_batch=True)
-    return keyed.groupby("key").map_groups(verify, batch_format="pyarrow")
+def _jaccard_verify_pairs(pairs, docs, threshold: float, right_docs=None):
+    """Candidate (left_id, right_id) pairs kept where the word-set
+    Jaccard of their texts is ≥ threshold.  Candidates are deduped
+    first (``aggregate``); the left text comes from ``docs`` and the
+    right one from ``right_docs`` (default ``docs``), each attached by
+    ``exchange.join`` on its route (``_text_lut_rows``); one map then
+    scores the pairs."""
+    right_docs = docs if right_docs is None else right_docs
+    uniq = aggregate(pairs, ["left_id", "right_id"], ("count",))
+    for side, texts in (("left", docs), ("right", right_docs)):
+        uniq = join(uniq, texts, f"{side}_id", right_on="doc_id",
+                    attach={"text": f"{side}_text"},
+                    right_rows=_text_lut_rows(texts))
+    return uniq.map_batches(_keep_similar, batch_format="pyarrow",
+                            zero_copy_batch=True,
+                            fn_kwargs={"threshold": threshold})
 
 
 def band_table(ds):
@@ -264,16 +221,13 @@ def band_table(ds):
                           zero_copy_batch=True)
 
 
-def band_candidates(bands, dedupe: bool = True):
+def band_candidates(bands):
     """Candidate pairs from an LSH band table (doc_id, band_id,
     band_hash).  The banding groupby ships (band, hash, id) triples,
     never documents, and is bucketed by hash(band, band_hash) so
     map_groups runs once per bucket (constant fan-out) with an
-    in-bucket dict grouping the true (band_id, band_hash) cells.
-
-    ``dedupe=False`` skips the cross-band uniq aggregate (one whole
-    all-to-all): callers whose downstream stage already collapses
-    duplicate pairs (the verify join's per-pair dict) take that path."""
+    in-bucket dict grouping the true (band_id, band_hash) cells.  A
+    pair found in several bands repeats; the verify dedupes."""
 
     def add_bucket(batch: pa.Table) -> pa.Table:
         b = _ibucket(_col_i64(batch, "band_hash") * np.int64(31)
@@ -290,34 +244,20 @@ def band_candidates(bands, dedupe: bool = True):
 
     keyed = bands.map_batches(add_bucket, batch_format="pyarrow",
                               zero_copy_batch=True)
-    candidates = keyed.groupby("bucket").map_groups(
+    return keyed.groupby("bucket").map_groups(
         bucket_pairs, batch_format="pyarrow")
-    if not dedupe:
-        return candidates
-    # dedupe candidate pairs found in multiple bands
-    candidates = aggregate(candidates, ["left_id", "right_id"], ("count",))
-    return candidates.drop_columns(["count()"])
-
-
-def minhash_lsh_candidates(ds, dedupe: bool = True):
-    """Candidate pairs from MinHash+LSH banding over a (doc_id, text)
-    dataset — band inline, then ``band_candidates``."""
-    return band_candidates(band_table(ds), dedupe)
 
 
 def minhash_lsh_pairs(ds, threshold: float = 0.5):
-    """Confirmed near-dup pairs via MinHash+LSH banding.
-
-    Fully distributed: banding → bucket groupby → candidate pairs →
-    Jaccard verify, where the verify texts are shuffle-joined to the
-    candidates (``_pair_text_join``) instead of broadcasting a
-    driver-side {id: text} table (the round-1 scale-killer).  Cross-band
-    duplicate candidates are collapsed by the verify join itself (its
-    pair-keyed dict), so the standalone uniq aggregate is skipped — one
-    fewer all-to-all; duplicate stubs ride the join at worst BANDS
-    times per true pair."""
-    return _jaccard_verify_pairs(
-        minhash_lsh_candidates(ds, dedupe=False), ds, threshold)
+    """Confirmed near-dup pairs via MinHash+LSH banding over a (doc_id,
+    text) dataset: banding → bucket groupby → candidate pairs → Jaccard
+    verify (``_jaccard_verify_pairs``).  The banding exchange ships
+    (band, hash, id) triples, never documents.  When ``ds`` is
+    materialized and its texts fit TEXT_BROADCAST_MAX_BYTES, the verify
+    reads them from one broadcast LUT and runs as one map over the pair
+    blocks; otherwise the texts ride bucketed join exchanges."""
+    return _jaccard_verify_pairs(band_candidates(band_table(ds)), ds,
+                                 threshold)
 
 
 def exact_dedup(ds):
@@ -333,8 +273,8 @@ def exact_dedup_hashed(ds):
     """The 100 TB-shaped exact dedup: group on an md5 content
     fingerprint so the all-to-all ships 32-hex-byte keys instead of
     document payloads; winner = min doc_id per fingerprint.  Returns
-    (doc_id, fp) — payload resolution is a later pruned read or a
-    _pair_text_join against the survivor ids."""
+    (doc_id, fp) — payload resolution is a later pruned read or an
+    exchange.join against the survivor ids."""
     import hashlib
 
     def fp_batch(batch: pa.Table) -> pa.Table:
@@ -844,11 +784,15 @@ def dedup_apply(ds, threshold: float = 0.5,
     up from the last committed label state.
 
     Returns the surviving rows of ``ds`` with every column kept
-    (``cc_survivors``)."""
-    return cc_survivors(
-        ds, minhash_lsh_pairs(ds.select_columns(["doc_id", "text"]),
-                              threshold),
-        "doc_id", checkpoint_dir)
+    (``cc_survivors``).  A materialized ``ds`` is read as it is by the
+    banding, the verify's text LUT and the survivor filter; a lazy one
+    is read with its columns pruned to (doc_id, text) for the pairs."""
+    from ray.data.dataset import MaterializedDataset
+
+    docs = ds if isinstance(ds, MaterializedDataset) \
+        else ds.select_columns(["doc_id", "text"])
+    return cc_survivors(ds, minhash_lsh_pairs(docs, threshold), "doc_id",
+                        checkpoint_dir)
 
 
 def cc_survivors(ds, pairs, col: str, checkpoint_dir: str | None = None):
@@ -1218,9 +1162,10 @@ def prefix_filter_pairs(ds, threshold: float = 0.5, n_buckets: int = 256):
     (2) regroup by hash(doc) sorts each doc's tokens by (df, token)
     and keeps the prefix; (3) prefix postings regroup by hash(token),
     each cell emits length-filtered (min,max) id pairs; duplicates
-    across cells collapse inside _jaccard_verify_pairs' per-pair dict
-    (the band_candidates dedupe=False contract).  Nothing materializes
-    on the driver; a hot token is one larger cell, not a straggler."""
+    across cells collapse in the verify's pair aggregate.  Nothing
+    materializes on the driver (the lazy input keeps the verify on the
+    join's bucketed route); a hot token is one larger cell, not a
+    straggler."""
     import pandas as pd
     import pyarrow.compute as pc
 

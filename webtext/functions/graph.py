@@ -37,7 +37,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..exchange import N_SHUFFLE_BUCKETS, _ibucket, aggregate
+from ..exchange import N_SHUFFLE_BUCKETS, _ibucket, aggregate, join
 from .dedup import _col_i64
 
 PAGERANK_SCALE = 10**12        # fixed-point quantum: 1e-12 of total mass
@@ -1193,97 +1193,27 @@ def _edge_degrees(edges, n_buckets: int = N_SHUFFLE_BUCKETS):
         .materialize()
 
 
-def _edges_with_degrees(edges, deg, n_buckets: int, caller: str):
-    """(p1, p2, d1, d2): both endpoint degrees on every edge, ROUTED
-    (the ANN EXACT_MAX_ROWS pattern): the degree table is NODE-sized,
-    orders of magnitude below the edge table — up to
-    ``TRI_BROADCAST_MAX_NODES`` it broadcasts once via ray.put (two
-    exchange barriers saved); past the gate the plan switches (with a
-    warning) to two chained bucketed emit-union attaches, which never
-    broadcast."""
-    import ray
+def _edges_with_degrees(edges, deg, caller: str):
+    """(p1, p2, d1, d2): both endpoint degrees on every edge, by two
+    ``exchange.join`` attaches of the materialized (node, deg) table
+    (``_edge_degrees``), routed by its free row count: the degree table
+    is NODE-sized, orders of magnitude below the edge table, so up to
+    ``TRI_BROADCAST_MAX_NODES`` it broadcasts (no exchange); past the
+    gate both attaches take the bucketed route, with a warning."""
+    n_nodes = deg.count()
+    if n_nodes > TRI_BROADCAST_MAX_NODES:
+        import warnings
 
-    if deg.count() <= TRI_BROADCAST_MAX_NODES:
-        rows = deg.take_all()           # node-sized, gated above
-        nodes_s = np.array([r["node"] for r in rows], dtype=np.int64)
-        degs_s = np.array([r["deg"] for r in rows], dtype=np.int64)
-        order = np.argsort(nodes_s, kind="stable")
-        deg_ref = ray.put((nodes_s[order], degs_s[order]))
-
-        def lut_attach(batch: pa.Table, *, _ref=deg_ref) -> pa.Table:
-            lut = _ref if isinstance(_ref, tuple) else ray.get(_ref)
-            nodes, degs = lut
-            p1 = _col_i64(batch, "p1")
-            p2 = _col_i64(batch, "p2")
-            return pa.Table.from_arrays(
-                [pa.array(p1), pa.array(p2),
-                 pa.array(degs[np.searchsorted(nodes, p1)]),
-                 pa.array(degs[np.searchsorted(nodes, p2)])],
-                names=["p1", "p2", "d1", "d2"])
-
-        return edges.select_columns(["p1", "p2"]).map_batches(
-            lut_attach, batch_format="pyarrow", zero_copy_batch=True)
-
-    import warnings
-
-    warnings.warn(
-        f"{caller}: {deg.count()} nodes exceeds the broadcast gate "
-        f"({TRI_BROADCAST_MAX_NODES}); routing degree attach through "
-        "bucketed exchanges", stacklevel=2)
-
-    def _attach_deg(fact, key_col: str, out_col: str, carry: list):
-        """Emit-union attach of deg onto ``fact`` rows by ``key_col``
-        (inner: every edge endpoint has a degree row)."""
-        def fact_emit(batch: pa.Table) -> pa.Table:
-            k = _col_i64(batch, key_col)
-            cols = [pa.array(_ibucket(k, n_buckets)), pa.array(k),
-                    pa.array(np.full(len(k), -1, dtype=np.int64))]
-            names = ["key", "k", "d"]
-            for c in carry:
-                cols.append(batch.column(c))
-                names.append(c)
-            return pa.Table.from_arrays(cols, names=names)
-
-        def deg_emit(batch: pa.Table) -> pa.Table:
-            k = _col_i64(batch, "node")
-            d = _col_i64(batch, "deg")
-            cols = [pa.array(_ibucket(k, n_buckets)), pa.array(k),
-                    pa.array(d)]
-            names = ["key", "k", "d"]
-            for c in carry:
-                cols.append(pa.array(
-                    np.zeros(len(k), dtype=np.int64)))
-                names.append(c)
-            return pa.Table.from_arrays(cols, names=names)
-
-        def attach(group: pa.Table) -> pa.Table:
-            k = group.column("k").to_numpy(zero_copy_only=False)
-            d = group.column("d").to_numpy(zero_copy_only=False)
-            is_deg = d >= 0
-            dk, dv = k[is_deg], d[is_deg]
-            order = np.argsort(dk, kind="stable")
-            dk, dv = dk[order], dv[order]
-            kept = group.filter(pa.array(~is_deg))
-            fk = kept.column("k").to_numpy(zero_copy_only=False)
-            got = dv[np.searchsorted(dk, fk)]
-            cols = [pa.array(fk), pa.array(got)]
-            names = [key_col, out_col]
-            for c in carry:
-                cols.append(kept.column(c))
-                names.append(c)
-            return pa.Table.from_arrays(cols, names=names)
-
-        return fact.map_batches(fact_emit, batch_format="pyarrow",
-                                zero_copy_batch=True) \
-            .union(deg.map_batches(deg_emit, batch_format="pyarrow",
-                                   zero_copy_batch=True)) \
-            .groupby("key").map_groups(attach, batch_format="pyarrow")
-
-    with_d1 = _attach_deg(edges.select_columns(["p1", "p2"]),
-                          "p1", "d1", ["p2"])
-    return _attach_deg(with_d1, "p2", "d2", ["p1", "d1"]) \
-        .map_batches(lambda b: b.select(["p1", "p2", "d1", "d2"]),
-                     batch_format="pyarrow", zero_copy_batch=True)
+        warnings.warn(
+            f"{caller}: {n_nodes} nodes exceeds the broadcast gate "
+            f"({TRI_BROADCAST_MAX_NODES}); routing degree attach through "
+            "bucketed exchanges", stacklevel=2)
+    out = edges.select_columns(["p1", "p2"])
+    for end in ("1", "2"):
+        out = join(out, deg, f"p{end}", right_on="node",
+                   attach={"deg": f"d{end}"}, right_rows=n_nodes,
+                   broadcast_max_rows=TRI_BROADCAST_MAX_NODES)
+    return out
 
 
 def triangle_census(edges, n_buckets: int = N_SHUFFLE_BUCKETS,
@@ -1409,8 +1339,7 @@ def triangle_census(edges, n_buckets: int = N_SHUFFLE_BUCKETS,
              pa.array(dst)],
             names=["bucket", "src", "dst"])
 
-    oriented = _edges_with_degrees(
-        edges, deg, n_buckets, caller="triangle_census") \
+    oriented = _edges_with_degrees(edges, deg, caller="triangle_census") \
         .map_batches(orient, batch_format="pyarrow",
                      zero_copy_batch=True)
 
@@ -1542,8 +1471,7 @@ def degree_assortativity(edges, n_buckets: int = N_SHUFFLE_BUCKETS):
 
     edges = edges.materialize()     # consumed by degrees + the pass
     deg = _edge_degrees(edges, n_buckets)
-    ed = _edges_with_degrees(edges, deg, n_buckets,
-                             caller="degree_assortativity")
+    ed = _edges_with_degrees(edges, deg, caller="degree_assortativity")
 
     def partial(batch: pa.Table) -> pa.Table:
         d1 = _col_i64(batch, "d1")

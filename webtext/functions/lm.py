@@ -247,11 +247,7 @@ def dup_doc_filter(ds, n: int = 8, max_frac_pct: int = 50,
         flags.select_columns(["doc_id"]).map_batches(
             lambda b: b.rename_columns(["flag_doc"]),
             batch_format="pyarrow", zero_copy_batch=True),
-        "doc_id", "flag_doc", anti=True, n_buckets=n_buckets) \
-        .map_batches(lambda b: b.select(["doc_id"]),
-                     batch_format="pyarrow", zero_copy_batch=True)
-    # (projection guard — see incremental_near_dedup: schema inference
-    # on a lazy left can make semi_join pad extra null columns)
+        "doc_id", "flag_doc", anti=True)
     return kept_with_windows.union(short_docs)
 
 

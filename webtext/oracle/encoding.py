@@ -106,9 +106,16 @@ class PayloadDecoder:
             names=["doc_id", "text", "encoding", "enc_source"])
 
 
-def decode_documents(ds, concurrency: int = 4):
+def decode_documents(ds, concurrency=None):
     """E5 as a Ray stage: stateful actor pool, zero-copy Arrow in/out,
     no shuffle — at 100 TB this streams fragment-by-fragment like every
-    other map stage."""
+    other map stage.  By default the pool grows to one actor per
+    cluster CPU but one: a pool that takes every CPU leaves none for
+    the read feeding it, and the streaming executor stalls."""
+    if concurrency is None:
+        import ray
+
+        ncpu = int(ray.cluster_resources().get("CPU", 2))
+        concurrency = (1, max(1, ncpu - 1))
     return ds.map_batches(PayloadDecoder, batch_format="pyarrow",
                           zero_copy_batch=True, concurrency=concurrency)

@@ -22,7 +22,8 @@ import numpy as np
 import pyarrow as pa
 
 from ..exchange import aggregate
-from ..functions.dedup import dedup_apply
+from ..functions import dedup
+from ..sources.manifest import CommitManifest
 from .extract_pipeline import read_output
 
 
@@ -56,10 +57,24 @@ def dedup_extracted(extracted_dir: str, threshold: float = 0.5):
     (MinHash-LSH over the joined text spans) collapse to one
     representative.  Returns a Dataset of surviving (doc_id) strings:
     dedup_apply keys on the surrogate and carries the string id through
-    as a column, so no join back is needed."""
+    as a column, so no join back is needed.
+
+    The commit manifest's ``docs`` and ``n_chars_out`` totals bound the
+    kept rows and their text for free.  When the (doc_id, text) bytes
+    they allow fit ``dedup.TEXT_BROADCAST_MAX_BYTES``, the docs are
+    materialized once: banding, the verify's broadcast text LUT and the
+    survivor filter all read that copy instead of re-running the read
+    and ``_to_docs`` each."""
     docs = read_output(extracted_dir).map_batches(
         _to_docs, batch_format="pyarrow", zero_copy_batch=True)
-    return dedup_apply(docs, threshold).map_batches(
+    tot = CommitManifest(extracted_dir).totals()
+    # 16 B a row for the id and the text offset; ≤ 4 UTF-8 bytes a
+    # character, plus ≤ 1 for the newline joining it to the next span
+    # (kept text spans are never empty)
+    if 16 * tot["docs"] + 5 * tot["n_chars_out"] \
+            <= dedup.TEXT_BROADCAST_MAX_BYTES:
+        docs = docs.materialize()
+    return dedup.dedup_apply(docs, threshold).map_batches(
         lambda b: pa.Table.from_arrays([b.column("sid")],
                                        names=["doc_id"]),
         batch_format="pyarrow", zero_copy_batch=True)
@@ -202,9 +217,11 @@ def incremental_near_dedup(new_ds, hist_ds, threshold: float = 0.5,
     Scale shape: both sides band as usual (the shuffle ships (band,
     hash, id) triples); sides ride ENCODED member ids (2·doc_id+side)
     so cross-side candidate selection is a vectorized parity test after
-    the shared pair kernel; texts join once via the bucketed
-    _pair_text_join for the Jaccard verify; survivors come from one
-    bucketed anti join.  Nothing materializes on the driver."""
+    the shared pair kernel; the verify attaches the historical text
+    from ``hist_ds`` and the new one from ``new_ds`` through
+    ``exchange.join`` (bucketed, as neither side has a free row count);
+    survivors come from one bucketed anti join.  Nothing materializes
+    on the driver."""
     from ..functions.dedup import (_col_i64, _jaccard_verify_pairs,
                                    band_candidates, band_table)
     from .relational import semi_join
@@ -218,7 +235,7 @@ def incremental_near_dedup(new_ds, hist_ds, threshold: float = 0.5,
             zero_copy_batch=True))
     new_bands = band_table(new_ds.map_batches(
         _encode_side(1), batch_format="pyarrow", zero_copy_batch=True))
-    cand = band_candidates(hist_bands.union(new_bands), dedupe=False)
+    cand = band_candidates(hist_bands.union(new_bands))
 
     def cross_only(batch: pa.Table) -> pa.Table:
         """Keep hist↔new candidates; decode to (left=hist, right=new)
@@ -235,19 +252,12 @@ def incremental_near_dedup(new_ds, hist_ds, threshold: float = 0.5,
 
     pairs = cand.map_batches(cross_only, batch_format="pyarrow",
                              zero_copy_batch=True)
-    docs = hist_ds.select_columns(["doc_id", "text"]).union(
-        new_ds.select_columns(["doc_id", "text"]))
-    confirmed = _jaccard_verify_pairs(pairs, docs, threshold)
+    confirmed = _jaccard_verify_pairs(
+        pairs, hist_ds.select_columns(["doc_id", "text"]), threshold,
+        right_docs=new_ds.select_columns(["doc_id", "text"]))
     flagged = confirmed.map_batches(
         lambda b: pa.Table.from_arrays(
             [b.column("right_id").cast(pa.int64())], names=["flag_id"]),
         batch_format="pyarrow", zero_copy_batch=True)
-    survivors = semi_join(new_ds.select_columns(["doc_id"]), flagged,
-                          "doc_id", "flag_id", anti=True)
-    # schema guard: semi_join pads its right-side stub rows to the
-    # LEFT's inferred schema, and schema inference on a UDF-derived
-    # lazy left occasionally reports the pre-projection columns — a
-    # final explicit projection pins the output to (doc_id) always
-    return survivors.map_batches(
-        lambda b: b.select(["doc_id"]),
-        batch_format="pyarrow", zero_copy_batch=True)
+    return semi_join(new_ds.select_columns(["doc_id"]), flagged,
+                     "doc_id", "flag_id", anti=True)

@@ -16,8 +16,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..exchange import _ibucket, _sbucket, aggregate  # module scope: worker
-# code is shipped by value and cannot lazy-import webtext
+# module scope: worker code is shipped by value and cannot lazy-import
+# webtext
+from ..exchange import _ibucket, _sbucket, aggregate, join
 
 
 def topk_per_group(ds, group_col: str = "lang", order_col: str = "n_chars",
@@ -117,69 +118,15 @@ def failure_filter(ds, pattern: str = "slow"):
 
 
 def semi_join(left, right, left_key: str, right_key: str, *,
-              anti: bool = False, n_buckets: int = 256):
+              anti: bool = False):
     """Distributed semi join (``anti=False``: left rows whose key exists
-    in right) / anti join (``anti=True``: left rows whose key does not).
-
-    Scale shape: the right side is reduced to per-block DISTINCT keys
-    before the shuffle (combiner — the all-to-all ships each right key
-    at most once per block, never right rows); both sides hash-bucket by
-    key, and the in-bucket membership test is one ``pc.is_in`` — no
-    per-key Python groups, no broadcast of the right side.  Left rows
-    pass through with their full schema."""
-    import numpy as np
-
-    schema = left.schema()  # ray.data Schema: .names + Arrow .types
-    left_names = list(schema.names)
-    left_types = dict(zip(schema.names, schema.types))
-
-    def _bucket_of(arr: pa.ChunkedArray) -> np.ndarray:
-        if pa.types.is_string(arr.type) or pa.types.is_large_string(
-                arr.type):
-            return _sbucket(arr.to_pylist(), n_buckets)
-        return _ibucket(
-            arr.cast(pa.int64()).to_numpy(zero_copy_only=False),
-            n_buckets)
-
-    def left_emit(batch: pa.Table) -> pa.Table:
-        b = _bucket_of(batch.column(left_key))
-        return batch.append_column("__bucket", pa.array(b)) \
-                    .append_column("__side", pa.array(
-                        np.zeros(len(batch), dtype=np.int8)))
-
-    def right_emit(batch: pa.Table) -> pa.Table:
-        keys = pc.unique(batch.column(right_key).combine_chunks()
-                         if isinstance(batch.column(right_key),
-                                       pa.ChunkedArray)
-                         else batch.column(right_key))
-        keys = keys.cast(left_types[left_key])
-        n = len(keys)
-        cols = [keys if name == left_key
-                else pa.nulls(n, left_types[name])
-                for name in left_names]
-        t = pa.Table.from_arrays(cols, names=left_names)
-        return t.append_column(
-            "__bucket", pa.array(_bucket_of(pa.chunked_array([keys])))) \
-            .append_column("__side",
-                           pa.array(np.ones(n, dtype=np.int8)))
-
-    def membership(group: pa.Table) -> pa.Table:
-        is_left = pc.equal(group.column("__side"), 0)
-        lt = group.filter(is_left)
-        rkeys = group.filter(pc.invert(is_left)).column(left_key)
-        mask = pc.is_in(lt.column(left_key),
-                        value_set=rkeys.combine_chunks())
-        if anti:
-            mask = pc.invert(mask)
-        return lt.filter(mask).drop_columns(["__bucket", "__side"])
-
-    u = left.map_batches(left_emit, batch_format="pyarrow",
-                         zero_copy_batch=True).union(
-        right.select_columns([right_key])
-        .map_batches(right_emit, batch_format="pyarrow",
-                     zero_copy_batch=True))
-    return u.groupby("__bucket").map_groups(membership,
-                                            batch_format="pyarrow")
+    in right) / anti join (``anti=True``: left rows whose key does not),
+    on ``exchange.join``'s bucketed route: the right side ships per-block
+    DISTINCT keys (never right rows), and each bucket's membership test
+    is one vectorized probe.  Left rows pass through with their full
+    schema; null keys never match."""
+    return join(left, right, left_key, right_on=right_key,
+                how="anti" if anti else "semi")
 
 
 def group_quantiles(ds, group_col: str = "event_type",

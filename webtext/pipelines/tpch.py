@@ -26,7 +26,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..exchange import _ibucket, aggregate  # module scope: worker
+from ..exchange import _ibucket, aggregate, join  # module scope: worker
 # code is shipped by value and cannot lazy-import webtext
 
 
@@ -774,155 +774,75 @@ def brand_volume(lineitem, part):
         zero_copy_batch=True)
 
 
+# routed-attach gate: a dimension side of ≤ this many rows broadcasts
+# once as a sorted LUT (≤ ~64 MB of int64 (key, value) via ray.put,
+# one copy per node, read zero-copy in every task); a larger side rides
+# the bucketed exchange.  At every tested sf the TPC-H dimension tables
+# (nation/supplier/customer/part/orders) fit the gate, while a 100-TB
+# orders or customer table routes to the shuffle plan automatically.
+# Both routes are inner joins over unique dim keys, pinned
+# row-identical by test.
+DIM_BROADCAST_MAX_ROWS = 4_000_000
+
+
+def _attach_routed_multi(fact, dim, key_col: str,
+                         attach_cols: tuple[str, ...],
+                         carry_cols: tuple[str, ...],
+                         n_dim_rows: int | None):
+    """Dimension attach (inner join) on ``exchange.join``: fact rows
+    (key, *carry) pick up every column in ``attach_cols`` from the dim
+    row with their key; unmatched fact rows drop, and a duplicate dim
+    key raises.  The output is (*attach_cols, *carry_cols), all int64.
+
+    ``n_dim_rows`` routes it: at or under ``DIM_BROADCAST_MAX_ROWS``
+    (read now) the dim is collected once and broadcast as a sorted LUT,
+    with no exchange; above it, or None, one bucketed exchange runs.
+    CONTRACT: compute it on the SOURCE read (e.g. ``orders.count()``
+    straight off read_parquet, where Ray answers from parquet
+    metadata).  Counting a derived/filtered dataset instead would
+    execute its plan once for the count and again for the collect —
+    pass the upstream count, or the known cardinality, in that case."""
+    out_names = list(attach_cols) + list(carry_cols)
+
+    def project(batch: pa.Table) -> pa.Table:
+        if not batch.num_columns:
+            return pa.table({c: pa.array([], pa.int64())
+                             for c in out_names})
+        return pa.Table.from_arrays(
+            [batch.column(c).cast(pa.int64()) for c in out_names],
+            names=out_names)
+
+    return join(fact.select_columns(list(dict.fromkeys(
+                    [key_col, *carry_cols]))),
+                dim, key_col, attach=attach_cols, right_rows=n_dim_rows,
+                broadcast_max_rows=DIM_BROADCAST_MAX_ROWS) \
+        .map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
+
+
 def _bucket_attach_multi(fact, dim, key_col: str,
                          attach_cols: tuple[str, ...],
                          carry_cols: tuple[str, ...]):
-    """Generic bucketed dimension attach (inner join): fact rows
-    (key, *carry int64) pick up every column in ``attach_cols`` from
-    dim rows (key, *attach int64) inside hash(key) % 256 buckets — the
-    repeated join primitive of the deep-join pipelines.  Unmatched fact
-    rows drop (inner semantics); dim keys are unique by contract."""
-
-    def fact_emit(batch: pa.Table) -> pa.Table:
-        k = batch.column(key_col).cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        zeros = pa.array(np.zeros(len(k), dtype=np.int64))
-        cols = [pa.array(_ibucket(k)), pa.array(k), zeros]
-        names = ["bucket", "key", "is_dim"]
-        for a in attach_cols:
-            cols.append(zeros)
-            names.append(a)
-        for c in carry_cols:
-            cols.append(batch.column(c).cast(pa.int64()))
-            names.append(c)
-        return pa.Table.from_arrays(cols, names=names)
-
-    def dim_emit(batch: pa.Table) -> pa.Table:
-        k = batch.column(key_col).cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        ones = pa.array(np.ones(len(k), dtype=np.int64))
-        cols = [pa.array(_ibucket(k)), pa.array(k), ones]
-        names = ["bucket", "key", "is_dim"]
-        for a in attach_cols:
-            cols.append(batch.column(a).cast(pa.int64()))
-            names.append(a)
-        zeros = pa.array(np.zeros(len(k), dtype=np.int64))
-        for c in carry_cols:
-            cols.append(zeros)
-            names.append(c)
-        return pa.Table.from_arrays(cols, names=names)
-
-    def join(group: pa.Table) -> pa.Table:
-        is_dim = group.column("is_dim").to_numpy(
-            zero_copy_only=False).astype(bool)
-        k = group.column("key").to_numpy(zero_copy_only=False)
-        dk = k[is_dim]
-        order = np.argsort(dk)
-        dk = dk[order]
-        fk = k[~is_dim]
-        out_names = list(attach_cols) + list(carry_cols)
-        if len(dk) == 0 or len(fk) == 0:
-            return pa.Table.from_arrays(
-                [pa.array([], pa.int64()) for _ in out_names],
-                names=out_names)
-        pos = np.clip(np.searchsorted(dk, fk), 0, len(dk) - 1)
-        hit = dk[pos] == fk
-        cols = []
-        for a in attach_cols:
-            da = group.column(a).to_numpy(
-                zero_copy_only=False)[is_dim][order]
-            cols.append(pa.array(da[pos[hit]]))
-        for c in carry_cols:
-            cols.append(pa.array(group.column(c).to_numpy(
-                zero_copy_only=False)[~is_dim][hit]))
-        return pa.Table.from_arrays(cols, names=out_names)
-
-    u = fact.map_batches(fact_emit, batch_format="pyarrow",
-                         zero_copy_batch=True).union(
-        dim.map_batches(dim_emit, batch_format="pyarrow",
-                        zero_copy_batch=True))
-    return u.groupby("bucket").map_groups(join, batch_format="pyarrow")
+    """`_attach_routed_multi` on the bucketed route, for a corpus-sized
+    dimension."""
+    return _attach_routed_multi(fact, dim, key_col, attach_cols,
+                                carry_cols, None)
 
 
 def _bucket_attach(fact, dim, key_col: str, attach_col: str,
                    carry_cols: tuple[str, ...]):
-    """Single-attach-column convenience wrapper over
-    `_bucket_attach_multi` (the historical interface every deep-join
-    pipeline here uses)."""
-    return _bucket_attach_multi(fact, dim, key_col, (attach_col,),
-                                carry_cols)
-
-
-# routed-attach gate: a dimension side of ≤ this many rows broadcasts
-# once as a sorted (key, value) int64 LUT (≤ ~64 MB via ray.put, one
-# copy per node, read zero-copy in every task); a larger side rides
-# the bucketed emit-union attach.  The `_edges_with_degrees` /
-# ref_integrity routing posture: at every tested sf the TPC-H
-# dimension tables (nation/supplier/customer/part/orders) fit the
-# gate, while a 100-TB orders or customer table routes to the shuffle
-# plan automatically.  Both paths are inner joins over unique dim
-# keys, pinned row-identical by test.
-DIM_BROADCAST_MAX_ROWS = 4_000_000
+    """Single-attach-column `_bucket_attach_multi`."""
+    return _attach_routed_multi(fact, dim, key_col, (attach_col,),
+                                carry_cols, None)
 
 
 def _attach_routed(fact, dim, key_col: str, attach_col: str,
                    carry_cols: tuple[str, ...], n_dim_rows: int):
-    """Routed dimension attach (round-5): the caller passes the RAW
-    dimension row count (a metadata-only Dataset.count on the source
-    read); under ``DIM_BROADCAST_MAX_ROWS`` the (possibly filtered /
-    derived) ``dim`` dataset is collected once, sorted, ray.put and
-    joined in-block with zero exchange — above it, the plan falls back
-    to `_bucket_attach` unchanged.  This is what turned the Q5/Q7/Q8/
-    Q9 deep-join chains from 3-4 sort shuffles each into one (or
-    zero) at bench scales without giving up the shuffle plan at
-    100 TB.
-
-    CONTRACT on ``n_dim_rows``: compute it on the SOURCE read (e.g.
-    ``orders.count()`` straight off read_parquet, where Ray answers
-    from parquet metadata).  Counting a derived/filtered dataset
-    instead would execute its plan once for the count and again for
-    the collect — pass the upstream count, or the known cardinality,
-    in that case."""
-    if n_dim_rows > DIM_BROADCAST_MAX_ROWS:
-        return _bucket_attach(fact, dim, key_col, attach_col,
-                              carry_cols)
-    import ray
-
-    # an empty filtered dimension has only zero-column blocks: seed the
-    # typed empty table so the join comes out empty instead of raising
-    dt = pa.concat_tables([b for b in ray.get(dim.to_arrow_refs())
-                           if b.num_columns] or [pa.table(
-                               {key_col: pa.array([], pa.int64()),
-                                attach_col: pa.array([], pa.int64())})])
-    dk = dt.column(key_col).cast(pa.int64()) \
-        .to_numpy(zero_copy_only=False)
-    dv = dt.column(attach_col).cast(pa.int64()) \
-        .to_numpy(zero_copy_only=False)
-    order = np.argsort(dk, kind="stable")
-    ref = ray.put((np.ascontiguousarray(dk[order]),
-                   np.ascontiguousarray(dv[order])))
-    out_names = [attach_col] + list(carry_cols)
-
-    def lut_join(batch: pa.Table, *, _ref=ref) -> pa.Table:
-        lut = _ref if isinstance(_ref, tuple) else ray.get(_ref)
-        sk, sv = lut
-        fk = batch.column(key_col).cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        if len(sk) == 0 or len(fk) == 0:
-            return pa.Table.from_arrays(
-                [pa.array([], pa.int64()) for _ in out_names],
-                names=out_names)
-        pos = np.clip(np.searchsorted(sk, fk), 0, len(sk) - 1)
-        hit = sk[pos] == fk
-        hit_arr = pa.array(hit)
-        cols = [pa.array(sv[pos[hit]])]
-        for c in carry_cols:
-            cols.append(batch.column(c).cast(pa.int64())
-                        .filter(hit_arr))
-        return pa.Table.from_arrays(cols, names=out_names)
-
-    return fact.map_batches(lut_join, batch_format="pyarrow",
-                            zero_copy_batch=True)
+    """Single-attach-column `_attach_routed_multi` — what turned the
+    Q5/Q7/Q8/Q9 deep-join chains from 3-4 sort shuffles each into one
+    (or zero) at bench scales without giving up the shuffle plan at
+    100 TB."""
+    return _attach_routed_multi(fact, dim, key_col, (attach_col,),
+                                carry_cols, n_dim_rows)
 
 
 def local_supplier_volume(customer, orders, lineitem, supplier, nation):

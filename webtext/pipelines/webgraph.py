@@ -56,7 +56,8 @@ import re
 import numpy as np
 import pyarrow as pa
 
-from ..exchange import N_SHUFFLE_BUCKETS, _ibucket, _sbucket, aggregate
+from ..exchange import (N_SHUFFLE_BUCKETS, _ibucket, _sbucket, aggregate,
+                        join)
 from ..functions.dedup import _col_i64
 
 # href must sit before the closing '>' of the same <a ...> tag
@@ -650,66 +651,14 @@ def host_coupling(links, n_buckets: int = N_SHUFFLE_BUCKETS):
             size_partial, batch_format="pyarrow"),
         "host", ("sum", "n_targets")) \
         .map_batches(lambda b: b.rename_columns(["host", "n_targets"]),
-                     batch_format="pyarrow", zero_copy_batch=True)
-
-    def _attach_size(fact, key_col: str, out_col: str, carry: list):
-        """Emit-union attach of a host's target-set size onto pair
-        rows (inner: every pair host has a size row)."""
-        def fact_emit(batch: pa.Table) -> pa.Table:
-            k = batch.column(key_col).to_pylist()
-            cols = [pa.array(_sbucket(k, n_buckets)),
-                    pa.array(k, pa.string()),
-                    pa.array(np.full(len(k), -1, dtype=np.int64))]
-            names = ["key", "k", "sz"]
-            for col in carry:
-                cols.append(batch.column(col))
-                names.append(col)
-            return pa.Table.from_arrays(cols, names=names)
-
-        def size_emit(batch: pa.Table) -> pa.Table:
-            k = batch.column("host").to_pylist()
-            cols = [pa.array(_sbucket(k, n_buckets)),
-                    pa.array(k, pa.string()),
-                    batch.column("n_targets").cast(pa.int64())]
-            names = ["key", "k", "sz"]
-            for col in carry:
-                if col in ("host1", "host2"):
-                    cols.append(pa.array([""] * len(k), pa.string()))
-                else:
-                    cols.append(pa.array(
-                        np.zeros(len(k), dtype=np.int64)))
-                names.append(col)
-            return pa.Table.from_arrays(cols, names=names)
-
-        def attach(group: pa.Table) -> pa.Table:
-            k = np.asarray(group.column("k").to_pylist(), dtype=object)
-            sz = group.column("sz").to_numpy(zero_copy_only=False)
-            is_size = sz >= 0
-            dk = k[is_size]
-            dv = sz[is_size]
-            order = np.argsort(dk, kind="stable")
-            dk, dv = dk[order], dv[order]
-            kept = group.filter(pa.array(~is_size))
-            fk = np.asarray(kept.column("k").to_pylist(), dtype=object)
-            got = dv[np.searchsorted(dk, fk)] if len(fk) else \
-                np.zeros(0, dtype=np.int64)
-            cols = [pa.array(fk.tolist(), pa.string()), pa.array(got)]
-            names = [key_col, out_col]
-            for col in carry:
-                cols.append(kept.column(col))
-                names.append(col)
-            return pa.Table.from_arrays(cols, names=names)
-
-        return fact.map_batches(fact_emit, batch_format="pyarrow",
-                                zero_copy_batch=True) \
-            .union(sizes.map_batches(size_emit, batch_format="pyarrow",
-                                     zero_copy_batch=True)) \
-            .groupby("key").map_groups(attach, batch_format="pyarrow")
-
-    sizes = sizes.materialize()     # consumed by both attaches
-    with_s1 = _attach_size(inter, "host1", "s1", ["host2", "inter"])
-    with_s2 = _attach_size(with_s1, "host2", "s2",
-                           ["host1", "s1", "inter"])
+                     batch_format="pyarrow", zero_copy_batch=True) \
+        .materialize()              # consumed by both attaches
+    # host-sized with no byte bound on the host strings: both attaches
+    # stay on the bucketed route
+    with_s2 = inter
+    for end in ("1", "2"):
+        with_s2 = join(with_s2, sizes, f"host{end}", right_on="host",
+                       attach={"n_targets": f"s{end}"})
 
     def finish(batch: pa.Table) -> pa.Table:
         inter_ = _col_i64(batch, "inter")
