@@ -76,31 +76,27 @@ def test_decode_documents_stage(ray_session):
     assert out["c"]["enc_source"] == "header"
 
 
-def test_decode_documents_default_pool_leaves_a_cpu(ray_session, tmp_path):
+def test_decode_documents_default_pool_leaves_a_cpu(ray_session):
     """With default arguments on the 4-CPU test session the decoder
-    pool must not take every CPU: the read tasks feeding it need one,
-    and a full-width pool stalls the streaming executor."""
+    pool must not take every CPU: the read feeding it needs one.  The
+    ``decode_bytes`` query (read → encode+decode actors → project)
+    stalled with a fixed 4-actor pool."""
     import concurrent.futures
+    import pathlib
+    import sys
 
-    import pyarrow.parquet as pq
     import ray
-    import ray.data
 
     assert int(ray.cluster_resources().get("CPU", 0)) == 4
-    for i in range(8):
-        pq.write_table(pa.table({
-            "doc_id": [f"d{i}-{j}" for j in range(20)],
-            "raw": pa.array([f"text {i} {j}".encode() for j in range(20)],
-                            pa.binary()),
-            "content_type": ["text/html; charset=utf-8"] * 20}),
-            str(tmp_path / f"part{i}.parquet"))
-    ds = ray.data.read_parquet(str(tmp_path)).map_batches(
-        lambda b: b, batch_format="pyarrow")
+    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]))
+    import __ray_entry__
+
+    query = __ray_entry__.queries()["decode_bytes"]
     pool = concurrent.futures.ThreadPoolExecutor(1)
     try:
         rows = pool.submit(
-            lambda: enc.decode_documents(ds).take_all()).result(timeout=180)
+            lambda: query("/root/testdata/sf0.001").take_all()).result(
+                timeout=180)
     finally:
         pool.shutdown(wait=False)
-    assert sorted(r["text"] for r in rows) == sorted(
-        f"text {i} {j}" for i in range(8) for j in range(20))
+    assert len(rows) == 500

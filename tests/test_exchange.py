@@ -1,5 +1,6 @@
 """``webtext.exchange.aggregate`` against Ray Data's native keyed
-aggregates, and the pin that keeps the package on it."""
+aggregates, ``webtext.exchange.join`` against Arrow's hash join on both
+routes, and the pins that keep the package on them."""
 
 from __future__ import annotations
 
@@ -312,8 +313,10 @@ def test_join_empty_sides_and_schemaless_blocks(ray_session, route):
     gate = 10 if route == "broadcast" else 0
     lt = pa.table({"k": pa.array([1, 2, 3], pa.int64()), "v": [1, 2, 3]})
     rt = pa.table({"k": pa.array([2, 3], pa.int64()), "a": [20, 30]})
-    sparse = lambda t: ray.data.from_arrow(t).repartition(8).materialize()  # noqa: E731
     empty = ray.data.from_arrow(lt).filter(expr="k < 0")
+
+    def sparse(t: pa.Table):
+        return ray.data.from_arrow(t).repartition(8).materialize()
 
     def run(left, right, how, attach=()):
         return sorted(tuple(r.values()) for r in join(

@@ -398,14 +398,10 @@ def join(left, right, on, *, how: str = "inner", attach=(),
               f"rows={right_rows} gate={broadcast_max_rows}",
               file=sys.stderr)
     unique = how in ("inner", "left")
-    right_cols = list(dict.fromkeys(right_on + list(attach)))
     if broadcast:
         import ray
 
-        table = _collect(right)
-        ref = ray.put(_lut(None if table is None
-                           else table.select(right_cols),
-                           right_on, attach, unique))
+        ref = ray.put(_lut(_collect(right), right_on, attach, unique))
 
         def probe(batch: pa.Table, *, _ref=ref) -> pa.Table:
             if not batch.num_columns:
@@ -419,7 +415,8 @@ def join(left, right, on, *, how: str = "inner", attach=(),
         fn_kwargs={"on": on, "side": 0}).union(
         right.map_batches(
             _ship, batch_format="pyarrow", zero_copy_batch=True,
-            fn_kwargs={"on": right_on, "side": 1, "cols": right_cols,
+            fn_kwargs={"on": right_on, "side": 1,
+                       "cols": list(dict.fromkeys(right_on + list(attach))),
                        "distinct": not unique}))
     return shipped.groupby(_BUCKET).map_groups(
         _join_cell, batch_format="pyarrow",

@@ -220,7 +220,7 @@ def supplier_shipments(lineitem, supplier):
     """(s_suppkey, s_name, n_lines, sum_qty) — per-supplier shipped
     volume: lineitem pre-aggregated per batch (combiner), summed with
     one small groupby, supplier names attached via the bucketed
-    emit-union join (the _bucket_attach shape with a string payload).
+    emit-union join (the _attach_routed shape with a string payload).
 
     Unlike nation/region (constant 25/5 rows at every TPC-H scale,
     broadcast-safe), supplier is sf-PROPORTIONAL (10k·sf rows): at
@@ -785,23 +785,27 @@ def brand_volume(lineitem, part):
 DIM_BROADCAST_MAX_ROWS = 4_000_000
 
 
-def _attach_routed_multi(fact, dim, key_col: str,
-                         attach_cols: tuple[str, ...],
-                         carry_cols: tuple[str, ...],
-                         n_dim_rows: int | None):
+def _attach_routed(fact, dim, key_col: str, attach_cols,
+                   carry_cols: tuple[str, ...],
+                   n_dim_rows: int | None = None):
     """Dimension attach (inner join) on ``exchange.join``: fact rows
-    (key, *carry) pick up every column in ``attach_cols`` from the dim
-    row with their key; unmatched fact rows drop, and a duplicate dim
-    key raises.  The output is (*attach_cols, *carry_cols), all int64.
+    (key, *carry) pick up ``attach_cols`` (one name or a tuple) from the
+    dim row with their key; unmatched fact rows drop, and a duplicate
+    dim key raises.  The output is (*attach_cols, *carry_cols), all
+    int64.
 
     ``n_dim_rows`` routes it: at or under ``DIM_BROADCAST_MAX_ROWS``
     (read now) the dim is collected once and broadcast as a sorted LUT,
-    with no exchange; above it, or None, one bucketed exchange runs.
+    with no exchange — what turned the Q5/Q7/Q8/Q9 deep-join chains
+    from 3-4 sort shuffles each into one (or zero) at bench scales;
+    above it, or None (a corpus-sized dim), one bucketed exchange runs.
     CONTRACT: compute it on the SOURCE read (e.g. ``orders.count()``
     straight off read_parquet, where Ray answers from parquet
     metadata).  Counting a derived/filtered dataset instead would
     execute its plan once for the count and again for the collect —
     pass the upstream count, or the known cardinality, in that case."""
+    attach_cols = (attach_cols,) if isinstance(attach_cols, str) \
+        else tuple(attach_cols)
     out_names = list(attach_cols) + list(carry_cols)
 
     def project(batch: pa.Table) -> pa.Table:
@@ -817,32 +821,6 @@ def _attach_routed_multi(fact, dim, key_col: str,
                 dim, key_col, attach=attach_cols, right_rows=n_dim_rows,
                 broadcast_max_rows=DIM_BROADCAST_MAX_ROWS) \
         .map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def _bucket_attach_multi(fact, dim, key_col: str,
-                         attach_cols: tuple[str, ...],
-                         carry_cols: tuple[str, ...]):
-    """`_attach_routed_multi` on the bucketed route, for a corpus-sized
-    dimension."""
-    return _attach_routed_multi(fact, dim, key_col, attach_cols,
-                                carry_cols, None)
-
-
-def _bucket_attach(fact, dim, key_col: str, attach_col: str,
-                   carry_cols: tuple[str, ...]):
-    """Single-attach-column `_bucket_attach_multi`."""
-    return _attach_routed_multi(fact, dim, key_col, (attach_col,),
-                                carry_cols, None)
-
-
-def _attach_routed(fact, dim, key_col: str, attach_col: str,
-                   carry_cols: tuple[str, ...], n_dim_rows: int):
-    """Single-attach-column `_attach_routed_multi` — what turned the
-    Q5/Q7/Q8/Q9 deep-join chains from 3-4 sort shuffles each into one
-    (or zero) at bench scales without giving up the shuffle plan at
-    100 TB."""
-    return _attach_routed_multi(fact, dim, key_col, (attach_col,),
-                                carry_cols, n_dim_rows)
 
 
 def local_supplier_volume(customer, orders, lineitem, supplier, nation):
@@ -1148,11 +1126,11 @@ def returned_item_report(customer, orders, lineitem, nation,
     1. lineitem pre-aggregates returned-line revenue per (batch,
        orderkey) — the combiner bounds the first exchange;
     2. revenue partials pick up o_custkey through the generic
-       `_bucket_attach` on hash(orderkey) % 256 (orders filtered to
+       bucketed `_attach_routed` on hash(orderkey) % 256 (orders filtered to
        the quarter; inner semantics drop out-of-window revenue);
     3. one sum aggregate by custkey;
     4. per-customer totals pick up c_nationkey through a second
-       `_bucket_attach` on hash(custkey) % 256 — customer is
+       bucketed `_attach_routed` on hash(custkey) % 256 — customer is
        sf-proportional, so it rides the shuffle, never ray.put;
     5. nation names (constant 25 rows) broadcast; top-k is the usual
        per-block partial + single-block final."""
@@ -1181,7 +1159,7 @@ def returned_item_report(customer, orders, lineitem, nation,
         od = batch.column("o_orderdate").cast(pa.timestamp("us")) \
             .cast(pa.int64()).to_numpy(zero_copy_only=False)
         keep = (od >= lo) & (od < hi)
-        # key column renamed to the fact side's name (_bucket_attach
+        # key column renamed to the fact side's name (_attach_routed
         # uses ONE key_col for both sides)
         return batch.filter(pa.array(keep)).select(
             ["o_orderkey", "o_custkey"]) \
@@ -1194,16 +1172,16 @@ def returned_item_report(customer, orders, lineitem, nation,
     in_window = orders.select_columns(
         ["o_orderkey", "o_custkey", "o_orderdate"]).map_batches(
         orders_window, batch_format="pyarrow", zero_copy_batch=True)
-    with_cust = _bucket_attach(rev_parts, in_window, "l_orderkey",
+    with_cust = _attach_routed(rev_parts, in_window, "l_orderkey",
                                "o_custkey", ("rev",))
     per_cust = aggregate(with_cust, "o_custkey",
                          ("sum", "rev")).map_batches(
         lambda b: b.rename_columns(["c_custkey", "rev"]).append_column(
             "ckey", b.column(0).cast(pa.int64())),
         batch_format="pyarrow", zero_copy_batch=True)
-    # _bucket_attach keeps only (attach, carry) — the custkey rides as
+    # _attach_routed keeps only (attach, carry) — the custkey rides as
     # an explicit carry copy
-    with_nat = _bucket_attach(
+    with_nat = _attach_routed(
         per_cust, customer.select_columns(["c_custkey", "c_nationkey"]),
         "c_custkey", "c_nationkey", ("rev", "ckey"))
 
@@ -1309,7 +1287,7 @@ def promo_revenue(lineitem, part, date_from: str = "2000-09-01",
     Scale shape: lineitem pre-aggregates revenue per (batch, partkey)
     — the combiner bounds the exchange to one row per distinct partkey
     per batch — then picks up the is-promo flag from part via the
-    bucketed `_bucket_attach` (part is corpus-sized at real scale:
+    bucketed `_attach_routed` (part is corpus-sized at real scale:
     NEVER broadcast), and the flagged partials collapse through a
     second one-row-per-batch combiner."""
     lo = np.datetime64(date_from, "us").astype(np.int64)
@@ -1338,7 +1316,7 @@ def promo_revenue(lineitem, part, date_from: str = "2000-09-01",
             [batch.column("p_partkey").cast(pa.int64()), promo],
             names=["l_partkey", "is_promo"])
 
-    flagged = _bucket_attach(
+    flagged = _attach_routed(
         lineitem.select_columns(
             ["l_partkey", "l_extendedprice", "l_discount",
              "l_shipdate"]).map_batches(
@@ -1384,7 +1362,7 @@ def large_volume_orders(orders, lineitem, min_total_qty: int = 150):
     aggregate(okey).sum totals them, and only the surviving heavy orders
     (a tiny fraction of all orders at any scale) enter the bucketed
     attach that picks up (o_custkey, o_orderdate) from the orders
-    table via `_bucket_attach_multi` — orders is corpus-sized, so it
+    table via bucketed `_attach_routed` — orders is corpus-sized, so it
     rides the hash(orderkey) % 256 shuffle, never a broadcast."""
 
     def line_partial(batch: pa.Table) -> pa.Table:
@@ -1412,7 +1390,7 @@ def large_volume_orders(orders, lineitem, min_total_qty: int = 150):
              batch.column("o_custkey").cast(pa.int64()), od],
             names=["okey", "custkey", "odate_us"])
 
-    joined = _bucket_attach_multi(
+    joined = _attach_routed(
         totals.map_batches(heavy, batch_format="pyarrow",
                            zero_copy_batch=True)
         .map_batches(lambda b: b.append_column(
@@ -2068,7 +2046,7 @@ def brand_size_revenue(lineitem, part, rules=_Q19_RULES):
              pa.array(packed)],
             names=["partkey", "brand_size"])
 
-    joined = _bucket_attach(
+    joined = _attach_routed(
         lineitem.select_columns(
             ["l_partkey", "l_quantity", "l_extendedprice",
              "l_discount"]).map_batches(
@@ -2714,7 +2692,7 @@ def promo_part_suppliers(lineitem, part, supplier, nation,
             [k, pa.array(np.ones(len(k), dtype=np.int64))],
             names=["pkey", "is_promo"])
 
-    matched = _bucket_attach(
+    matched = _attach_routed(
         lines, part.select_columns(["p_partkey", "p_name"])
         .map_batches(part_emit, batch_format="pyarrow",
                      zero_copy_batch=True),
@@ -2745,9 +2723,9 @@ def promo_part_suppliers(lineitem, part, supplier, nation,
              nation.select_columns(["n_nationkey", "n_name"]).take_all()}
     ref = ray.put(names)
 
-    # _bucket_attach's output carries only (attach, carry) columns, so
+    # _attach_routed's output carries only (attach, carry) columns, so
     # the suppkey rides along as an explicit duplicate carry column
-    with_nat = _bucket_attach(
+    with_nat = _attach_routed(
         big.map_batches(lambda b: pa.Table.from_arrays(
             [b.column("skey"), b.column("skey"), b.column("sum_qty")],
             names=["skey", "s_suppkey", "sum_qty"]),
@@ -2873,7 +2851,7 @@ def join_pps_sample(orders, lineitem, k: int = 200,
                 zero_copy_only=False),
             batch.column("l_discount").to_numpy(zero_copy_only=False))
         okey = batch.column("l_orderkey").cast(pa.int64())
-        # _bucket_attach's output carries only (attach, carry) columns
+        # _attach_routed's output carries only (attach, carry) columns
         # — the sample key needs the orderkey, so it rides twice
         return pa.Table.from_arrays(
             [okey, okey,
@@ -2890,7 +2868,7 @@ def join_pps_sample(orders, lineitem, k: int = 200,
             [batch.column("o_orderkey").cast(pa.int64()), mult],
             names=["okey", "prio_mult"])
 
-    joined = _bucket_attach(
+    joined = _attach_routed(
         lineitem.select_columns(["l_orderkey", "l_linenumber",
                                  "l_extendedprice", "l_discount"])
         .map_batches(line_emit, batch_format="pyarrow",
