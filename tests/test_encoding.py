@@ -76,7 +76,7 @@ def test_decode_documents_stage(ray_session):
     assert out["c"]["enc_source"] == "header"
 
 
-def test_decode_documents_default_pool_leaves_a_cpu(ray_session):
+def test_decode_documents_default_pool_leaves_a_cpu(ray_session, tmp_path):
     """With default arguments on the 4-CPU test session the decoder
     pool must not take every CPU: the read feeding it needs one.  The
     ``decode_bytes`` query (read → encode+decode actors → project)
@@ -85,18 +85,23 @@ def test_decode_documents_default_pool_leaves_a_cpu(ray_session):
     import pathlib
     import sys
 
+    import pyarrow.parquet as pq
     import ray
 
     assert int(ray.cluster_resources().get("CPU", 0)) == 4
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]))
     import __ray_entry__
 
+    pq.write_table(pa.table({
+        "doc_id": pa.array(range(500), pa.int64()),
+        "text": [f"{JP} {i} " * 8 if i % 3 else f"plain text {i} " * 8
+                 for i in range(500)]}),
+        str(tmp_path / "documents.parquet"))
     query = __ray_entry__.queries()["decode_bytes"]
     pool = concurrent.futures.ThreadPoolExecutor(1)
     try:
-        rows = pool.submit(
-            lambda: query("/root/testdata/sf0.001").take_all()).result(
-                timeout=180)
+        rows = pool.submit(lambda: query(str(tmp_path)).take_all()) \
+            .result(timeout=180)
     finally:
         pool.shutdown(wait=False)
     assert len(rows) == 500
