@@ -479,3 +479,180 @@ def test_pair_text_join_is_gone():
     root = pathlib.Path(webtext.__file__).parent
     assert not [p for p in root.rglob("*.py")
                 if "_pair_text_join" in p.read_text(encoding="utf-8")]
+
+
+# -- the hash exchange --------------------------------------------------------
+
+def _counted(log: str):
+    """An identity batch UDF that appends one line to ``log`` per call."""
+    def counted(batch: pa.Table, *, _log=log) -> pa.Table:
+        with open(_log, "a", encoding="utf-8") as f:
+            f.write("x\n")
+        return batch
+    return counted
+
+
+def _band_rows_table(n_docs: int = 300) -> pa.Table:
+    """A band table whose (band_id, band_hash) cells hold several docs."""
+    rng = np.random.default_rng(3)
+    n = n_docs * 4
+    return pa.table({
+        "doc_id": pa.array(np.repeat(np.arange(n_docs), 4), pa.int64()),
+        "band_id": pa.array(np.tile(np.arange(4), n_docs), pa.int32()),
+        "band_hash": pa.array(rng.integers(0, 60, n), pa.int64())})
+
+
+def _old_band_route(bands):
+    """band_candidates as it ran before the hash exchange: one Ray Data
+    ``groupby(bucket).map_groups`` over the same buckets and cell."""
+    from webtext.functions.dedup import _band_cut, _band_pairs
+
+    def tag(batch: pa.Table) -> pa.Table:
+        return batch.append_column(
+            "bucket", pa.array(_band_cut(batch, "band_hash")[1]))
+
+    return bands.map_batches(tag, batch_format="pyarrow") \
+        .groupby("bucket").map_groups(
+            lambda g: _band_pairs(g, "band_hash"), batch_format="pyarrow")
+
+
+@pytest.mark.parametrize("n_parts", [1, None])
+def test_exchange_matches_the_old_route(ray_session, monkeypatch, table,
+                                        join_sides, n_parts):
+    """At one partition (each map task's ``num_returns=1``) and at the
+    cluster's CPU count, aggregate equals the native aggregate, the
+    bucketed join equals Arrow's join, and band_candidates emits the
+    same pairs, with the same repeats, as the groupby route."""
+    import ray
+
+    from webtext import exchange
+    from webtext.functions.dedup import band_candidates
+
+    if n_parts is not None:
+        monkeypatch.setattr(exchange, "_n_parts", lambda: n_parts)
+    ds = ray.data.from_arrow(table).repartition(5).materialize()
+    got = exchange.aggregate(ds, ["k", "s"], ("count",), ("sum", "v"))
+    want = ds.groupby(["k", "s"]).aggregate(_agg("Count"), _agg("Sum", "v"))
+    assert _rows(got) == _rows(want)
+    lt, rt, on, right_on = join_sides["two-column"]
+    for how in ("left", "anti"):
+        attach = {"a": "a"} if how == "left" else {}
+        assert _rows(_run_join(lt, rt, on, right_on, how, attach,
+                               "bucketed")) == sorted(
+            tuple(sorted((k, repr(v)) for k, v in r.items()))
+            for r in _reference_join(lt, rt, on, right_on, how,
+                                     attach).to_pylist())
+    bands = ray.data.from_arrow(_band_rows_table()).repartition(4) \
+        .materialize()
+    pairs = _rows(band_candidates(bands))
+    assert pairs == _rows(_old_band_route(bands)) and len(pairs) > 100
+
+
+def test_bucketed_join_right_only_partitions_keep_the_schema(ray_session):
+    """A partition holding right rows only returns 0 rows with the left
+    schema plus the attach columns, not a column-less table."""
+    import ray
+
+    from webtext.exchange import _n_parts, join
+
+    left = ray.data.from_arrow(pa.table({"k": pa.array([7], pa.int64()),
+                                         "v": ["x"]}))
+    right = ray.data.from_arrow(pa.table({
+        "k": pa.array(range(200), pa.int64()),
+        "a": pa.array(range(200), pa.int64())})).repartition(3)
+    for how, attach, names in (("inner", ["a"], ["k", "v", "a"]),
+                               ("left", ["a"], ["k", "v", "a"]),
+                               ("semi", [], ["k", "v"])):
+        out = join(left, right, "k", how=how, attach=attach)
+        blocks = ray.get(out.to_arrow_refs())
+        assert len(blocks) == _n_parts() > 1
+        assert sum(b.num_rows for b in blocks) == 1
+        for b in blocks:
+            assert b.column_names == names, how
+            assert b.schema.field("k").type == pa.int64()
+            if attach:
+                assert b.schema.field("a").type == pa.int64()
+
+
+def test_bucketed_join_ignores_the_schema_of_empty_blocks(ray_session):
+    """Ray 2.49's ``select_columns`` returns a 0-row block unprojected,
+    so an empty block's schema can still hold a dropped column; the
+    exchange takes its schema from the blocks with rows."""
+    import ray
+    import pyarrow.compute as pc
+
+    from webtext.exchange import join
+
+    left = ray.data.from_items(
+        [{"k": i, "x": f"x{i}"} for i in range(40)], override_num_blocks=4) \
+        .map_batches(lambda b: b.filter(pc.less(b["k"], 15)),
+                     batch_format="pyarrow").select_columns(["k"])
+    right = ray.data.from_items([{"k": i, "a": 2 * i} for i in range(10)])
+    for how, attach, names in (("inner", ["a"], ["k", "a"]),
+                               ("anti", [], ["k"])):
+        out = join(left, right, "k", how=how, attach=attach)
+        assert out.count() == (10 if how == "inner" else 5)
+        assert {tuple(b.column_names)
+                for b in ray.get(out.to_arrow_refs())} == {tuple(names)}
+
+
+def test_exchange_over_zero_blocks(ray_session):
+    """An input with no blocks at all gives an empty result."""
+    import ray
+
+    from webtext.exchange import aggregate, join
+    from webtext.functions.dedup import band_candidates
+
+    empty = ray.data.from_arrow_refs([])
+    assert empty.num_blocks() == 0
+    assert aggregate(empty, "k", ("count",)).take_all() == []
+    assert band_candidates(empty).count() == 0
+    right = ray.data.from_items([{"k": 1, "a": 2}])
+    assert join(empty, right, "k", attach=["a"]).take_all() == []
+    assert join(ray.data.from_items([{"k": 1}]), empty, "k",
+                how="anti").take_all() == [{"k": 1}]
+
+
+def test_exchange_runs_a_lazy_plan_once_per_block(ray_session, tmp_path,
+                                                  monkeypatch, capsys):
+    """Every block of a lazy input is computed once: by the exchange,
+    by graph._LocalFanout.collect and by graph._rebind, none of which
+    re-runs the plan under a ``limit(1)`` schema probe.  The exchange
+    prints its trace line."""
+    import ray
+
+    from webtext.exchange import _n_parts, aggregate
+    from webtext.functions import graph
+
+    monkeypatch.setenv("WEBTEXT_TRACE_ROUNDS", "1")
+
+    def lazy(name: str):
+        log = tmp_path / name
+        log.touch()
+        ds = ray.data.from_items(
+            [{"node": i % 13, "outdeg": i} for i in range(60)],
+            override_num_blocks=3).map_batches(
+                _counted(str(log)), batch_format="pyarrow")
+        return ds, log
+
+    ds, log = lazy("aggregate")
+    assert len(aggregate(ds, "node", ("count",)).take_all()) == 13
+    assert log.read_text().count("x") == 3
+    assert f"[exchange] op=aggregate blocks=3 parts={_n_parts()}" \
+        in capsys.readouterr().err
+    ds, log = lazy("collect")
+    fan = graph._LocalFanout.collect(ds, ("node", "outdeg"),
+                                     graph._inflow_kernel)
+    assert len(fan.sn) == 60 and log.read_text().count("x") == 3
+    ds, log = lazy("rebind")
+    assert graph._rebind(ds).count() == 60
+    assert log.read_text().count("x") == 3
+
+
+def test_exchange_module_has_no_groupby():
+    """Every exchange in exchange.py is the raw-task hash exchange; no
+    Ray Data sort-based groupby is left in it."""
+    import webtext.exchange as exchange
+
+    assert "groupby(" not in pathlib.Path(exchange.__file__).read_text(
+        encoding="utf-8")

@@ -165,6 +165,46 @@ def test_task_death_in_shuffle_stage_recovers(ray_session, tmp_path):
     assert got == want
 
 
+def test_task_death_in_hash_exchange_reduce_recovers(ray_session,
+                                                     tmp_path,
+                                                     monkeypatch):
+    """Worker death inside the hash exchange: one reduce task of
+    ``exchange.aggregate`` hard-exits once; Ray's task retry must
+    reproduce the exact aggregate from the map tasks' parts."""
+    import ray.data
+
+    from webtext import exchange
+
+    flag = str(tmp_path / "reduce_died")
+    combine = exchange._combine
+
+    def dying_combine(group, *, _flag=flag, _combine=combine, **kw):
+        import os as _os
+
+        try:
+            fd = _os.open(_flag, _os.O_CREAT | _os.O_EXCL | _os.O_WRONLY)
+            _os.close(fd)
+            _os._exit(1)
+        except FileExistsError:
+            pass
+        return _combine(group, **kw)
+
+    monkeypatch.setattr(exchange, "_combine", dying_combine)
+    ds = ray.data.range(1000, override_num_blocks=4).map_batches(
+        lambda b: b.append_column(
+            "bucket", __import__("pyarrow").array(
+                (b.column("id").to_numpy(zero_copy_only=False) % 7)
+                .astype("int64"))),
+        batch_format="pyarrow", zero_copy_batch=True)
+    rows = exchange.aggregate(ds, "bucket", ("sum", "id"),
+                              ("count",)).take_all()
+    got = {r["bucket"]: (r["sum(id)"], r["count()"]) for r in rows}
+    want = {b: (sum(i for i in range(1000) if i % 7 == b),
+                len(range(b, 1000, 7))) for b in range(7)}
+    assert os.path.exists(flag), "the crash injection never fired"
+    assert got == want
+
+
 def test_compact_output_row_preserving(ray_session, small_corpus_dir,
                                        tmp_path):
     """Compaction rewrites many small round files into few big ones:

@@ -1,30 +1,32 @@
-"""One exchange module: keyed aggregates and keyed joins.
+"""One exchange module: keyed aggregates, keyed joins and the hash
+exchange they share.
 
-``aggregate(ds, on, *aggs)`` replaces Ray Data's native
-``groupby(on).sum/count/min/max/aggregate``.  In Ray 2.49 those are
-sort-based and walk every row in Python: the map side
-(``table_block._aggregate``) iterates rows and slices one accumulator
-call per group, and the reduce side (``_combine_aggregated_blocks``)
-is a ``heapq.merge`` over rows.  Here the per-row work is Arrow's C++
-hash aggregate on both sides of one exchange:
+``_hash_exchange`` is the one repartition operator, on raw Ray tasks
+instead of Ray Data's sort-based ``groupby`` + ``map_groups``.  Each
+input is streamed with ``iter_internal_ref_bundles()``, so a lazy plan
+runs once and no ``limit(1)`` schema probe runs.  One task per block
+tags its rows with a bucket, hash(key) % N_SHUFFLE_BUCKETS, and returns
+them split by ``bucket % P`` as P objects, P the cluster's CPUs; P
+reduce tasks run the cell once per partition, and the result is
+``ray.data.from_arrow_refs`` over their outputs.  So an exchange
+executes its input at call time, as ``materialize()`` does.  With
+``WEBTEXT_TRACE_ROUNDS`` set it prints one ``[exchange]
+op=aggregate|join|bands blocks=M parts=P`` line to stderr.
 
-* map side — each block is pre-aggregated by ``pa.Table.group_by``
-  (sum/min/max partials, ``count_all`` for a count) and tagged with a
-  deterministic bucket, hash(on) % N_SHUFFLE_BUCKETS;
-* exchange — one ``groupby(bucket).map_groups`` whose cell re-runs the
-  hash aggregate over the bucket's partials (sum of sums and counts,
-  min of mins, max of maxes).
-
-The output holds one row per distinct key, with Ray's column names
-(``sum(c)``, ``min(c)``, ``max(c)``, ``count()``) after the key
-columns, and is row-identical to the native aggregate up to row order
-(the native output is sorted by key; this one is sorted within each
-bucket only).  Null keys form
-their own group, null values are skipped, and an all-null group's
-sum/min/max is null, as natively.  A floating-point ``sum`` raises
-``TypeError``: Arrow sums in a different order than Ray, so the float
-result could differ in its last bits.  Float sums stay on the native
-call (listed in ``tests/test_exchange.py``).
+``aggregate(ds, on, *aggs)`` replaces Ray Data's native keyed
+aggregates, which in Ray 2.49 are sort-based and walk every row in
+Python on both sides (``table_block._aggregate``,
+``_combine_aggregated_blocks``).  Here each block is pre-aggregated by
+Arrow's hash aggregate (sum/min/max partials, ``count_all`` for a
+count) and each partition's partials are combined by another (sum of
+sums and counts, min of mins, max of maxes) and sorted by key.  The
+output holds one row per distinct key, with Ray's column names
+(``sum(c)``, ``min(c)``, ``max(c)``, ``count()``) after the keys, and
+is row-identical to the native aggregate up to row order (sorted within
+each partition only).  Null keys form their own group, null values are
+skipped, and an all-null group's sum/min/max is null, as natively.  A
+floating-point ``sum`` raises ``TypeError``: Arrow sums in a different
+order than Ray, so the float result could differ in its last bits.
 
 ``join(left, right, on, how=…, attach=…, right_rows=…)`` is the one
 keyed join.  The route is picked at call time from ``right_rows``, an
@@ -36,17 +38,17 @@ materialized Dataset):
   is materialized once, sorted by key on the driver and ``ray.put``
   once; the join is a streaming ``searchsorted`` ``map_batches`` over
   ``left`` with no exchange;
-* bucketed — otherwise: both sides are cut by hash(key) %
-  N_SHUFFLE_BUCKETS into Arrow IPC slices, one row per (block, bucket),
-  and one ``groupby(bucket).map_groups`` joins each bucket with the same
-  sorted-key probe.  The exchange moves a few hundred rows per block
-  whatever the two schemas are.
+* bucketed — otherwise: one hash exchange on hash(key) hands each
+  reduce task its partition's left rows and right rows (keys and
+  attach columns only) as two argument lists, joined by the same probe.
+  A partition with right rows only gives 0 rows with the left schema
+  plus the attach columns.
 
 Both routes give the same rows: null keys never match, ``inner`` and
 ``left`` attach at most one right row per left row (a duplicate right
 key raises ``ValueError``), ``semi``/``anti`` keep the left rows that
 have / have no match.  Left rows keep every column; the broadcast route
-keeps their order.
+keeps their order, and the bucketed route executes at call time.
 """
 
 from __future__ import annotations
@@ -59,12 +61,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-# Shuffle fan-out for every join-by-groupby stage: grouping by
-# hash(key) % N instead of by raw key keeps the group count CONSTANT
-# (not O(rows)), so map_groups pays Python/slice overhead 256 times per
-# shuffle instead of once per doc/pair — the in-bucket work is a dict
-# pass over the same total rows.  At cluster scale, buckets are the
-# partitioning unit; raise N_SHUFFLE_BUCKETS with the cluster size.
+# A row's bucket is hash(key) % N; ``_hash_exchange`` sends bucket b to
+# partition b % P, so a bucket never splits.  At cluster scale, buckets
+# are the partitioning unit; raise N_SHUFFLE_BUCKETS with the cluster size.
 N_SHUFFLE_BUCKETS = 256
 
 # ``join``'s default broadcast gate: a right side of at most this many
@@ -72,9 +71,6 @@ N_SHUFFLE_BUCKETS = 256
 # pair is ~64 MB, one object-store copy per node.
 BROADCAST_MAX_ROWS = 4_000_000
 
-_BUCKET = "__bucket"
-_SIDE = "__side"
-_BLOB = "__blob"
 _HOWS = ("inner", "left", "semi", "anti")
 _MIX = (1 << 61) - 1           # the range of one column's key hash
 # the Arrow hash aggregate of each spec kind on the map side, and the
@@ -157,6 +153,72 @@ def _key_bucket(table: pa.Table, on: list,
     return (h % np.uint64(n)).astype(np.int64)
 
 
+def _n_parts() -> int:
+    """P, the partition count of every hash exchange: the cluster's
+    CPUs, capped at N_SHUFFLE_BUCKETS."""
+    import ray
+
+    return max(1, min(N_SHUFFLE_BUCKETS,
+                      int(ray.cluster_resources().get("CPU", 1))))
+
+
+def _split(cut, kw: dict, n: int, block):
+    """Map task: ``cut(table, **kw) -> (table, bucket)`` on one block,
+    whose rows are then returned split by ``bucket % n`` as n tables
+    (one ``take`` each, so no part pins the whole block's buffers).  A
+    0-row block gives n column-less tables: its schema is not to be
+    trusted (Ray 2.49's ``select_columns`` returns a 0-row block
+    unprojected, and a repartition leaves some with no columns)."""
+    from ray.data.block import BlockAccessor
+
+    table = BlockAccessor.for_block(block).to_arrow()
+    if not table.num_rows:
+        parts = [pa.table({})] * n
+    else:
+        table, bucket = cut(table, **kw)
+        part = bucket % n
+        order = np.argsort(part, kind="stable")
+        bounds = np.searchsorted(part[order], np.arange(n + 1))
+        parts = [table.take(pa.array(order[s:e]))
+                 for s, e in zip(bounds[:-1], bounds[1:])]
+    return parts[0] if n == 1 else tuple(parts)
+
+
+def _reduce(cell, kw: dict, sides: tuple, *parts) -> pa.Table:
+    """Reduce task: one partition's parts, ``sides[i]`` of them from
+    input i, concatenated per input and passed to ``cell`` once.  With
+    no columned part from the first input there is no schema to give,
+    and the partition is a column-less empty table."""
+    tables = [_concat(list(parts[e - n:e]))
+              for n, e in zip(sides, np.cumsum(sides))]
+    return pa.table({}) if tables[0] is None else cell(*tables, **kw)
+
+
+def _hash_exchange(op: str, inputs: list, cell, **kw):
+    """The hash exchange (see the module docstring): ``inputs`` is a
+    list of (Dataset, cut, cut kwargs); each partition's reduce task
+    calls ``cell(table_0, table_1, …, **kw)`` with the partition's rows
+    of each input (``_reduce``: None for a later input with no columned
+    part).  Returns the materialized Dataset of the P cell outputs."""
+    import ray
+
+    split, n = ray.remote(_split), _n_parts()
+    parts, sides = [], []
+    for ds, cut, cut_kw in inputs:
+        refs = [split.options(num_returns=n).remote(cut, cut_kw, n, ref)
+                for bundle in ds.iter_internal_ref_bundles()
+                for ref in bundle.block_refs]
+        parts += [[r] for r in refs] if n == 1 else refs
+        sides.append(len(refs))
+    if os.environ.get("WEBTEXT_TRACE_ROUNDS"):
+        print(f"[exchange] op={op} blocks={len(parts)} parts={n}",
+              file=sys.stderr)
+    reduce = ray.remote(_reduce)
+    return ray.data.from_arrow_refs(
+        [reduce.remote(cell, kw, tuple(sides), *(p[i] for p in parts))
+         for i in range(n)])
+
+
 def _out_name(spec: tuple) -> str:
     return "count()" if spec[0] == "count" else f"{spec[0]}({spec[1]})"
 
@@ -174,29 +236,26 @@ def _hash_aggregate(table: pa.Table, on: list, specs: list) -> pa.Table:
         names=[*on, *(name for name, _, _ in specs)])
 
 
-def _partial(batch: pa.Table, on: list, aggs: list) -> pa.Table:
-    """Map side: one block pre-aggregated per key, plus its bucket."""
-    if not batch.num_rows and not batch.num_columns:
-        return batch          # a repartitioned empty block has no columns
+def _partial(batch: pa.Table, on: list, aggs: list) -> tuple:
+    """Map side: one block pre-aggregated per key, and its buckets."""
     for spec in aggs:
         if spec[0] == "sum" and pa.types.is_floating(
                 batch.schema.field(spec[1]).type):
             raise TypeError(
                 f"exchange.aggregate: sum over floating-point column "
                 f"{spec[1]!r} would not match Ray's summation order; "
-                f"keep the native groupby().sum for it")
+                f"keep the native groupby sum for it")
     part = _hash_aggregate(batch, on, [
         (_out_name(s), None if s[0] == "count" else s[1], _MAP[s[0]])
         for s in aggs])
-    return part.append_column(
-        _BUCKET, pa.array(_key_bucket(part, on)))
+    return part, _key_bucket(part, on)
 
 
 def _combine(group: pa.Table, on: list, aggs: list) -> pa.Table:
-    """Reduce side: one bucket's partials combined per key, sorted by
-    key.  The sort is for readers that gather by key: pagerank's local
-    rounds over a 1.2M-edge graph took 0.42 s against 0.60 s unsorted
-    (three rounds), for 0.15 s more in the edge aggregate."""
+    """Reduce side: one partition's partials combined per key, sorted
+    by key.  The sort is for readers that gather by key: pagerank's
+    local rounds over a 1.2M-edge graph took 0.42 s against 0.60 s
+    unsorted (three rounds), for 0.15 s more in the edge aggregate."""
     names = [_out_name(s) for s in aggs]
     return _hash_aggregate(group, on, [
         (name, name, _REDUCE[s[0]]) for name, s in zip(names, aggs)]) \
@@ -207,8 +266,9 @@ def aggregate(ds, on, *aggs):
     """``ds`` grouped by ``on`` (a column name or a list of them) with
     one output column per spec, in order: ``("sum", col)``,
     ``("min", col)``, ``("max", col)`` or ``("count",)``.  The
-    vectorized stand-in for ``ds.groupby(on).sum/min/max/count`` and
-    ``.aggregate(Sum|Min|Max|Count)``; see the module docstring."""
+    vectorized stand-in for Ray Data's ``groupby`` then
+    ``sum/min/max/count`` or ``aggregate(Sum|Min|Max|Count)``; it
+    executes ``ds`` at call time (see the module docstring)."""
     on = [on] if isinstance(on, str) else list(on)
     aggs = [tuple(a) for a in aggs]
     for spec in aggs:
@@ -217,12 +277,9 @@ def aggregate(ds, on, *aggs):
             raise ValueError(f"exchange.aggregate: bad spec {spec!r}")
     if not on or not aggs:
         raise ValueError("exchange.aggregate needs keys and specs")
-    return ds.map_batches(
-        _partial, batch_format="pyarrow", zero_copy_batch=True,
-        fn_kwargs={"on": on, "aggs": aggs}) \
-        .groupby(_BUCKET).map_groups(
-            _combine, batch_format="pyarrow",
-            fn_kwargs={"on": on, "aggs": aggs})
+    return _hash_exchange("aggregate", [(ds, _partial,
+                                         {"on": on, "aggs": aggs})],
+                          _combine, on=on, aggs=aggs)
 
 
 def _key_codes(table: pa.Table, cols: list, dicts) -> tuple:
@@ -316,49 +373,23 @@ def _collect(ds):
     return _concat(ray.get(ds.to_arrow_refs()))
 
 
-def _ship(batch: pa.Table, on: list, side: int, cols=None,
-          distinct: bool = False) -> pa.Table:
-    """Bucketed route, map side: one block's ``cols`` (default: all) as
-    (bucket, side, Arrow IPC stream) rows, one per bucket the block
-    touches.  With ``distinct`` (a semi/anti right side, whose ``cols``
-    are its keys) the block ships each key once."""
-    if batch.num_columns and cols is not None:
+def _join_cut(batch: pa.Table, on: list, cols=None,
+              distinct: bool = False) -> tuple:
+    """Bucketed route, map side: one block's ``cols`` (default: all)
+    and their buckets.  With ``distinct`` (a semi/anti right side,
+    whose ``cols`` are its keys) the block ships each key once."""
+    if cols is not None:
         batch = batch.select(cols)
         if distinct:
             batch = batch.group_by(cols, use_threads=False).aggregate([])
-    if not batch.num_rows:
-        return pa.table({_BUCKET: pa.array([], pa.int64()),
-                         _SIDE: pa.array([], pa.int8()),
-                         _BLOB: pa.array([], pa.large_binary())})
-    b = _key_bucket(batch, on)
-    order = np.argsort(b, kind="stable")
-    b = b[order]
-    batch = batch.take(pa.array(order))
-    starts = np.flatnonzero(np.r_[True, b[1:] != b[:-1]])
-    blobs = []
-    for s, e in zip(starts, np.r_[starts[1:], len(b)]):
-        sink = pa.BufferOutputStream()
-        with pa.ipc.new_stream(sink, batch.schema) as w:
-            w.write_table(batch.slice(s, e - s))
-        blobs.append(sink.getvalue().to_pybytes())
-    return pa.table({_BUCKET: pa.array(b[starts]),
-                     _SIDE: pa.array(np.full(len(starts), side, np.int8)),
-                     _BLOB: pa.array(blobs, pa.large_binary())})
+    return batch, _key_bucket(batch, on)
 
 
-def _join_cell(group: pa.Table, on: list, right_on: list, how: str,
-               attach: dict) -> pa.Table:
-    """Bucketed route, reduce side: one bucket's left and right slices
-    joined by the broadcast route's probe."""
-    sides = ([], [])
-    blobs = group.column(_BLOB)
-    for i, s in enumerate(group.column(_SIDE).to_numpy(
-            zero_copy_only=False)):
-        sides[s].append(pa.ipc.open_stream(blobs[i].as_buffer()).read_all())
-    left = _concat(sides[0])
-    if left is None:
-        return pa.table({})
-    return _probe(left, _lut(_concat(sides[1]), right_on, attach,
+def _join_cell(left: pa.Table, right, on: list, right_on: list,
+               how: str, attach: dict) -> pa.Table:
+    """Bucketed route, reduce side: one partition's left rows joined to
+    its right rows by the broadcast route's probe."""
+    return _probe(left, _lut(right, right_on, attach,
                              how in ("inner", "left")), on, how, attach)
 
 
@@ -377,7 +408,8 @@ def join(left, right, on, *, how: str = "inner", attach=(),
     ``right_rows`` is an upper bound on the right side's rows that costs
     no execution, or None when there is none; at or under
     ``broadcast_max_rows`` the join takes the broadcast route, else the
-    bucketed one (see the module docstring).  With
+    bucketed one, which executes both sides at call time (see the
+    module docstring).  With
     ``WEBTEXT_TRACE_ROUNDS`` set it prints one
     ``[join] route=broadcast|bucketed rows=N gate=G`` line to stderr."""
     on = [on] if isinstance(on, str) else list(on)
@@ -410,15 +442,10 @@ def join(left, right, on, *, how: str = "inner", attach=(),
 
         return left.map_batches(probe, batch_format="pyarrow",
                                 zero_copy_batch=True)
-    shipped = left.map_batches(
-        _ship, batch_format="pyarrow", zero_copy_batch=True,
-        fn_kwargs={"on": on, "side": 0}).union(
-        right.map_batches(
-            _ship, batch_format="pyarrow", zero_copy_batch=True,
-            fn_kwargs={"on": right_on, "side": 1,
-                       "cols": list(dict.fromkeys(right_on + list(attach))),
-                       "distinct": not unique}))
-    return shipped.groupby(_BUCKET).map_groups(
-        _join_cell, batch_format="pyarrow",
-        fn_kwargs={"on": on, "right_on": right_on, "how": how,
-                   "attach": attach})
+    return _hash_exchange(
+        "join",
+        [(left, _join_cut, {"on": on}),
+         (right, _join_cut,
+          {"on": right_on, "distinct": not unique,
+           "cols": list(dict.fromkeys(right_on + list(attach)))})],
+        _join_cell, on=on, right_on=right_on, how=how, attach=attach)

@@ -8,7 +8,7 @@ here Ray-Data-first:
                       hash (fingerprint) so the shuffle ships 16-byte
                       keys, then resolve winners; here the text column
                       itself is the key for oracle-exactness.
-* minhash_lsh_pairs — shingle → minhash → band → bucket groupby →
+* minhash_lsh_pairs — shingle → minhash → band → hash exchange →
                       candidate pairs → deduped (exchange.aggregate) →
                       both texts attached (exchange.join) → Jaccard in
                       one map.  The banding exchange ships (band, hash,
@@ -18,7 +18,7 @@ here Ray-Data-first:
                       else they ride the join's bucketed exchange.
 * simhash           — 64-bit simhash per doc + banded duplicate pairs.
 * ngram_jaccard_pairs — word-set Jaccard of consecutive-id pairs, the
-                      shuffle-join expressed as an emit-twice groupby
+                      shuffle-join expressed as an emit-twice exchange
                       (doc k → keys {k, k-1}), integer output for the
                       SQL oracle.
 * connected_components / dedup_apply — min-label CC over dup pairs,
@@ -40,8 +40,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..exchange import (N_SHUFFLE_BUCKETS, _ibucket, _sbucket, aggregate,
-                        join)
+from ..exchange import (N_SHUFFLE_BUCKETS, _hash_exchange, _ibucket,
+                        _sbucket, aggregate, join)
 from ..sources.manifest import CommitManifest  # module scope: worker
 # code is shipped by value and cannot lazy-import webtext
 
@@ -221,36 +221,47 @@ def band_table(ds):
                           zero_copy_batch=True)
 
 
+def _band_cut(batch: pa.Table, key: str) -> tuple:
+    """Banded pair emitters, map side: a band-row block and its
+    buckets, hash(``key``, band_id)."""
+    return batch, _ibucket(_col_i64(batch, key) * np.int64(31)
+                           + _col_i64(batch, "band_id"))
+
+
+def _band_pairs(group: pa.Table, key: str,
+                max_hamming: int | None = None) -> pa.Table:
+    """Banded pair emitters, reduce side: the (left_id < right_id) doc
+    pairs sharing a (band_id, ``key``) cell of one partition; with
+    ``max_hamming``, only pairs whose ``simhash`` values are within
+    that Hamming distance."""
+    cells = (_col_i64(group, "band_id"), _col_i64(group, key))
+    ids = _col_i64(group, "doc_id")
+    if max_hamming is None:
+        left, right = _cell_member_pairs(cells, ids)
+    else:
+        left, right, hl, hr = _cell_member_pairs(
+            cells, ids, _col_i64(group, "simhash"))
+        keep = _popcount64(np.bitwise_xor(hl, hr)) <= max_hamming
+        left, right = left[keep], right[keep]
+    return pa.Table.from_arrays([pa.array(left), pa.array(right)],
+                                names=["left_id", "right_id"])
+
+
 def band_candidates(bands):
     """Candidate pairs from an LSH band table (doc_id, band_id,
-    band_hash).  The banding groupby ships (band, hash, id) triples,
-    never documents, and is bucketed by hash(band, band_hash) so
-    map_groups runs once per bucket (constant fan-out) with an
-    in-bucket dict grouping the true (band_id, band_hash) cells.  A
-    pair found in several bands repeats; the verify dedupes."""
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        b = _ibucket(_col_i64(batch, "band_hash") * np.int64(31)
-                     + _col_i64(batch, "band_id"))
-        return batch.append_column("bucket", pa.array(b))
-
-    def bucket_pairs(group: pa.Table) -> pa.Table:
-        left, right = _cell_member_pairs(
-            (_col_i64(group, "band_id"), _col_i64(group, "band_hash")),
-            _col_i64(group, "doc_id"))
-        return pa.Table.from_arrays(
-            [pa.array(left), pa.array(right)],
-            names=["left_id", "right_id"])
-
-    keyed = bands.map_batches(add_bucket, batch_format="pyarrow",
-                              zero_copy_batch=True)
-    return keyed.groupby("bucket").map_groups(
-        bucket_pairs, batch_format="pyarrow")
+    band_hash), by one hash exchange on hash(band_hash, band_id) whose
+    cell emits each partition's (band_id, band_hash) cells' pairs.  It
+    ships (band, hash, id) triples, never documents, and executes
+    ``bands`` at call time.  A pair found in several bands repeats;
+    the verify dedupes."""
+    return _hash_exchange("bands", [(bands, _band_cut,
+                                     {"key": "band_hash"})],
+                          _band_pairs, key="band_hash")
 
 
 def minhash_lsh_pairs(ds, threshold: float = 0.5):
     """Confirmed near-dup pairs via MinHash+LSH banding over a (doc_id,
-    text) dataset: banding → bucket groupby → candidate pairs → Jaccard
+    text) dataset: banding → hash exchange → candidate pairs → Jaccard
     verify (``_jaccard_verify_pairs``).  The banding exchange ships
     (band, hash, id) triples, never documents.  When ``ds`` is
     materialized and its texts fit TEXT_BROADCAST_MAX_BYTES, the verify
@@ -365,7 +376,7 @@ SIMHASH_BANDS: tuple[tuple[int, int], ...] = tuple(
 def simhash_dup_pairs(ds, max_hamming: int = 8):
     """Pairs at simhash Hamming distance ≤ max_hamming: candidates from
     the 9-band split (complete for ≤ 8 by pigeonhole — see
-    SIMHASH_BANDS), confirmed group-locally.
+    SIMHASH_BANDS), confirmed in the banding exchange's cell.
 
     The simhash value rides the band rows, so the Hamming check needs
     no driver-side {id: simhash} side-table (the round-1
@@ -382,28 +393,18 @@ def simhash_dup_pairs(ds, max_hamming: int = 8):
             [((u >> np.uint64(s)) & np.uint64(m)).astype(np.int64)
              for s, m in SIMHASH_BANDS]) if n
             else np.empty(0, np.int64))
-        t = pa.Table.from_arrays(
+        return pa.Table.from_arrays(
             [pa.array(np.tile(_col_i64(batch, "doc_id"), nb)),
              pa.array(np.repeat(np.arange(nb, dtype=np.int32), n)),
              pa.array(keys), pa.array(np.tile(h, nb))],
             names=["doc_id", "band_id", "band_key", "simhash"])
-        b = _ibucket(_col_i64(t, "band_key") * np.int64(31)
-                     + _col_i64(t, "band_id"))
-        return t.append_column("bucket", pa.array(b))
-
-    def bucket_pairs(group: pa.Table) -> pa.Table:
-        left, right, hl, hr = _cell_member_pairs(
-            (_col_i64(group, "band_id"), _col_i64(group, "band_key")),
-            _col_i64(group, "doc_id"), _col_i64(group, "simhash"))
-        keep = _popcount64(np.bitwise_xor(hl, hr)) <= max_hamming
-        return pa.Table.from_arrays(
-            [pa.array(left[keep]), pa.array(right[keep])],
-            names=["left_id", "right_id"])
 
     banded = sh.map_batches(band_rows, batch_format="pyarrow",
                             zero_copy_batch=True)
-    pairs = banded.groupby("bucket").map_groups(
-        bucket_pairs, batch_format="pyarrow")
+    pairs = _hash_exchange("bands", [(banded, _band_cut,
+                                      {"key": "band_key"})],
+                           _band_pairs, key="band_key",
+                           max_hamming=max_hamming)
     uniq = aggregate(pairs, ["left_id", "right_id"], ("count",))
     return uniq.drop_columns(["count()"])
 
@@ -822,13 +823,13 @@ def ngram_jaccard_pairs(ds, min_inter_x10_per_union: int = 3):
     """Word-set Jaccard for every (doc_id k, k+1) pair, keeping pairs
     with jaccard ≥ min/10 — all-integer output.
 
-    The self-join is expressed as an emit-twice groupby: doc k emits
-    (key=k, role=L) and (key=k-1, role=R); groups holding both roles are
-    exactly the consecutive pairs.  Scales as one shuffle of (key, text)
-    — the canonical Ray Data join-by-groupby pattern.
+    The self-join is expressed as an emit-twice exchange: doc k emits
+    (key=k, role=L) and (key=k-1, role=R); keys holding both roles are
+    exactly the consecutive pairs.  Scales as one hash exchange of
+    (key, text), which executes ``ds`` at call time.
     """
 
-    def emit(batch: pa.Table) -> pa.Table:
+    def emit(batch: pa.Table) -> tuple:
         ids = _col_i64(batch, "doc_id")
         keys = np.concatenate([ids, ids - 1])
         roles = np.concatenate([np.zeros(len(ids), dtype=np.int8),
@@ -837,10 +838,10 @@ def ngram_jaccard_pairs(ds, min_inter_x10_per_union: int = 3):
         if isinstance(text, pa.ChunkedArray):
             text = text.combine_chunks()
         return pa.Table.from_arrays(
-            [pa.array(_ibucket(keys)), pa.array(keys),
-             pa.array(roles), pa.array(np.concatenate([ids, ids])),
+            [pa.array(keys), pa.array(roles),
+             pa.array(np.concatenate([ids, ids])),
              pa.concat_arrays([text, text])],
-            names=["bucket", "pair_key", "role", "doc_id", "text"])
+            names=["pair_key", "role", "doc_id", "text"]), _ibucket(keys)
 
     def join_group(group: pa.Table) -> pa.Table:
         cells: dict[int, list] = {}
@@ -868,10 +869,7 @@ def ngram_jaccard_pairs(ds, min_inter_x10_per_union: int = 3):
              ("left_id", "right_id", "inter_n", "union_n")],
             names=["left_id", "right_id", "inter_n", "union_n"])
 
-    emitted = ds.map_batches(emit, batch_format="pyarrow",
-                             zero_copy_batch=True)
-    return emitted.groupby("bucket").map_groups(
-        join_group, batch_format="pyarrow")
+    return _hash_exchange("ngram", [(ds, emit, {})], join_group)
 
 
 def dup_cluster_stats(ds, threshold: float = 0.5):
@@ -953,11 +951,12 @@ def edit1_name_pairs(ds, col: str = "p_name",
     (substitution: both sides delete the differing position;
     indel: the longer side's deletion equals the shorter string), so
     the bucketed join is exact — no recall loss to verify away, the
-    in-bucket check only removes distance-0/2+ cohabitants.  The
-    shuffle ships (hash(signature), name) rows — O(length) signatures
-    per DISTINCT value (per-batch dedupe first), never per row."""
+    in-bucket check only removes distance-0/2+ cohabitants.  The hash
+    exchange (executed at call time) ships (signature, name) rows —
+    O(length) signatures per DISTINCT value (per-batch dedupe first),
+    never per row."""
 
-    def emit(batch: pa.Table) -> pa.Table:
+    def emit(batch: pa.Table) -> tuple:
         import pyarrow.compute as pc
 
         names = pc.unique(batch.column(col)).to_pylist()
@@ -970,11 +969,9 @@ def edit1_name_pairs(ds, col: str = "p_name",
             for v in variants:
                 sigs.append(v)
                 out_names.append(name)
-        t = pa.Table.from_arrays(
-            [pa.array(out_names, pa.string())], names=["name"])
-        return t.append_column(
-            "bucket", pa.array(_sbucket(sigs, n_buckets))) \
-            .append_column("sig", pa.array(sigs, pa.string()))
+        return pa.Table.from_arrays(
+            [pa.array(out_names, pa.string()), pa.array(sigs, pa.string())],
+            names=["name", "sig"]), _sbucket(sigs, n_buckets)
 
     def bucket_pairs(group: pa.Table) -> pa.Table:
         by_sig: dict[str, set] = {}
@@ -993,10 +990,8 @@ def edit1_name_pairs(ds, col: str = "p_name",
             [pa.array(left, pa.string()), pa.array(right, pa.string())],
             names=["left_name", "right_name"])
 
-    pairs = ds.select_columns([col]).map_batches(
-        emit, batch_format="pyarrow", zero_copy_batch=True) \
-        .groupby("bucket").map_groups(bucket_pairs,
-                                      batch_format="pyarrow")
+    pairs = _hash_exchange("names", [(ds.select_columns([col]), emit, {})],
+                           bucket_pairs)
     # the same pair can surface via several shared signatures
     uniq = aggregate(pairs, ["left_name", "right_name"], ("count",))
     return uniq.drop_columns(["count()"])

@@ -37,7 +37,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..exchange import N_SHUFFLE_BUCKETS, _ibucket, aggregate, join
+from ..exchange import (N_SHUFFLE_BUCKETS, _collect, _ibucket, _n_parts,
+                        aggregate, join)
 from .dedup import _col_i64
 
 PAGERANK_SCALE = 10**12        # fixed-point quantum: 1e-12 of total mass
@@ -127,15 +128,18 @@ class _Slices(NamedTuple):
 
 
 def _rebind(ds):
-    """Execute ``ds`` and re-register its blocks as a FRESH leaf
+    """Materialize ``ds`` and re-register its blocks as a FRESH leaf
     Dataset (``from_arrow_refs`` over ``to_arrow_refs`` — a driver-side
     metadata operation; blocks stay in the object store, nothing is
-    pulled).  A MaterializedDataset still carries its logical plan, and
-    a round loop that keeps unioning/grouping over last round's state
-    re-PLANS the whole history every round — measured on the sf0.1
-    support-2 LPA: per-round wall DOUBLING, 0.4 s → ~8 s by round 10,
-    entirely optimizer/plan cost, data constant.  Re-binding the block
-    refs resets the plan to a leaf and keeps every round O(state).
+    pulled; materializing first keeps a lazy plan from running again
+    under ``to_arrow_refs``' ``limit(1)`` probe, see
+    ``exchange._collect``).  A MaterializedDataset still carries its
+    logical plan, and a round loop that keeps unioning/grouping over
+    last round's state re-PLANS the whole history every round — measured
+    on the sf0.1 support-2 LPA: per-round wall DOUBLING, 0.4 s → ~8 s by
+    round 10, entirely optimizer/plan cost, data constant.  Re-binding
+    the block refs resets the plan to a leaf and keeps every round
+    O(state).
 
     The barrier rule of every round step: state a round consumes TWICE
     (coreness, lpa, bfs — the state feeds both the attach and the
@@ -145,7 +149,7 @@ def _rebind(ds):
     cost +1.6 s/round on pagerank)."""
     import ray.data
 
-    return ray.data.from_arrow_refs(ds.to_arrow_refs())
+    return ray.data.from_arrow_refs(ds.materialize().to_arrow_refs())
 
 
 def _fixed_point(state, step, rounds, name, note=None):
@@ -367,12 +371,11 @@ class _LocalFanout:
     @classmethod
     def collect(cls, ds, cols, kernel):
         """Collect the int64 ``cols`` of Dataset ``ds`` onto the driver
-        sorted by ``cols[0]`` (the node ids)."""
-        import ray
-
-        blocks = [b for b in ray.get(ds.to_arrow_refs()) if b.num_rows]
-        arrs = [np.concatenate([_col_i64(b, c) for b in blocks])
-                if blocks else np.array([], dtype=np.int64) for c in cols]
+        sorted by ``cols[0]`` (the node ids); a lazy ``ds`` runs once
+        (``exchange._collect``)."""
+        t = _collect(ds)
+        arrs = [np.array([], dtype=np.int64) if t is None
+                else _col_i64(t, c) for c in cols]
         order = np.argsort(arrs[0], kind="stable")
         return cls(kernel, *(np.ascontiguousarray(a[order])
                              for a in arrs))
@@ -394,9 +397,7 @@ class _LocalFanout:
     def groups(parts) -> list:
         """The static round-robin split of ``parts`` into at most one
         non-empty group per cluster CPU."""
-        import ray
-
-        n = max(1, min(32, int(ray.cluster_resources().get("CPU", 1))))
+        n = min(32, _n_parts())
         parts = list(parts)
         return [g for g in (parts[i::n] for i in range(n)) if g]
 

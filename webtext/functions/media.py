@@ -17,7 +17,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..exchange import _ibucket, aggregate
+from ..exchange import _hash_exchange, _ibucket, aggregate
 from .dedup import (_cell_member_pairs, _col_i64, _popcount64,
                     connected_components)
 # module scope: worker closures must never lazy-import webtext
@@ -434,14 +434,14 @@ def media_phash_pairs(extracted_ds, max_hamming: int = 6):
     Candidates via 8 bands of 8 bits: by pigeonhole any pair with
     Hamming distance ≤ 7 agrees on at least one band, so for
     max_hamming ≤ 7 the banded result EQUALS the brute-force all-pairs
-    filter (the golden is brute force).  Band rows bucket by
-    hash(band_key, band_id) % 256 — constant fan-out; the phash rides
-    the band row so the verify is group-local (no side-table).  Near-dup
-    clusters cost O(cluster²) pairs, inherent to pair OUTPUT, not to
-    the shuffle."""
+    filter (the golden is brute force).  Band rows go through one hash
+    exchange on hash(band_key, band_id), executed at call time; the
+    phash rides the band row so the verify is partition-local (no
+    side-table).  Near-dup clusters cost O(cluster²) pairs, inherent to
+    pair OUTPUT, not to the shuffle."""
     ph = media_phash(extracted_ds)
 
-    def band_rows(batch: pa.Table) -> pa.Table:
+    def band_rows(batch: pa.Table) -> tuple:
         h = _col_i64(batch, "phash")
         hu = h.view(np.uint64)
         n = len(h)
@@ -454,9 +454,8 @@ def media_phash_pairs(extracted_ds, max_hamming: int = 6):
             [pa.array(refs * 8, pa.string()), pa.array(band),
              pa.array(key), pa.array(np.tile(h, 8))],
             names=["media_ref", "band_id", "band_key", "phash"])
-        b = _ibucket(_col_i64(t, "band_key") * np.int64(131)
-                     + _col_i64(t, "band_id"))
-        return t.append_column("bucket", pa.array(b))
+        return t, _ibucket(_col_i64(t, "band_key") * np.int64(131)
+                           + _col_i64(t, "band_id"))
 
     def bucket_pairs(group: pa.Table) -> pa.Table:
         refs = np.asarray(group.column("media_ref").to_pylist(),
@@ -473,10 +472,7 @@ def media_phash_pairs(extracted_ds, max_hamming: int = 6):
              pa.array(d[keep])],
             names=["left_ref", "right_ref", "hamming"])
 
-    banded = ph.map_batches(band_rows, batch_format="pyarrow",
-                            zero_copy_batch=True)
-    pairs = banded.groupby("bucket").map_groups(
-        bucket_pairs, batch_format="pyarrow")
+    pairs = _hash_exchange("bands", [(ph, band_rows, {})], bucket_pairs)
     # a pair can match several bands — collapse via a min (the hamming
     # is identical on every copy)
     uniq = aggregate(pairs, ["left_ref", "right_ref"], ("min", "hamming"))

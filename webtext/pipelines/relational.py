@@ -18,7 +18,7 @@ import pyarrow.compute as pc
 
 # module scope: worker code is shipped by value and cannot lazy-import
 # webtext
-from ..exchange import _ibucket, _sbucket, aggregate, join
+from ..exchange import _collect, _ibucket, _sbucket, aggregate, join
 
 
 def topk_per_group(ds, group_col: str = "lang", order_col: str = "n_chars",
@@ -1141,12 +1141,12 @@ def _ref_integrity_broadcast(sf_dir: str, edges):
             .map_batches(pemit(trs), batch_format="pyarrow",
                          zero_copy_batch=True)
         pds = ds if pds is None else pds.union(ds)
-    # union emits some zero-column placeholder blocks — drop them (all
-    # of them, for empty parents: seed the typed empty table)
-    pt = pa.concat_tables([t for t in ray.get(pds.to_arrow_refs())
-                           if t.num_columns] or [pa.table(
-                               {"edge": pa.array([], pa.int64()),
-                                "key": pa.array([], pa.int64())})])
+    # the lazy union runs once (_collect); with no columned block (empty
+    # parents) seed the typed empty table
+    pt = _collect(pds)
+    if pt is None:
+        pt = pa.table({"edge": pa.array([], pa.int64()),
+                       "key": pa.array([], pa.int64())})
     pe = pt.column("edge").to_numpy(zero_copy_only=False)
     pk = pt.column("key").to_numpy(zero_copy_only=False)
     refs = {i: ray.put(np.unique(pk[pe == i]))
