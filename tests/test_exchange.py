@@ -7,6 +7,7 @@ from __future__ import annotations
 import ast
 import datetime
 import pathlib
+import re
 
 import numpy as np
 import pyarrow as pa
@@ -516,45 +517,54 @@ def _old_band_route(bands):
             lambda g: _band_pairs(g, "band_hash"), batch_format="pyarrow")
 
 
-@pytest.mark.parametrize("n_parts", [1, None])
+@pytest.mark.parametrize("n_parts", [1, 2, None])
 def test_exchange_matches_the_old_route(ray_session, monkeypatch, table,
                                         join_sides, n_parts):
-    """At one partition (each map task's ``num_returns=1``) and at the
-    cluster's CPU count, aggregate equals the native aggregate, the
-    bucketed join equals Arrow's join, and band_candidates emits the
-    same pairs, with the same repeats, as the groupby route."""
+    """At P forced to 1 (the fused task), 2 and the cluster's CPU count
+    (None; these inputs are under one target block), aggregate equals
+    the native aggregate, the bucketed join equals Arrow's join for
+    every ``how``, and band_candidates emits the same pairs, with the
+    same repeats, as the groupby route; each result has P blocks."""
     import ray
 
     from webtext import exchange
     from webtext.functions.dedup import band_candidates
 
-    if n_parts is not None:
-        monkeypatch.setattr(exchange, "_n_parts", lambda: n_parts)
+    monkeypatch.setattr(exchange, "_size_parts",
+                        lambda nbytes, cpus: n_parts or cpus)
+    n = n_parts or exchange._n_parts()
     ds = ray.data.from_arrow(table).repartition(5).materialize()
     got = exchange.aggregate(ds, ["k", "s"], ("count",), ("sum", "v"))
     want = ds.groupby(["k", "s"]).aggregate(_agg("Count"), _agg("Sum", "v"))
-    assert _rows(got) == _rows(want)
+    assert _rows(got) == _rows(want) and got.num_blocks() == n
     lt, rt, on, right_on = join_sides["two-column"]
-    for how in ("left", "anti"):
-        attach = {"a": "a"} if how == "left" else {}
-        assert _rows(_run_join(lt, rt, on, right_on, how, attach,
-                               "bucketed")) == sorted(
+    for how in _JOIN_TYPES:
+        attach = {} if how in ("semi", "anti") else {"a": "a", "t": "t2"}
+        got = _run_join(lt, rt, on, right_on, how, attach, "bucketed")
+        assert got.num_blocks() == n, how
+        assert _rows(got) == sorted(
             tuple(sorted((k, repr(v)) for k, v in r.items()))
             for r in _reference_join(lt, rt, on, right_on, how,
-                                     attach).to_pylist())
+                                     attach).to_pylist()), how
     bands = ray.data.from_arrow(_band_rows_table()).repartition(4) \
         .materialize()
-    pairs = _rows(band_candidates(bands))
+    got = band_candidates(bands)
+    pairs = _rows(got)
     assert pairs == _rows(_old_band_route(bands)) and len(pairs) > 100
+    assert got.num_blocks() == n
 
 
-def test_bucketed_join_right_only_partitions_keep_the_schema(ray_session):
+def test_bucketed_join_right_only_partitions_keep_the_schema(ray_session,
+                                                            monkeypatch):
     """A partition holding right rows only returns 0 rows with the left
-    schema plus the attach columns, not a column-less table."""
+    schema plus the attach columns, not a column-less table (P forced
+    to the CPU count: these sides are under one target block)."""
     import ray
 
+    from webtext import exchange
     from webtext.exchange import _n_parts, join
 
+    monkeypatch.setattr(exchange, "_size_parts", lambda nbytes, cpus: cpus)
     left = ray.data.from_arrow(pa.table({"k": pa.array([7], pa.int64()),
                                          "v": ["x"]}))
     right = ray.data.from_arrow(pa.table({
@@ -617,14 +627,24 @@ def test_exchange_runs_a_lazy_plan_once_per_block(ray_session, tmp_path,
                                                   monkeypatch, capsys):
     """Every block of a lazy input is computed once: by the exchange,
     by graph._LocalFanout.collect and by graph._rebind, none of which
-    re-runs the plan under a ``limit(1)`` schema probe.  The exchange
-    prints its trace line."""
+    re-runs the plan under a ``limit(1)`` schema probe (the exchange
+    with P forced to the CPU count: this input is under one target
+    block).  The exchange prints its trace line with the bytes it
+    sized P from."""
     import ray
 
+    from webtext import exchange
     from webtext.exchange import _n_parts, aggregate
     from webtext.functions import graph
 
     monkeypatch.setenv("WEBTEXT_TRACE_ROUNDS", "1")
+    sized = []
+
+    def cpus_parts(nbytes, cpus):
+        sized.append(nbytes)
+        return cpus
+
+    monkeypatch.setattr(exchange, "_size_parts", cpus_parts)
 
     def lazy(name: str):
         log = tmp_path / name
@@ -638,8 +658,11 @@ def test_exchange_runs_a_lazy_plan_once_per_block(ray_session, tmp_path,
     ds, log = lazy("aggregate")
     assert len(aggregate(ds, "node", ("count",)).take_all()) == 13
     assert log.read_text().count("x") == 3
-    assert f"[exchange] op=aggregate blocks=3 parts={_n_parts()}" \
-        in capsys.readouterr().err
+    traced = [re.fullmatch(r"\[exchange\] op=aggregate blocks=3 "
+                           rf"bytes=(\d+) parts={_n_parts()}", ln)
+              for ln in capsys.readouterr().err.splitlines()]
+    nbytes = [int(m[1]) for m in traced if m]
+    assert len(nbytes) == 1 and nbytes[0] >= sized[0] > 0
     ds, log = lazy("collect")
     fan = graph._LocalFanout.collect(ds, ("node", "outdeg"),
                                      graph._inflow_kernel)
@@ -647,6 +670,209 @@ def test_exchange_runs_a_lazy_plan_once_per_block(ray_session, tmp_path,
     ds, log = lazy("rebind")
     assert graph._rebind(ds).count() == 60
     assert log.read_text().count("x") == 3
+
+
+def _exchange_trace(err: str) -> list:
+    """(op, blocks, bytes, parts) of each ``[exchange]`` trace line."""
+    return [m.groups() for m in map(re.compile(
+        r"\[exchange\] op=(\w+) blocks=(\d+) bytes=(\w+) parts=(\d+)")
+        .fullmatch, err.splitlines()) if m]
+
+
+def test_size_parts_follows_the_bytes_up_to_the_cpus(monkeypatch):
+    """P = min(CPUs, ⌈bytes / target_min_block_size⌉) and at least 1; a
+    block of unknown size gives the CPU count; the target is Ray Data's,
+    read at call time."""
+    from ray.data import DataContext
+
+    from webtext.exchange import _size_parts
+
+    target = DataContext.get_current().target_min_block_size
+    for nbytes, want in ((0, 1), (1, 1), (target, 1), (target + 1, 2),
+                         (3 * target, 3), (4 * target, 4),
+                         (100 * target, 4), (None, 4)):
+        assert _size_parts(nbytes, 4) == want, nbytes
+    assert _size_parts(None, 1) == _size_parts(100 * target, 1) == 1
+    monkeypatch.setattr(DataContext.get_current(), "target_min_block_size",
+                        100)
+    assert _size_parts(250, 4) == 3
+
+
+def test_small_exchange_is_one_fused_task(ray_session, monkeypatch,
+                                          tmp_path, capsys):
+    """An input under one target block runs as one raw task, which cuts
+    every block and calls the cell once, and gives one block.  Forced to
+    the CPU count, the same rows take one split task per block and one
+    reduce task per partition."""
+    import ray
+
+    from webtext import exchange
+
+    log = tmp_path / "tasks"
+
+    def logged(fn, tag: str):
+        def run(*args, _fn=fn, _tag=tag, _log=str(log), **kw):
+            import ray as _ray
+
+            with open(_log, "a", encoding="utf-8") as f:
+                f.write(f"{_tag} "
+                        f"{_ray.get_runtime_context().get_task_id()}\n")
+            return _fn(*args, **kw)
+        return run
+
+    monkeypatch.setattr(exchange, "_partial",
+                        logged(exchange._partial, "cut"))
+    monkeypatch.setattr(exchange, "_combine",
+                        logged(exchange._combine, "cell"))
+    monkeypatch.setenv("WEBTEXT_TRACE_ROUNDS", "1")
+    ds = ray.data.from_items([{"k": i % 40, "v": i} for i in range(200)],
+                             override_num_blocks=3).materialize()
+    want = [(k, sum(range(k, 200, 40))) for k in range(40)]
+
+    def run():
+        log.write_text("")
+        out = exchange.aggregate(ds, "k", ("sum", "v"))
+        rows = sorted((r["k"], r["sum(v)"]) for r in out.take_all())
+        calls = [ln.split() for ln in log.read_text().splitlines()]
+        return (rows, out.num_blocks(), sorted(t for t, _ in calls),
+                len({task for _, task in calls}))
+
+    assert run() == (want, 1, ["cell", "cut", "cut", "cut"], 1)
+    (trace,) = _exchange_trace(capsys.readouterr().err)
+    assert trace[:2] == ("aggregate", "3") and trace[3] == "1"
+    assert 0 < int(trace[2]) < ray.data.DataContext.get_current() \
+        .target_min_block_size
+    cpus = exchange._n_parts()
+    monkeypatch.setattr(exchange, "_size_parts", lambda nbytes, c: c)
+    assert run() == (want, cpus, ["cell"] * cpus + ["cut"] * 3, 3 + cpus)
+
+
+def test_exchange_over_cpus_target_blocks_cuts_one_part_per_cpu(
+        ray_session, monkeypatch, tmp_path, capsys):
+    """Real blocks whose sizes sum to CPUs × target_min_block_size: P is
+    the CPU count, and the aggregate is exact.  The exchange holds
+    blocks only until P reaches the CPU count: the blocks before the
+    last are being cut before the input yields its last block."""
+    import time
+    import types
+
+    import ray
+
+    from webtext import exchange
+    from webtext.exchange import _n_parts, aggregate
+
+    monkeypatch.setenv("WEBTEXT_TRACE_ROUNDS", "1")
+    log = tmp_path / "cuts"
+    log.touch()
+
+    def logged(*args, _fn=exchange._partial, _log=str(log), **kw):
+        with open(_log, "a", encoding="utf-8") as f:
+            f.write("x\n")
+        return _fn(*args, **kw)
+
+    monkeypatch.setattr(exchange, "_partial", logged)
+    cpus = _n_parts()
+    target = ray.data.DataContext.get_current().target_min_block_size
+    rows = cpus * target // 16 // 6 + 1       # two int64 columns, 6 blocks
+    ds = ray.data.from_arrow([pa.table({
+        "k": pa.array(np.arange(b * rows, (b + 1) * rows) % 997),
+        "v": pa.array(np.ones(rows, dtype=np.int64))}) for b in range(6)])
+    cut_first = []
+
+    class LastBlockWaits:
+        """``ds`` one block per bundle; the last block is yielded once a
+        cut has run, or after 60 s."""
+        def iter_internal_ref_bundles(self):
+            blocks = [b for bundle in ds.iter_internal_ref_bundles()
+                      for b in bundle.blocks]
+            for b in blocks[:-1]:
+                yield types.SimpleNamespace(blocks=[b])
+            deadline = time.monotonic() + 60
+            while not log.read_text() and time.monotonic() < deadline:
+                time.sleep(0.05)
+            cut_first.append(bool(log.read_text()))
+            yield types.SimpleNamespace(blocks=blocks[-1:])
+
+    out = aggregate(LastBlockWaits(), "k", ("sum", "v"))
+    assert cut_first == [True]
+    assert out.num_blocks() == cpus
+    got = {r["k"]: r["sum(v)"] for r in out.take_all()}
+    assert len(got) == 997 and sum(got.values()) == 6 * rows
+    (trace,) = _exchange_trace(capsys.readouterr().err)
+    assert trace[:2] == ("aggregate", "6") and trace[3] == str(cpus)
+    assert int(trace[2]) >= cpus * target
+
+
+def test_block_of_unknown_size_gives_one_part_per_cpu(ray_session,
+                                                      monkeypatch, capsys):
+    """A block whose metadata has no ``size_bytes`` makes P the CPU
+    count, however few bytes the other blocks hold."""
+    import types
+
+    import ray
+    from ray.data.block import BlockMetadata
+
+    from webtext.exchange import _n_parts, aggregate
+
+    monkeypatch.setenv("WEBTEXT_TRACE_ROUNDS", "1")
+    ds = ray.data.from_items([{"k": i % 40} for i in range(200)],
+                             override_num_blocks=2).materialize()
+
+    class LastUnsized:
+        def iter_internal_ref_bundles(self):
+            blocks = [b for bundle in ds.iter_internal_ref_bundles()
+                      for b in bundle.blocks]
+            ref, meta = blocks[-1]
+            blocks[-1] = (ref, BlockMetadata(
+                num_rows=meta.num_rows, size_bytes=None, exec_stats=None,
+                input_files=None))
+            yield types.SimpleNamespace(blocks=blocks)
+
+    out = aggregate(LastUnsized(), "k", ("count",))
+    assert out.num_blocks() == _n_parts()
+    assert sorted((r["k"], r["count()"]) for r in out.take_all()) \
+        == [(k, 5) for k in range(40)]
+    assert _exchange_trace(capsys.readouterr().err) \
+        == [("aggregate", "2", "None", str(_n_parts()))]
+
+
+@pytest.mark.parametrize("n_parts", [1, None])
+def test_exchange_over_empty_inputs(ray_session, monkeypatch, n_parts):
+    """Zero blocks, 0-row column-less blocks and a right side with no
+    rows, through the fused task (P = 1) and through the split and
+    reduce tasks (P = the CPU count)."""
+    import ray
+
+    from webtext import exchange
+    from webtext.functions.dedup import band_candidates
+
+    monkeypatch.setattr(exchange, "_size_parts",
+                        lambda nbytes, cpus: n_parts or cpus)
+    empty = ray.data.from_arrow_refs([])
+    assert exchange.aggregate(empty, "k", ("count",)).take_all() == []
+    assert band_candidates(empty).count() == 0
+
+    def sparse(t: pa.Table):
+        return ray.data.from_arrow(t).repartition(8).materialize()
+
+    lt = pa.table({"k": pa.array([1, 2, 3], pa.int64()), "v": [1, 2, 3]})
+    rt = pa.table({"k": pa.array([2, 3], pa.int64()), "a": [20, 30]})
+    no_rows = sparse(rt).filter(expr="k < 0")
+    assert sorted(tuple(r.values()) for r in exchange.aggregate(
+        sparse(lt), "k", ("sum", "v")).take_all()) == [(1, 1), (2, 2),
+                                                       (3, 3)]
+
+    def run(right, how, attach=()):
+        return sorted(tuple(r.values()) for r in exchange.join(
+            sparse(lt), right, "k", how=how, attach=attach).take_all())
+
+    assert run(sparse(rt), "inner", ["a"]) == [(2, 2, 20), (3, 3, 30)]
+    assert run(no_rows, "inner", ["a"]) == []
+    assert run(no_rows, "left", ["a"]) == [(1, 1, None), (2, 2, None),
+                                           (3, 3, None)]
+    assert run(no_rows, "anti") == run(empty, "anti") \
+        == [(1, 1), (2, 2), (3, 3)]
+    assert run(empty, "semi") == []
 
 
 def test_exchange_module_has_no_groupby():

@@ -170,11 +170,13 @@ def test_task_death_in_hash_exchange_reduce_recovers(ray_session,
                                                      monkeypatch):
     """Worker death inside the hash exchange: one reduce task of
     ``exchange.aggregate`` hard-exits once; Ray's task retry must
-    reproduce the exact aggregate from the map tasks' parts."""
+    reproduce the exact aggregate from the map tasks' parts (P forced
+    to the CPU count: this input is under one target block)."""
     import ray.data
 
     from webtext import exchange
 
+    monkeypatch.setattr(exchange, "_size_parts", lambda nbytes, cpus: cpus)
     flag = str(tmp_path / "reduce_died")
     combine = exchange._combine
 

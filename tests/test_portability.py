@@ -68,12 +68,13 @@ def test_module_level_partial_fns_ship_by_value():
     from webtext.functions.events import _partial_window_counts
     from webtext.pipelines.extract_pipeline import _tag_shard
     from webtext.pipelines.links import _mine_batch
-    from webtext.exchange import _combine, _partial, _reduce, _split
+    from webtext.exchange import (_combine, _cut, _fused, _partial,
+                                  _reduce, _split)
     from webtext.stages.skew import _partial_domain_counts
 
     fns = [_band_rows, _partial_window_counts, _tag_shard, _mine_batch,
            _partial_domain_counts, _partial, _combine, _split, _reduce,
-           _band_cut, _band_pairs]
+           _cut, _fused, _band_cut, _band_pairs]
 
     def thunk():
         return ",".join(f.__name__ for f in fns)

@@ -4,14 +4,27 @@ exchange they share.
 ``_hash_exchange`` is the one repartition operator, on raw Ray tasks
 instead of Ray Data's sort-based ``groupby`` + ``map_groups``.  Each
 input is streamed with ``iter_internal_ref_bundles()``, so a lazy plan
-runs once and no ``limit(1)`` schema probe runs.  One task per block
-tags its rows with a bucket, hash(key) % N_SHUFFLE_BUCKETS, and returns
-them split by ``bucket % P`` as P objects, P the cluster's CPUs; P
-reduce tasks run the cell once per partition, and the result is
-``ray.data.from_arrow_refs`` over their outputs.  So an exchange
-executes its input at call time, as ``materialize()`` does.  With
-``WEBTEXT_TRACE_ROUNDS`` set it prints one ``[exchange]
-op=aggregate|join|bands blocks=M parts=P`` line to stderr.
+runs once and no ``limit(1)`` schema probe runs.  Its partition count
+is sized to the bytes it carries: P = min(CPUs, ⌈bytes / target⌉),
+bytes the sum of the inputs' block ``size_bytes`` and target Ray Data's
+``DataContext.target_min_block_size`` (1 MiB), the size below which
+Ray Data does not split a block; a block of unknown size makes P the
+CPU count.  Block refs are held, across the inputs in order, only until
+P reaches the CPU count; from then on every block is split as it
+arrives, so a large input streams.
+
+* P > 1 — one task per block tags its rows with a bucket,
+  hash(key) % N_SHUFFLE_BUCKETS, and returns them split by
+  ``bucket % P`` as P objects; P reduce tasks run the cell once per
+  partition.
+* P = 1 — one fused task cuts every block, concatenates each input's
+  rows and runs the cell once; no split task runs.
+
+The result is ``ray.data.from_arrow_refs`` over the cell outputs, so
+an exchange executes its input at call time, as ``materialize()`` does,
+and a small exchange gives one block.  With ``WEBTEXT_TRACE_ROUNDS``
+set it prints one ``[exchange] op=aggregate|join|bands blocks=M
+bytes=B parts=P`` line to stderr.
 
 ``aggregate(ds, on, *aggs)`` replaces Ray Data's native keyed
 aggregates, which in Ray 2.49 are sort-based and walk every row in
@@ -154,34 +167,50 @@ def _key_bucket(table: pa.Table, on: list,
 
 
 def _n_parts() -> int:
-    """P, the partition count of every hash exchange: the cluster's
-    CPUs, capped at N_SHUFFLE_BUCKETS."""
+    """The most partitions a hash exchange cuts: the cluster's CPUs,
+    capped at N_SHUFFLE_BUCKETS."""
     import ray
 
     return max(1, min(N_SHUFFLE_BUCKETS,
                       int(ray.cluster_resources().get("CPU", 1))))
 
 
-def _split(cut, kw: dict, n: int, block):
-    """Map task: ``cut(table, **kw) -> (table, bucket)`` on one block,
-    whose rows are then returned split by ``bucket % n`` as n tables
-    (one ``take`` each, so no part pins the whole block's buffers).  A
-    0-row block gives n column-less tables: its schema is not to be
-    trusted (Ray 2.49's ``select_columns`` returns a 0-row block
-    unprojected, and a repartition leaves some with no columns)."""
+def _size_parts(nbytes, cpus: int) -> int:
+    """P for an exchange whose inputs carry ``nbytes`` (None: a block of
+    unknown size): one partition per ``target_min_block_size`` bytes,
+    at least 1 and at most ``cpus``."""
+    from ray.data import DataContext
+
+    if nbytes is None:
+        return cpus
+    target = DataContext.get_current().target_min_block_size
+    return max(1, min(cpus, -(-nbytes // target)))
+
+
+def _cut(cut, kw: dict, block):
+    """``cut(table, **kw) -> (table, bucket)`` on one block, or None for
+    a 0-row block: its schema is not to be trusted (Ray 2.49's
+    ``select_columns`` returns a 0-row block unprojected, and a
+    repartition leaves some with no columns)."""
     from ray.data.block import BlockAccessor
 
     table = BlockAccessor.for_block(block).to_arrow()
-    if not table.num_rows:
-        parts = [pa.table({})] * n
-    else:
-        table, bucket = cut(table, **kw)
-        part = bucket % n
-        order = np.argsort(part, kind="stable")
-        bounds = np.searchsorted(part[order], np.arange(n + 1))
-        parts = [table.take(pa.array(order[s:e]))
-                 for s, e in zip(bounds[:-1], bounds[1:])]
-    return parts[0] if n == 1 else tuple(parts)
+    return cut(table, **kw) if table.num_rows else None
+
+
+def _split(cut, kw: dict, n: int, block) -> tuple:
+    """Map task: one block's ``_cut`` rows returned split by
+    ``bucket % n`` as n tables (one ``take`` each, so no part pins the
+    whole block's buffers); a 0-row block gives n column-less tables."""
+    got = _cut(cut, kw, block)
+    if got is None:
+        return (pa.table({}),) * n
+    table, bucket = got
+    part = bucket % n
+    order = np.argsort(part, kind="stable")
+    bounds = np.searchsorted(part[order], np.arange(n + 1))
+    return tuple(table.take(pa.array(order[s:e]))
+                 for s, e in zip(bounds[:-1], bounds[1:]))
 
 
 def _reduce(cell, kw: dict, sides: tuple, *parts) -> pa.Table:
@@ -194,29 +223,60 @@ def _reduce(cell, kw: dict, sides: tuple, *parts) -> pa.Table:
     return pa.table({}) if tables[0] is None else cell(*tables, **kw)
 
 
+def _fused(cell, kw: dict, cuts: tuple, sides: tuple, *blocks) -> pa.Table:
+    """The exchange at P = 1 as one task: ``sides[i]`` of ``blocks`` are
+    input i's, cut by its ``cuts[i]`` = (cut, cut kwargs) as in
+    ``_split``, and ``_reduce`` runs the cell over them as one
+    partition."""
+    owner = [c for c, n in zip(cuts, sides) for _ in range(n)]
+    got = [_cut(cut, cut_kw, b) for (cut, cut_kw), b in zip(owner, blocks)]
+    return _reduce(cell, kw, sides,
+                   *(pa.table({}) if g is None else g[0] for g in got))
+
+
 def _hash_exchange(op: str, inputs: list, cell, **kw):
     """The hash exchange (see the module docstring): ``inputs`` is a
-    list of (Dataset, cut, cut kwargs); each partition's reduce task
-    calls ``cell(table_0, table_1, …, **kw)`` with the partition's rows
-    of each input (``_reduce``: None for a later input with no columned
+    list of (Dataset, cut, cut kwargs); each partition calls
+    ``cell(table_0, table_1, …, **kw)`` with the partition's rows of
+    each input (``_reduce``: None for a later input with no columned
     part).  Returns the materialized Dataset of the P cell outputs."""
     import ray
 
-    split, n = ray.remote(_split), _n_parts()
-    parts, sides = [], []
+    cpus, split = _n_parts(), ray.remote(_split)
+    held, parts, sides, nbytes, n = [], [], [], 0, None
+
+    def split_held():
+        parts.extend(split.options(num_returns=n).remote(c, k, n, r)
+                     for c, k, r in held)
+        held.clear()
+
     for ds, cut, cut_kw in inputs:
-        refs = [split.options(num_returns=n).remote(cut, cut_kw, n, ref)
-                for bundle in ds.iter_internal_ref_bundles()
-                for ref in bundle.block_refs]
-        parts += [[r] for r in refs] if n == 1 else refs
-        sides.append(len(refs))
+        sides.append(0)
+        for bundle in ds.iter_internal_ref_bundles():
+            for ref, meta in bundle.blocks:
+                sides[-1] += 1
+                held.append((cut, cut_kw, ref))
+                nbytes = None if nbytes is None or meta.size_bytes is None \
+                    else nbytes + meta.size_bytes
+                if n is None and _size_parts(nbytes, cpus) >= cpus > 1:
+                    n = cpus
+                if n is not None:
+                    split_held()
+    if n is None:
+        n = _size_parts(nbytes, cpus)
     if os.environ.get("WEBTEXT_TRACE_ROUNDS"):
-        print(f"[exchange] op={op} blocks={len(parts)} parts={n}",
-              file=sys.stderr)
-    reduce = ray.remote(_reduce)
-    return ray.data.from_arrow_refs(
-        [reduce.remote(cell, kw, tuple(sides), *(p[i] for p in parts))
-         for i in range(n)])
+        print(f"[exchange] op={op} blocks={sum(sides)} bytes={nbytes} "
+              f"parts={n}", file=sys.stderr)
+    if n == 1:
+        outs = [ray.remote(_fused).remote(
+            cell, kw, tuple((c, k) for _, c, k in inputs), tuple(sides),
+            *(r for _, _, r in held))]
+    else:
+        split_held()
+        reduce = ray.remote(_reduce)
+        outs = [reduce.remote(cell, kw, tuple(sides), *(p[i] for p in parts))
+                for i in range(n)]
+    return ray.data.from_arrow_refs(outs)
 
 
 def _out_name(spec: tuple) -> str:
