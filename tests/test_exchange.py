@@ -470,6 +470,50 @@ def test_dedup_extracted_routes_identical(ray_session, monkeypatch,
     assert want
 
 
+def test_verify_spreads_many_text_bytes_over_the_cpus(ray_session,
+                                                      monkeypatch):
+    """A verify whose candidate keys fit one block but whose texts sum
+    past one target_min_block_size scores on one block per CPU; a small
+    one scores in one block.  Both keep the pairs a direct word Jaccard
+    keeps, as the bucketed text route does."""
+    import ray
+
+    from webtext.exchange import _n_parts
+    from webtext.functions import dedup
+
+    rng = np.random.default_rng(3)
+    vocab = [f"w{i}" for i in range(300)]
+    texts = [" ".join(rng.choice(vocab, 120)) for _ in range(200)]
+    docs = ray.data.from_arrow(pa.table({
+        "doc_id": pa.array(range(200), pa.int64()), "text": texts})) \
+        .repartition(3).materialize()
+    left, right = np.triu_indices(200, 1)
+    target = ray.data.DataContext.get_current().target_min_block_size
+
+    def similar(a, b):
+        inter, union = dedup.word_jaccard(texts[a], texts[b])
+        return inter / union >= 0.25
+
+    def run(n):
+        pairs = ray.data.from_arrow(pa.table({
+            "left_id": left[:n], "right_id": right[:n]})).materialize()
+        out = dedup._jaccard_verify_pairs(pairs, docs, 0.25).materialize()
+        want = sorted((int(a), int(b)) for a, b in zip(left[:n], right[:n])
+                      if similar(a, b))
+        got = sorted((r["left_id"], r["right_id"]) for r in out.take_all())
+        assert got == want and want
+        return out.num_blocks(), pairs.size_bytes(), got
+
+    mean = docs.size_bytes() / 200
+    many, key_bytes, got = run(3000)
+    assert key_bytes < target < 3000 * 2 * mean
+    assert many == _n_parts() > 1
+    few, _, _ = run(200)
+    assert 200 * 2 * mean < target and few == 1
+    monkeypatch.setattr(dedup, "TEXT_BROADCAST_MAX_BYTES", 0)
+    assert run(3000)[2] == got
+
+
 def test_pair_text_join_is_gone():
     """The MinHash verify attaches texts through exchange.join; the
     hand-written emit-union text join it replaced stays deleted."""
@@ -629,8 +673,8 @@ def test_exchange_runs_a_lazy_plan_once_per_block(ray_session, tmp_path,
     by graph._LocalFanout.collect and by graph._rebind, none of which
     re-runs the plan under a ``limit(1)`` schema probe (the exchange
     with P forced to the CPU count: this input is under one target
-    block).  The exchange prints its trace line with the bytes it
-    sized P from."""
+    block).  The exchange prints its trace line with the bytes its
+    blocks carry."""
     import ray
 
     from webtext import exchange
@@ -638,13 +682,7 @@ def test_exchange_runs_a_lazy_plan_once_per_block(ray_session, tmp_path,
     from webtext.functions import graph
 
     monkeypatch.setenv("WEBTEXT_TRACE_ROUNDS", "1")
-    sized = []
-
-    def cpus_parts(nbytes, cpus):
-        sized.append(nbytes)
-        return cpus
-
-    monkeypatch.setattr(exchange, "_size_parts", cpus_parts)
+    monkeypatch.setattr(exchange, "_size_parts", lambda nbytes, cpus: cpus)
 
     def lazy(name: str):
         log = tmp_path / name
@@ -662,7 +700,7 @@ def test_exchange_runs_a_lazy_plan_once_per_block(ray_session, tmp_path,
                            rf"bytes=(\d+) parts={_n_parts()}", ln)
               for ln in capsys.readouterr().err.splitlines()]
     nbytes = [int(m[1]) for m in traced if m]
-    assert len(nbytes) == 1 and nbytes[0] >= sized[0] > 0
+    assert len(nbytes) == 1 and nbytes[0] > 0
     ds, log = lazy("collect")
     fan = graph._LocalFanout.collect(ds, ("node", "outdeg"),
                                      graph._inflow_kernel)
@@ -679,23 +717,23 @@ def _exchange_trace(err: str) -> list:
         .fullmatch, err.splitlines()) if m]
 
 
-def test_size_parts_follows_the_bytes_up_to_the_cpus(monkeypatch):
-    """P = min(CPUs, ⌈bytes / target_min_block_size⌉) and at least 1; a
-    block of unknown size gives the CPU count; the target is Ray Data's,
-    read at call time."""
+def test_size_parts_is_one_within_a_target_block_else_the_cpus(
+        monkeypatch):
+    """P = 1 while the bytes fit in one target_min_block_size, else the
+    CPU count; a block of unknown size gives the CPU count; the target
+    is Ray Data's, read at call time."""
     from ray.data import DataContext
 
     from webtext.exchange import _size_parts
 
     target = DataContext.get_current().target_min_block_size
-    for nbytes, want in ((0, 1), (1, 1), (target, 1), (target + 1, 2),
-                         (3 * target, 3), (4 * target, 4),
+    for nbytes, want in ((0, 1), (1, 1), (target, 1), (target + 1, 4),
                          (100 * target, 4), (None, 4)):
         assert _size_parts(nbytes, 4) == want, nbytes
     assert _size_parts(None, 1) == _size_parts(100 * target, 1) == 1
     monkeypatch.setattr(DataContext.get_current(), "target_min_block_size",
                         100)
-    assert _size_parts(250, 4) == 3
+    assert (_size_parts(100, 4), _size_parts(101, 4)) == (1, 4)
 
 
 def test_small_exchange_is_one_fused_task(ray_session, monkeypatch,
@@ -747,12 +785,12 @@ def test_small_exchange_is_one_fused_task(ray_session, monkeypatch,
     assert run() == (want, cpus, ["cell"] * cpus + ["cut"] * 3, 3 + cpus)
 
 
-def test_exchange_over_cpus_target_blocks_cuts_one_part_per_cpu(
+def test_exchange_over_one_target_block_cuts_one_part_per_cpu(
         ray_session, monkeypatch, tmp_path, capsys):
-    """Real blocks whose sizes sum to CPUs × target_min_block_size: P is
+    """Real blocks whose sizes sum past one target_min_block_size: P is
     the CPU count, and the aggregate is exact.  The exchange holds
-    blocks only until P reaches the CPU count: the blocks before the
-    last are being cut before the input yields its last block."""
+    blocks only until one target's worth has arrived: the blocks before
+    the last are being cut before the input yields its last block."""
     import time
     import types
 
@@ -773,7 +811,7 @@ def test_exchange_over_cpus_target_blocks_cuts_one_part_per_cpu(
     monkeypatch.setattr(exchange, "_partial", logged)
     cpus = _n_parts()
     target = ray.data.DataContext.get_current().target_min_block_size
-    rows = cpus * target // 16 // 6 + 1       # two int64 columns, 6 blocks
+    rows = target // 16 // 5 + 1     # two int64 columns: 5 blocks pass it
     ds = ray.data.from_arrow([pa.table({
         "k": pa.array(np.arange(b * rows, (b + 1) * rows) % 997),
         "v": pa.array(np.ones(rows, dtype=np.int64))}) for b in range(6)])
@@ -800,7 +838,7 @@ def test_exchange_over_cpus_target_blocks_cuts_one_part_per_cpu(
     assert len(got) == 997 and sum(got.values()) == 6 * rows
     (trace,) = _exchange_trace(capsys.readouterr().err)
     assert trace[:2] == ("aggregate", "6") and trace[3] == str(cpus)
-    assert int(trace[2]) >= cpus * target
+    assert int(trace[2]) > target
 
 
 def test_block_of_unknown_size_gives_one_part_per_cpu(ray_session,

@@ -165,19 +165,17 @@ def test_task_death_in_shuffle_stage_recovers(ray_session, tmp_path):
     assert got == want
 
 
-def test_task_death_in_hash_exchange_reduce_recovers(ray_session,
-                                                     tmp_path,
-                                                     monkeypatch):
-    """Worker death inside the hash exchange: one reduce task of
-    ``exchange.aggregate`` hard-exits once; Ray's task retry must
-    reproduce the exact aggregate from the map tasks' parts (P forced
-    to the CPU count: this input is under one target block)."""
+def _aggregate_with_one_cell_death(tmp_path, monkeypatch, parts) -> None:
+    """``exchange.aggregate`` with P forced to ``parts(cpus)`` while the
+    cell hard-exits its task once: Ray's task retry must reproduce the
+    exact aggregate from the task's arguments."""
     import ray.data
 
     from webtext import exchange
 
-    monkeypatch.setattr(exchange, "_size_parts", lambda nbytes, cpus: cpus)
-    flag = str(tmp_path / "reduce_died")
+    monkeypatch.setattr(exchange, "_size_parts",
+                        lambda nbytes, cpus: parts(cpus))
+    flag = str(tmp_path / "cell_died")
     combine = exchange._combine
 
     def dying_combine(group, *, _flag=flag, _combine=combine, **kw):
@@ -205,6 +203,25 @@ def test_task_death_in_hash_exchange_reduce_recovers(ray_session,
                 len(range(b, 1000, 7))) for b in range(7)}
     assert os.path.exists(flag), "the crash injection never fired"
     assert got == want
+
+
+def test_task_death_in_hash_exchange_reduce_recovers(ray_session,
+                                                     tmp_path,
+                                                     monkeypatch):
+    """Worker death inside the hash exchange: one reduce task hard-exits
+    once and is retried from the split tasks' parts (P forced to the
+    CPU count: this input is under one target block)."""
+    _aggregate_with_one_cell_death(tmp_path, monkeypatch,
+                                   lambda cpus: cpus)
+
+
+def test_task_death_in_fused_exchange_task_recovers(ray_session,
+                                                    tmp_path,
+                                                    monkeypatch):
+    """Worker death in the fused exchange task (P = 1), the route every
+    exchange under one target block takes: the task is retried from the
+    input blocks."""
+    _aggregate_with_one_cell_death(tmp_path, monkeypatch, lambda cpus: 1)
 
 
 def test_compact_output_row_preserving(ray_session, small_corpus_dir,

@@ -5,13 +5,13 @@ exchange they share.
 instead of Ray Data's sort-based ``groupby`` + ``map_groups``.  Each
 input is streamed with ``iter_internal_ref_bundles()``, so a lazy plan
 runs once and no ``limit(1)`` schema probe runs.  Its partition count
-is sized to the bytes it carries: P = min(CPUs, ⌈bytes / target⌉),
-bytes the sum of the inputs' block ``size_bytes`` and target Ray Data's
+P follows the bytes it carries, the sum of the inputs' block
+``size_bytes``: P = 1 while they fit in one Ray Data
 ``DataContext.target_min_block_size`` (1 MiB), the size below which
-Ray Data does not split a block; a block of unknown size makes P the
-CPU count.  Block refs are held, across the inputs in order, only until
-P reaches the CPU count; from then on every block is split as it
-arrives, so a large input streams.
+Ray Data does not split a block, and P = the cluster's CPUs above it or
+when a block's size is unknown.  Block refs are held, across the inputs
+in order, only until one target's worth has arrived; from then on every
+block is split as it arrives, so a large input streams.
 
 * P > 1 — one task per block tags its rows with a bucket,
   hash(key) % N_SHUFFLE_BUCKETS, and returns them split by
@@ -177,14 +177,13 @@ def _n_parts() -> int:
 
 def _size_parts(nbytes, cpus: int) -> int:
     """P for an exchange whose inputs carry ``nbytes`` (None: a block of
-    unknown size): one partition per ``target_min_block_size`` bytes,
-    at least 1 and at most ``cpus``."""
+    unknown size): 1 while they fit in one ``target_min_block_size``,
+    else ``cpus``."""
     from ray.data import DataContext
 
-    if nbytes is None:
-        return cpus
-    target = DataContext.get_current().target_min_block_size
-    return max(1, min(cpus, -(-nbytes // target)))
+    fits = nbytes is not None \
+        and nbytes <= DataContext.get_current().target_min_block_size
+    return 1 if fits else cpus
 
 
 def _cut(cut, kw: dict, block):
@@ -243,13 +242,8 @@ def _hash_exchange(op: str, inputs: list, cell, **kw):
     import ray
 
     cpus, split = _n_parts(), ray.remote(_split)
-    held, parts, sides, nbytes, n = [], [], [], 0, None
-
-    def split_held():
-        parts.extend(split.options(num_returns=n).remote(c, k, n, r)
-                     for c, k, r in held)
-        held.clear()
-
+    held, parts, sides, nbytes = [], [], [], 0
+    n = _size_parts(nbytes, cpus)
     for ds, cut, cut_kw in inputs:
         sides.append(0)
         for bundle in ds.iter_internal_ref_bundles():
@@ -258,12 +252,12 @@ def _hash_exchange(op: str, inputs: list, cell, **kw):
                 held.append((cut, cut_kw, ref))
                 nbytes = None if nbytes is None or meta.size_bytes is None \
                     else nbytes + meta.size_bytes
-                if n is None and _size_parts(nbytes, cpus) >= cpus > 1:
-                    n = cpus
-                if n is not None:
-                    split_held()
-    if n is None:
-        n = _size_parts(nbytes, cpus)
+                if n == 1:
+                    n = _size_parts(nbytes, cpus)
+                if n > 1:
+                    parts.extend(split.options(num_returns=n)
+                                 .remote(c, k, n, r) for c, k, r in held)
+                    held.clear()
     if os.environ.get("WEBTEXT_TRACE_ROUNDS"):
         print(f"[exchange] op={op} blocks={sum(sides)} bytes={nbytes} "
               f"parts={n}", file=sys.stderr)
@@ -272,7 +266,6 @@ def _hash_exchange(op: str, inputs: list, cell, **kw):
             cell, kw, tuple((c, k) for _, c, k in inputs), tuple(sides),
             *(r for _, _, r in held))]
     else:
-        split_held()
         reduce = ray.remote(_reduce)
         outs = [reduce.remote(cell, kw, tuple(sides), *(p[i] for p in parts))
                 for i in range(n)]

@@ -40,7 +40,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..exchange import (N_SHUFFLE_BUCKETS, _hash_exchange, _ibucket,
+from ..exchange import (N_SHUFFLE_BUCKETS, _hash_exchange, _ibucket, _n_parts,
                         _sbucket, aggregate, join)
 from ..sources.manifest import CommitManifest  # module scope: worker
 # code is shipped by value and cannot lazy-import webtext
@@ -192,15 +192,36 @@ def _keep_similar(batch: pa.Table, threshold: float) -> pa.Table:
         .select(["left_id", "right_id"])
 
 
+def _spread_pairs(uniq, docs, right_docs):
+    """``uniq`` cut into one block per CPU when both texts take the
+    broadcast route and the scoring map would read more than one
+    ``target_min_block_size``: each pair at its two sides' mean row
+    bytes, all free from materialized metadata.  The exchange sizes
+    ``uniq`` by its key bytes, 16 B a pair, so without this a verify of
+    50k pairs scores in one task.  A bucketed text side needs no cut:
+    its join exchange counts the text bytes."""
+    from ray.data import DataContext
+
+    if uniq.num_blocks() >= _n_parts() or None in (
+            _text_lut_rows(docs), _text_lut_rows(right_docs)):
+        return uniq
+    mean = sum(d.size_bytes() / max(1, d.count()) for d in (docs, right_docs))
+    if uniq.count() * mean > DataContext.get_current().target_min_block_size:
+        return uniq.repartition(_n_parts())
+    return uniq
+
+
 def _jaccard_verify_pairs(pairs, docs, threshold: float, right_docs=None):
     """Candidate (left_id, right_id) pairs kept where the word-set
     Jaccard of their texts is ≥ threshold.  Candidates are deduped
-    first (``aggregate``); the left text comes from ``docs`` and the
-    right one from ``right_docs`` (default ``docs``), each attached by
-    ``exchange.join`` on its route (``_text_lut_rows``); one map then
-    scores the pairs."""
+    first (``aggregate``) and spread over the CPUs when their texts
+    are many (``_spread_pairs``); the left text comes from ``docs`` and
+    the right one from ``right_docs`` (default ``docs``), each attached
+    by ``exchange.join`` on its route (``_text_lut_rows``); one map
+    then scores the pairs."""
     right_docs = docs if right_docs is None else right_docs
-    uniq = aggregate(pairs, ["left_id", "right_id"], ("count",))
+    uniq = _spread_pairs(aggregate(pairs, ["left_id", "right_id"],
+                                   ("count",)), docs, right_docs)
     for side, texts in (("left", docs), ("right", right_docs)):
         uniq = join(uniq, texts, f"{side}_id", right_on="doc_id",
                     attach={"text": f"{side}_text"},
