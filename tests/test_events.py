@@ -378,6 +378,37 @@ def test_lag_deltas_drops_first_event_per_user(ray_session):
     assert got == {2: 600_000_000, 3: 60_000_000}
 
 
+@pytest.mark.parametrize("n_parts", [1, None])
+def test_per_user_scans_over_partitions_without_rows(ray_session,
+                                                     monkeypatch, n_parts):
+    """running_totals, rolling_sums and lag_deltas run on the hash
+    exchange: at P = 1 and at P forced to the CPU count, where most
+    partitions of these two users' events hold no rows, every user's
+    scan is exact."""
+    import ray.data
+
+    from webtext import exchange
+    from webtext.functions.events import (lag_deltas, rolling_sums,
+                                          running_totals)
+
+    monkeypatch.setattr(exchange, "_size_parts",
+                        lambda nbytes, cpus: n_parts or cpus)
+    rows = [dict(_ev(i, 5, 10 * i), value=float(i)) for i in range(1, 5)]
+    rows.append(dict(_ev(9, 6, 0), value=-2.5))
+    ds = ray.data.from_items(rows, override_num_blocks=2)
+
+    def by_id(out, col):
+        assert out.num_blocks() == (n_parts or exchange._n_parts())
+        return {r["event_id"]: r[col] for r in out.take_all()}
+
+    assert by_id(running_totals(ds), "running_cents") \
+        == {1: 100, 2: 300, 3: 600, 4: 1000, 9: -250}
+    assert by_id(rolling_sums(ds, window_rows=2), "roll_cents") \
+        == {1: 100, 2: 300, 3: 500, 4: 700, 9: -250}
+    assert by_id(lag_deltas(ds), "gap_us") \
+        == {2: 600_000_000, 3: 600_000_000, 4: 600_000_000}
+
+
 def test_user_growth_cumulative(ray_session):
     import ray.data
 

@@ -920,3 +920,96 @@ def test_exchange_module_has_no_groupby():
 
     assert "groupby(" not in pathlib.Path(exchange.__file__).read_text(
         encoding="utf-8")
+
+
+def _combiner():
+    """A per-block combiner: (k, v) rows → one (k, n, v2) row per key,
+    n its rows and v2 the sum of 2·v (a closure, so Ray pickles it by
+    value)."""
+    def combine(batch: pa.Table) -> pa.Table:
+        import pyarrow.compute as pc
+
+        t = pa.table({"k": batch.column("k"),
+                      "n": pa.array(np.ones(batch.num_rows, dtype=np.int64)),
+                      "v2": pc.multiply(batch.column("v"), 2)})
+        out = t.group_by("k").aggregate([("n", "sum"), ("v2", "sum")])
+        return pa.table({"k": out.column("k"), "n": out.column("n_sum"),
+                         "v2": out.column("v2_sum")})
+    return combine
+
+
+@pytest.mark.parametrize("n_parts", [1, None])
+def test_named_premapped_aggregate_matches_the_map_form(
+        ray_session, monkeypatch, table, n_parts):
+    """``aggregate(ds, …, pre=f, names=N)`` is row-identical to the old
+    form, ``aggregate(ds.map_batches(f), …)`` then a
+    ``rename_columns(N)`` map, at P = 1 and at P = the CPU count, and
+    keeps P blocks."""
+    import ray
+
+    from webtext import exchange
+
+    monkeypatch.setattr(exchange, "_size_parts",
+                        lambda nbytes, cpus: n_parts or cpus)
+    ds = ray.data.from_arrow(table.select(["k", "v"])).repartition(5) \
+        .materialize()
+    names = ["key", "rows", "twice_v"]
+    specs = (("sum", "n"), ("sum", "v2"))
+    old = exchange.aggregate(
+        ds.map_batches(_combiner(), batch_format="pyarrow"), "k", *specs) \
+        .map_batches(lambda b: b.rename_columns(names),
+                     batch_format="pyarrow")
+    new = exchange.aggregate(ds, "k", *specs, pre=_combiner(), names=names)
+    assert _rows(new) == _rows(old) and len(_rows(new)) == 41
+    assert new.num_blocks() == (n_parts or exchange._n_parts())
+    with pytest.raises(ValueError, match="names"):
+        exchange.aggregate(ds, "k", ("count",), names=["k"])
+
+
+def test_bucketed_left_join_types_empty_attach_columns(ray_session,
+                                                       monkeypatch):
+    """A bucketed ``how="left"`` join whose right side holds one row:
+    the partitions without it still type the attach column from the
+    right side's schema, so every block's attach column is int64."""
+    import ray
+
+    from webtext import exchange
+
+    monkeypatch.setattr(exchange, "_size_parts", lambda nbytes, cpus: cpus)
+    left = ray.data.from_arrow(pa.table({
+        "k": pa.array(range(40), pa.int64())}))
+    right = ray.data.from_arrow(pa.table({"k": pa.array([7], pa.int64()),
+                                          "a": pa.array([70], pa.int64())}))
+    out = exchange.join(left, right, "k", how="left", attach=["a"])
+    blocks = ray.get(out.to_arrow_refs())
+    assert len(blocks) == exchange._n_parts() > 1
+    assert [b.schema.field("a").type for b in blocks] \
+        == [pa.int64()] * len(blocks)
+    assert sorted((r["k"], r["a"]) for r in out.take_all()) \
+        == [(k, 70 if k == 7 else None) for k in range(40)]
+
+
+def test_repeated_exchange_exports_no_function(ray_session, monkeypatch):
+    """Each raw-task remote function is made once per process: a second
+    ``aggregate`` call, on the fused task or on split and reduce tasks,
+    pickles and exports no function."""
+    import ray
+    from ray._private.function_manager import FunctionActorManager
+
+    from webtext import exchange
+
+    exported = []
+    real = FunctionActorManager.export
+    monkeypatch.setattr(FunctionActorManager, "export",
+                        lambda self, fn: (exported.append(
+                            fn._function_name), real(self, fn))[1])
+    ds = ray.data.from_items([{"k": i % 9} for i in range(90)],
+                             override_num_blocks=3).materialize()
+    for n_parts in (1, None):
+        monkeypatch.setattr(exchange, "_size_parts",
+                            lambda nbytes, cpus, _n=n_parts: _n or cpus)
+        exchange.aggregate(ds, "k", ("count",))
+        exported.clear()
+        out = exchange.aggregate(ds, "k", ("count",))
+        assert sorted(r["count()"] for r in out.take_all()) == [10] * 9
+        assert exported == [], n_parts

@@ -20,15 +20,19 @@ block is split as it arrives, so a large input streams.
 * P = 1 — one fused task cuts every block, concatenates each input's
   rows and runs the cell once; no split task runs.
 
-The result is ``ray.data.from_arrow_refs`` over the cell outputs, so
-an exchange executes its input at call time, as ``materialize()`` does,
-and a small exchange gives one block.  With ``WEBTEXT_TRACE_ROUNDS``
-set it prints one ``[exchange] op=aggregate|join|bands blocks=M
-bytes=B parts=P`` line to stderr.
+The result is ``ray.data.from_arrow_refs`` over the cell outputs,
+materialized, so an exchange executes its input at call time, as
+``materialize()`` does, a small exchange gives one block, and reading
+the result back (``to_arrow_refs``, ``take_all``, another exchange)
+starts no Ray Data execution.  Each task's remote function is made
+once per process (``_task``), so a repeated exchange exports no
+function.  With ``WEBTEXT_TRACE_ROUNDS`` set it prints one
+``[exchange] op=aggregate|join|bands blocks=M bytes=B parts=P`` line
+to stderr.
 
-``aggregate(ds, on, *aggs)`` replaces Ray Data's native keyed
-aggregates, which in Ray 2.49 are sort-based and walk every row in
-Python on both sides (``table_block._aggregate``,
+``aggregate(ds, on, *aggs, pre=…, names=…)`` replaces Ray Data's
+native keyed aggregates, which in Ray 2.49 are sort-based and walk
+every row in Python on both sides (``table_block._aggregate``,
 ``_combine_aggregated_blocks``).  Here each block is pre-aggregated by
 Arrow's hash aggregate (sum/min/max partials, ``count_all`` for a
 count) and each partition's partials are combined by another (sum of
@@ -40,6 +44,11 @@ each partition only).  Null keys form their own group, null values are
 skipped, and an all-null group's sum/min/max is null, as natively.  A
 floating-point ``sum`` raises ``TypeError``: Arrow sums in a different
 order than Ray, so the float result could differ in its last bits.
+Two options fold the maps around an aggregate into its exchange, so
+neither is a Ray Data stage of its own: ``pre`` runs a block-local map
+(a projection, or a per-block combiner of the aggregated columns)
+inside the cut, and ``names`` renames the output columns inside the
+cell.
 
 ``join(left, right, on, how=…, attach=…, right_rows=…)`` is the one
 keyed join.  The route is picked at call time from ``right_rows``, an
@@ -66,6 +75,7 @@ keeps their order, and the bucketed route executes at call time.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import sys
@@ -175,6 +185,16 @@ def _n_parts() -> int:
                       int(ray.cluster_resources().get("CPU", 1))))
 
 
+@functools.cache
+def _task(fn):
+    """``ray.remote(fn)``, made once per process.  A remote function
+    pickles and exports ``fn`` on its first call in a job, so one made
+    per call re-exports every time."""
+    import ray
+
+    return ray.remote(fn)
+
+
 def _size_parts(nbytes, cpus: int) -> int:
     """P for an exchange whose inputs carry ``nbytes`` (None: a block of
     unknown size): 1 while they fit in one ``target_min_block_size``,
@@ -241,7 +261,7 @@ def _hash_exchange(op: str, inputs: list, cell, **kw):
     part).  Returns the materialized Dataset of the P cell outputs."""
     import ray
 
-    cpus, split = _n_parts(), ray.remote(_split)
+    cpus, split = _n_parts(), _task(_split)
     held, parts, sides, nbytes = [], [], [], 0
     n = _size_parts(nbytes, cpus)
     for ds, cut, cut_kw in inputs:
@@ -262,14 +282,14 @@ def _hash_exchange(op: str, inputs: list, cell, **kw):
         print(f"[exchange] op={op} blocks={sum(sides)} bytes={nbytes} "
               f"parts={n}", file=sys.stderr)
     if n == 1:
-        outs = [ray.remote(_fused).remote(
+        outs = [_task(_fused).remote(
             cell, kw, tuple((c, k) for _, c, k in inputs), tuple(sides),
             *(r for _, _, r in held))]
     else:
-        reduce = ray.remote(_reduce)
-        outs = [reduce.remote(cell, kw, tuple(sides), *(p[i] for p in parts))
+        outs = [_task(_reduce).remote(cell, kw, tuple(sides),
+                                      *(p[i] for p in parts))
                 for i in range(n)]
-    return ray.data.from_arrow_refs(outs)
+    return ray.data.from_arrow_refs(outs).materialize()
 
 
 def _out_name(spec: tuple) -> str:
@@ -289,8 +309,11 @@ def _hash_aggregate(table: pa.Table, on: list, specs: list) -> pa.Table:
         names=[*on, *(name for name, _, _ in specs)])
 
 
-def _partial(batch: pa.Table, on: list, aggs: list) -> tuple:
-    """Map side: one block pre-aggregated per key, and its buckets."""
+def _partial(batch: pa.Table, on: list, aggs: list, pre=None) -> tuple:
+    """Map side: one block, mapped by ``pre`` if given, pre-aggregated
+    per key, and its buckets."""
+    if pre is not None:
+        batch = pre(batch)
     for spec in aggs:
         if spec[0] == "sum" and pa.types.is_floating(
                 batch.schema.field(spec[1]).type):
@@ -304,24 +327,34 @@ def _partial(batch: pa.Table, on: list, aggs: list) -> tuple:
     return part, _key_bucket(part, on)
 
 
-def _combine(group: pa.Table, on: list, aggs: list) -> pa.Table:
+def _combine(group: pa.Table, on: list, aggs: list,
+             names=None) -> pa.Table:
     """Reduce side: one partition's partials combined per key, sorted
-    by key.  The sort is for readers that gather by key: pagerank's
-    local rounds over a 1.2M-edge graph took 0.42 s against 0.60 s
-    unsorted (three rounds), for 0.15 s more in the edge aggregate."""
-    names = [_out_name(s) for s in aggs]
-    return _hash_aggregate(group, on, [
-        (name, name, _REDUCE[s[0]]) for name, s in zip(names, aggs)]) \
+    by key, its columns renamed to ``names`` if given.  The sort is for
+    readers that gather by key: pagerank's local rounds over a
+    1.2M-edge graph took 0.42 s against 0.60 s unsorted (three rounds),
+    for 0.15 s more in the edge aggregate."""
+    cols = [_out_name(s) for s in aggs]
+    out = _hash_aggregate(group, on, [
+        (col, col, _REDUCE[s[0]]) for col, s in zip(cols, aggs)]) \
         .sort_by([(k, "ascending") for k in on])
+    return out if names is None else out.rename_columns(names)
 
 
-def aggregate(ds, on, *aggs):
+def aggregate(ds, on, *aggs, pre=None, names=None):
     """``ds`` grouped by ``on`` (a column name or a list of them) with
     one output column per spec, in order: ``("sum", col)``,
     ``("min", col)``, ``("max", col)`` or ``("count",)``.  The
     vectorized stand-in for Ray Data's ``groupby`` then
     ``sum/min/max/count`` or ``aggregate(Sum|Min|Max|Count)``; it
-    executes ``ds`` at call time (see the module docstring)."""
+    executes ``ds`` at call time (see the module docstring).
+
+    ``pre(table) -> table``, if given, maps each block of ``ds`` before
+    it is aggregated, as ``aggregate(ds.map_batches(pre), …)`` would
+    but inside the exchange's tasks; it must be block-local (a
+    projection, or a per-block combiner of the aggregated columns).
+    ``names``, if given, renames every output column, keys first, as a
+    ``rename_columns(names)`` map over the result would."""
     on = [on] if isinstance(on, str) else list(on)
     aggs = [tuple(a) for a in aggs]
     for spec in aggs:
@@ -330,9 +363,13 @@ def aggregate(ds, on, *aggs):
             raise ValueError(f"exchange.aggregate: bad spec {spec!r}")
     if not on or not aggs:
         raise ValueError("exchange.aggregate needs keys and specs")
-    return _hash_exchange("aggregate", [(ds, _partial,
-                                         {"on": on, "aggs": aggs})],
-                          _combine, on=on, aggs=aggs)
+    if names is not None and len(names) != len(on) + len(aggs):
+        raise ValueError(f"exchange.aggregate: names {names!r} must name "
+                         f"the {len(on)} keys and {len(aggs)} specs")
+    return _hash_exchange(
+        "aggregate", [(ds, _partial, {"on": on, "aggs": aggs, "pre": pre})],
+        _combine, on=on, aggs=aggs,
+        names=None if names is None else list(names))
 
 
 def _key_codes(table: pa.Table, cols: list, dicts) -> tuple:
@@ -359,10 +396,15 @@ def _key_codes(table: pa.Table, cols: list, dicts) -> tuple:
 def _lut(right, right_on: list, attach: dict, unique: bool) -> tuple:
     """The probe side of a join: ``right``'s non-null-key rows sorted by
     key code, as (their attach columns, the sorted codes, the key
-    dictionaries).  ``right`` None is an empty side.  With ``unique``
-    a key held by two rows raises."""
+    dictionaries).  ``right`` None is an empty side with no schema; a
+    0-row ``right`` types its empty attach columns, so every block of a
+    join agrees on their types.  With ``unique`` a key held by two rows
+    raises."""
     if right is None or not right.num_rows:
-        return (pa.table({c: pa.nulls(0) for c in attach}),
+        types = {} if right is None else dict(zip(right.schema.names,
+                                                  right.schema.types))
+        return (pa.table({c: pa.nulls(0, types.get(c, pa.null()))
+                          for c in attach}),
                 np.empty(0, dtype=np.int64), None)
     dicts = None
     if len(right_on) > 1 or not pa.types.is_integer(

@@ -488,7 +488,11 @@ def _components(pairs, max_iters: int = 50,
                 _fail_after_round: int | None = None):
     """``connected_components``, also returning the local route's
     driver arrays (sorted node ids, labels) — None on the exchange
-    route."""
+    route.  The bidirected edges keep the blocks ``pairs`` (or the
+    checkpointed edges) arrive in, with no repartition: the verify's
+    exchange sizes its output to its bytes, so a pair set under one
+    ``target_min_block_size`` is one block, and each local round is one
+    ``_min_label_kernel`` task over it."""
     import ray.data
     from ray.data.aggregate import Sum
 
@@ -502,9 +506,10 @@ def _components(pairs, max_iters: int = 50,
                                left.combine_chunks()])],
             names=["src", "dst"])
 
-    # The label/edge state is tiny relative to the corpus (only docs in
-    # dup pairs).  Compact it to a few blocks before iterating: shuffle
-    # cost per round is dominated by per-block task overhead, not bytes.
+    # The exchange route's label state is tiny relative to the corpus
+    # (only docs in dup pairs).  Compact it to a few blocks before
+    # iterating: shuffle cost per round is dominated by per-block task
+    # overhead, not bytes.
     state_blocks = max(2, N_SHUFFLE_BUCKETS // 32)
 
     manifest = CommitManifest(checkpoint_dir) if checkpoint_dir else None
@@ -524,11 +529,10 @@ def _components(pairs, max_iters: int = 50,
         return ray.data.read_parquet(os.path.join(checkpoint_dir, name))
 
     if manifest and "edges" in committed:
-        edges = _read("edges").repartition(state_blocks).materialize()
+        edges = _read("edges").materialize()
     else:
         edges = pairs.map_batches(bidirect, batch_format="pyarrow",
-                                  zero_copy_batch=True) \
-            .repartition(state_blocks).materialize()
+                                  zero_copy_batch=True).materialize()
         if manifest and edges.count():
             _persist(edges, "edges", {"shard": "edges"})
     n_edges = edges.count()
@@ -914,10 +918,7 @@ def dup_cluster_stats(ds, threshold: float = 0.5):
         agg = t.group_by("label").aggregate([("n", "sum")])
         return agg.rename_columns(["label", "n"])
 
-    sizes = aggregate(
-        labels.map_batches(label_partial, batch_format="pyarrow",
-                           zero_copy_batch=True),
-        "label", ("sum", "n"))
+    sizes = aggregate(labels, "label", ("sum", "n"), pre=label_partial)
 
     def hist_partial(batch: pa.Table) -> pa.Table:
         col = "sum(n)" if "sum(n)" in batch.column_names else "n"
@@ -929,13 +930,8 @@ def dup_cluster_stats(ds, threshold: float = 0.5):
                                                      "sum")])
         return agg.rename_columns(["cluster_size", "n_clusters"])
 
-    return aggregate(
-        sizes.map_batches(hist_partial, batch_format="pyarrow",
-                          zero_copy_batch=True),
-        "cluster_size", ("sum", "n_clusters")) \
-        .map_batches(lambda b: b.rename_columns(
-            ["cluster_size", "n_clusters"]),
-            batch_format="pyarrow", zero_copy_batch=True)
+    return aggregate(sizes, "cluster_size", ("sum", "n_clusters"),
+                     pre=hist_partial, names=["cluster_size", "n_clusters"])
 
 
 # ---------------------------------------------------------------------------
@@ -1149,9 +1145,8 @@ def dup_rate_by_source(ds, n_buckets: int = N_SHUFFLE_BUCKETS):
         .groupby("bucket").map_groups(count_bucket,
                                       batch_format="pyarrow")
     return aggregate(partial, "source",
-                     ("sum", "n_docs"), ("sum", "n_distinct")).map_batches(
-        lambda b: b.rename_columns(["source", "n_docs", "n_distinct"]),
-        batch_format="pyarrow", zero_copy_batch=True)
+                     ("sum", "n_docs"), ("sum", "n_distinct"),
+                     names=["source", "n_docs", "n_distinct"])
 
 
 def prefix_filter_pairs(ds, threshold: float = 0.5, n_buckets: int = 256):
@@ -1363,10 +1358,8 @@ def source_overlap(ds, n_buckets: int = 256):
                      zero_copy_batch=True)
         .groupby("bucket").map_groups(count_cell,
                                       batch_format="pyarrow"),
-        ["source_a", "source_b"], ("sum", "n_shared")) \
-        .map_batches(lambda b: b.rename_columns(
-            ["source_a", "source_b", "n_shared"]),
-            batch_format="pyarrow", zero_copy_batch=True)
+        ["source_a", "source_b"], ("sum", "n_shared"),
+        names=["source_a", "source_b", "n_shared"])
 
 
 def dup_mapping(ds, threshold: float = 0.5):

@@ -21,7 +21,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..exchange import _ibucket, aggregate
+from ..exchange import _hash_exchange, _ibucket, aggregate
+from .dedup import _col_i64
 
 SESSION_GAP_MINUTES = 30
 
@@ -278,6 +279,56 @@ def pivot_events(ds, types: tuple[str, ...] = EVENT_TYPES):
         batch_format="pyarrow", zero_copy_batch=True)
 
 
+def _user_cut(batch: pa.Table, cols: list, n_buckets: int) -> tuple:
+    """Per-user scans, map side: a block's ``cols`` and their buckets,
+    hash(user_id) % n_buckets."""
+    batch = batch.select(cols)
+    return batch, _ibucket(_col_i64(batch, "user_id"), n_buckets)
+
+
+def _by_user(ds, cols: list, cell, n_buckets: int, **kw):
+    """One hash exchange (``exchange._hash_exchange``) by
+    hash(user_id) % n_buckets over ``ds``'s ``cols``: every user's
+    events land in one partition, where ``cell(table, **kw)`` scans
+    them all at once.  A partition may hold no rows."""
+    return _hash_exchange("scan", [(ds, _user_cut,
+                                    {"cols": cols, "n_buckets": n_buckets})],
+                          cell, **kw)
+
+
+def _user_order(group: pa.Table) -> tuple:
+    """A partition's events ordered by (user_id, ts, event_id), as
+    (user_id, event_id, ts in µs, the order, and where each user's
+    first event falls)."""
+    uid, eid = _col_i64(group, "user_id"), _col_i64(group, "event_id")
+    ts = group.column("ts").cast(pa.timestamp("us")).cast(pa.int64()) \
+        .to_numpy(zero_copy_only=False)
+    order = np.lexsort((eid, ts, uid))
+    uid = uid[order]
+    first = np.ones(len(uid), dtype=bool)
+    first[1:] = uid[1:] != uid[:-1]
+    return uid, eid[order], ts[order], order, first
+
+
+def _cents(group: pa.Table, order: np.ndarray) -> np.ndarray:
+    return np.rint(group.column("value").to_numpy(zero_copy_only=False)
+                   * 100).astype(np.int64)[order]
+
+
+def _scan_running(group: pa.Table) -> pa.Table:
+    uid, eid, _, order, first = _user_order(group)
+    cents = _cents(group, order)
+    csum = np.cumsum(cents)
+    # segment reset: subtract the cumsum just before each user's first
+    # row from that user's whole segment (index-based, so it is
+    # sign-safe for negative values)
+    seg = np.cumsum(first) - 1
+    running = csum - (csum - cents)[first][seg]
+    return pa.Table.from_arrays(
+        [pa.array(eid), pa.array(uid), pa.array(running)],
+        names=["event_id", "user_id", "running_cents"])
+
+
 def running_totals(ds, n_buckets: int = 256):
     """(event_id, user_id, running_cents): per-user cumulative sum of
     round(value*100) over events ordered by (ts, event_id) — the
@@ -285,49 +336,29 @@ def running_totals(ds, n_buckets: int = 256):
 
     Sums are integer cents so the result is bit-exact against a SQL
     window-function oracle (float running sums are order-fragile).  One
-    shuffle grouped by hash(user_id) % n_buckets co-locates each user's
-    history; within a bucket a single lexsort + cumsum computes every
-    user's prefix sums at once, the per-user reset done by subtracting
-    the running sum at each user's segment start — no per-user group,
-    no per-row loop."""
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        uid = batch.column("user_id").cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        return batch.append_column(
-            "bucket", pa.array(_ibucket(uid, n_buckets)))
-
-    def scan_bucket(group: pa.Table) -> pa.Table:
-        uid = group.column("user_id").cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        ts = group.column("ts").cast(pa.timestamp("us")) \
-            .cast(pa.int64()).to_numpy(zero_copy_only=False)
-        eid = group.column("event_id").cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        cents = np.rint(group.column("value")
-                        .to_numpy(zero_copy_only=False) * 100) \
-            .astype(np.int64)
-        order = np.lexsort((eid, ts, uid))
-        uid, eid, cents = uid[order], eid[order], cents[order]
-        csum = np.cumsum(cents)
-        # segment reset: subtract the cumsum just before each user's
-        # first row from that user's whole segment (index-based, so it
-        # is sign-safe for negative values)
-        first = np.concatenate([[True], uid[1:] != uid[:-1]])
-        seg = np.cumsum(first) - 1
-        running = csum - (csum - cents)[first][seg]
-        return pa.Table.from_arrays(
-            [pa.array(eid), pa.array(uid), pa.array(running)],
-            names=["event_id", "user_id", "running_cents"])
-
-    return ds.select_columns(["event_id", "user_id", "ts", "value"]) \
-             .map_batches(add_bucket, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-             .groupby("bucket").map_groups(scan_bucket,
-                                           batch_format="pyarrow")
+    hash exchange by hash(user_id) % n_buckets (``_by_user``)
+    co-locates each user's history; within a partition a single
+    lexsort + cumsum computes every user's prefix sums at once, the
+    per-user reset done by subtracting the running sum at each user's
+    segment start — no per-user group, no per-row loop.  It executes
+    ``ds`` at call time."""
+    return _by_user(ds, ["event_id", "user_id", "ts", "value"],
+                    _scan_running, n_buckets)
 
 
 ROLL_WINDOW_ROWS = 5
+
+
+def _scan_rolling(group: pa.Table, window_rows: int) -> pa.Table:
+    uid, eid, _, order, first = _user_order(group)
+    csum = np.concatenate([[0], np.cumsum(_cents(group, order))])
+    seg_start = np.flatnonzero(first)[np.cumsum(first) - 1]
+    idx = np.arange(len(uid), dtype=np.int64)
+    lo = np.maximum(idx - window_rows + 1, seg_start)
+    roll = csum[idx + 1] - csum[lo]
+    return pa.Table.from_arrays(
+        [pa.array(eid), pa.array(uid), pa.array(roll)],
+        names=["event_id", "user_id", "roll_cents"])
 
 
 def rolling_sums(ds, window_rows: int = ROLL_WINDOW_ROWS,
@@ -337,44 +368,22 @@ def rolling_sums(ds, window_rows: int = ROLL_WINDOW_ROWS,
     inclusive), ordered by (ts, event_id) — the bounded-window sibling
     of running_totals (ROWS BETWEEN k-1 PRECEDING AND CURRENT ROW).
 
-    Same bucketed shape: one shuffle by hash(user_id), then one lexsort
-    + prefix-sum difference per bucket — roll[i] = csum[i] -
-    csum[max(i-k, segment_start)] on a zero-padded prefix array, fully
-    vectorized across all users in the bucket."""
+    Same shape: one hash exchange by hash(user_id) (``_by_user``), then
+    one lexsort + prefix-sum difference per partition — roll[i] =
+    csum[i] - csum[max(i-k, segment_start)] on a zero-padded prefix
+    array, fully vectorized across all users in the partition."""
+    return _by_user(ds, ["event_id", "user_id", "ts", "value"],
+                    _scan_rolling, n_buckets, window_rows=window_rows)
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        uid = batch.column("user_id").cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        return batch.append_column(
-            "bucket", pa.array(_ibucket(uid, n_buckets)))
 
-    def roll_bucket(group: pa.Table) -> pa.Table:
-        uid = group.column("user_id").cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        ts = group.column("ts").cast(pa.timestamp("us")) \
-            .cast(pa.int64()).to_numpy(zero_copy_only=False)
-        eid = group.column("event_id").cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        cents = np.rint(group.column("value")
-                        .to_numpy(zero_copy_only=False) * 100) \
-            .astype(np.int64)
-        order = np.lexsort((eid, ts, uid))
-        uid, eid, cents = uid[order], eid[order], cents[order]
-        csum = np.concatenate([[0], np.cumsum(cents)])
-        first = np.concatenate([[True], uid[1:] != uid[:-1]])
-        seg_start = np.flatnonzero(first)[np.cumsum(first) - 1]
-        idx = np.arange(len(uid), dtype=np.int64)
-        lo = np.maximum(idx - window_rows + 1, seg_start)
-        roll = csum[idx + 1] - csum[lo]
-        return pa.Table.from_arrays(
-            [pa.array(eid), pa.array(uid), pa.array(roll)],
-            names=["event_id", "user_id", "roll_cents"])
-
-    return ds.select_columns(["event_id", "user_id", "ts", "value"]) \
-             .map_batches(add_bucket, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-             .groupby("bucket").map_groups(roll_bucket,
-                                           batch_format="pyarrow")
+def _scan_lag(group: pa.Table) -> pa.Table:
+    uid, eid, ts, _, first = _user_order(group)
+    gap = np.empty(len(ts), dtype=np.int64)
+    gap[1:] = ts[1:] - ts[:-1]
+    keep = ~first
+    return pa.Table.from_arrays(
+        [pa.array(eid[keep]), pa.array(uid[keep]), pa.array(gap[keep])],
+        names=["event_id", "user_id", "gap_us"])
 
 
 def lag_deltas(ds, n_buckets: int = 256):
@@ -382,39 +391,11 @@ def lag_deltas(ds, n_buckets: int = 256):
     previous event (LAG window function), ordered by (ts, event_id);
     each user's first event has no predecessor and is dropped.
 
-    Same bucketed shape as running_totals: one shuffle by
-    hash(user_id) % n_buckets, then one lexsort + np.diff pass per
-    bucket — vectorized across every user in the bucket."""
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        uid = batch.column("user_id").cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        return batch.append_column(
-            "bucket", pa.array(_ibucket(uid, n_buckets)))
-
-    def lag_bucket(group: pa.Table) -> pa.Table:
-        uid = group.column("user_id").cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        ts = group.column("ts").cast(pa.timestamp("us")) \
-            .cast(pa.int64()).to_numpy(zero_copy_only=False)
-        eid = group.column("event_id").cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        order = np.lexsort((eid, ts, uid))
-        uid, eid, ts = uid[order], eid[order], ts[order]
-        same_user = np.concatenate([[False], uid[1:] == uid[:-1]])
-        gap = np.empty(len(ts), dtype=np.int64)
-        gap[1:] = ts[1:] - ts[:-1]
-        keep = same_user
-        return pa.Table.from_arrays(
-            [pa.array(eid[keep]), pa.array(uid[keep]),
-             pa.array(gap[keep])],
-            names=["event_id", "user_id", "gap_us"])
-
-    return ds.select_columns(["event_id", "user_id", "ts"]) \
-             .map_batches(add_bucket, batch_format="pyarrow",
-                          zero_copy_batch=True) \
-             .groupby("bucket").map_groups(lag_bucket,
-                                           batch_format="pyarrow")
+    Same shape as running_totals: one hash exchange by
+    hash(user_id) % n_buckets (``_by_user``), then one lexsort +
+    np.diff pass per partition — vectorized across every user in it."""
+    return _by_user(ds, ["event_id", "user_id", "ts"], _scan_lag,
+                    n_buckets)
 
 
 def user_growth(ds):

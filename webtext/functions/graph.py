@@ -38,7 +38,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..exchange import (N_SHUFFLE_BUCKETS, _collect, _ibucket, _n_parts,
-                        aggregate, join)
+                        _task, aggregate, join)
 from .dedup import _col_i64
 
 PAGERANK_SCALE = 10**12        # fixed-point quantum: 1e-12 of total mass
@@ -366,14 +366,17 @@ class _LocalFanout:
 
         self.sn, self.cols = sn, list(cols)
         self._sn_ref = ray.put(sn)
-        self._kern = ray.remote(kernel)
+        self._kern = _task(kernel)
 
     @classmethod
-    def collect(cls, ds, cols, kernel):
+    def collect(cls, ds, cols, kernel, pre=None):
         """Collect the int64 ``cols`` of Dataset ``ds`` onto the driver
         sorted by ``cols[0]`` (the node ids); a lazy ``ds`` runs once
-        (``exchange._collect``)."""
+        (``exchange._collect``).  ``pre(table) -> table``, if given,
+        maps the collected rows on the driver first."""
         t = _collect(ds)
+        if t is not None and pre is not None:
+            t = pre(t)
         arrs = [np.array([], dtype=np.int64) if t is None
                 else _col_i64(t, c) for c in cols]
         order = np.argsort(arrs[0], kind="stable")
@@ -388,10 +391,10 @@ class _LocalFanout:
         than the groups' rows."""
         import ray
 
-        uniq = ray.remote(_unique_kernel)
         return cls(kernel, np.unique(np.concatenate(
             [np.array([], dtype=np.int64)] +
-            ray.get([uniq.remote(col, *g) for g in groups]))))
+            ray.get([_task(_unique_kernel).remote(col, *g)
+                     for g in groups]))))
 
     @staticmethod
     def groups(parts) -> list:
@@ -461,8 +464,8 @@ def _min_label_kernel(sn, label, *blocks):
     pos, part = [np.array([], dtype=np.int64)], \
         [np.array([], dtype=np.int64)]
     for blk in blocks:
-        if not blk.num_rows:       # a repartitioned empty block has
-            continue               # no columns
+        if not blk.num_rows:       # an empty block may have no
+            continue               # columns
         pos.append(np.searchsorted(sn, _col_i64(blk, "dst")))
         part.append(label[np.searchsorted(sn, _col_i64(blk, "src"))])
     return _reduce_at(np.concatenate(pos), np.concatenate(part),
@@ -483,13 +486,8 @@ def lineitem_edges(ds):
         agg = t.group_by(["src", "dst"]).aggregate([("dst", "count")])
         return agg.rename_columns(["src", "dst", "w"])
 
-    summed = aggregate(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       zero_copy_batch=True),
-        ["src", "dst"], ("sum", "w"))
-    return summed.map_batches(
-        lambda b: b.rename_columns(["src", "dst", "w"]),
-        batch_format="pyarrow", zero_copy_batch=True)
+    return aggregate(ds, ["src", "dst"], ("sum", "w"), pre=partial,
+                     names=["src", "dst", "w"])
 
 
 def degrees(edges):
@@ -509,13 +507,8 @@ def degrees(edges):
              pa.array(np.concatenate([np.zeros_like(w), w]))],
             names=["node", "out_deg", "in_deg"])
 
-    summed = aggregate(
-        edges.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True),
-        "node", ("sum", "out_deg"), ("sum", "in_deg"))
-    return summed.map_batches(
-        lambda b: b.rename_columns(["node", "out_deg", "in_deg"]),
-        batch_format="pyarrow", zero_copy_batch=True)
+    return aggregate(edges, "node", ("sum", "out_deg"), ("sum", "in_deg"),
+                     pre=partial, names=["node", "out_deg", "in_deg"])
 
 
 def _spread_cell(slices: _Slices, carry: tuple):
@@ -611,18 +604,20 @@ def _pr_next_ranks(out: pa.Table) -> pa.Table:
         names=["node", "rank", "outdeg", "base"])
 
 
-def _pagerank_rounds(edges, teleport, n_nodes: int, iters: int,
+def _pagerank_rounds(edges, nodes, teleport, n_nodes: int, iters: int,
                      n_buckets: int, name: str):
-    """The loop both PageRank variants share.  ``teleport``: Dataset
-    (node, outdeg, p) over every graph node (``n_nodes`` rows, at least
-    one) — p is the node's initial rank, and its teleport term is
+    """The loop both PageRank variants share.  ``teleport(nodes
+    block)`` maps the materialized Dataset ``nodes`` to (node, outdeg,
+    p) rows over every graph node (``n_nodes`` rows, at least one) — p
+    is the node's initial rank, and its teleport term is
     base = (3 · p) // 20.  Each round spreads rank // outdeg along the
     weighted edges and sets
     rank = base + (17 · inflow) // 20, on one of two routes chosen from
     ``n_nodes`` (``_local_route``):
 
     * local (≤ LOCAL_STATE_MAX_NODES): rank, outdeg and base are
-      driver-held arrays over the sorted node ids; a round ray.puts the
+      driver-held arrays over the sorted node ids, ``teleport`` run on
+      the driver over the collected ``nodes``; a round ray.puts the
       share vector and sums the ``_inflow_kernel`` partials of one raw
       task per group of materialized edge blocks (``_LocalFanout``)
       into a dense inflow — no slices are persisted;
@@ -638,8 +633,8 @@ def _pagerank_rounds(edges, teleport, n_nodes: int, iters: int,
     import ray.data
 
     if _local_route(name, n_nodes):
-        fan = _LocalFanout.collect(teleport, ("node", "outdeg", "p"),
-                                   _inflow_kernel)
+        fan = _LocalFanout.collect(nodes, ("node", "outdeg", "p"),
+                                   _inflow_kernel, pre=teleport)
         outdeg, p = fan.cols
         base = _pr_base(p)
         groups = fan.groups(edges.to_arrow_refs())
@@ -655,6 +650,7 @@ def _pagerank_rounds(edges, teleport, n_nodes: int, iters: int,
 
     with _directed_slices(edges, "src", "dst", n_buckets) as slices:
         def init(batch: pa.Table) -> pa.Table:
+            batch = teleport(batch)
             p = _col_i64(batch, "p")
             return pa.Table.from_arrays(
                 [batch.column("node").cast(pa.int64()), pa.array(p),
@@ -676,8 +672,8 @@ def _pagerank_rounds(edges, teleport, n_nodes: int, iters: int,
                              zero_copy_batch=True) \
                 .repartition(STATE_BLOCKS).materialize(), None
 
-        ranks = teleport.map_batches(init, batch_format="pyarrow",
-                                     zero_copy_batch=True) \
+        ranks = nodes.map_batches(init, batch_format="pyarrow",
+                                  zero_copy_batch=True) \
             .repartition(STATE_BLOCKS).materialize()
         ranks, _ = _fixed_point(ranks, step, iters, name)
     return ranks.select_columns(["node", "rank"])
@@ -717,22 +713,21 @@ def pagerank(edges, iters: int = PAGERANK_ITERS,
     bucketed spread over rank rows plus one sum aggregate by node,
     O(nodes) shuffle bytes, not O(E)."""
     edges = edges.materialize()     # degrees + the rounds
-    # deg is a derived dataset consumed twice (count + rank init) —
-    # materialize so degrees() executes once
-    deg = degrees(edges).materialize()
+    deg = degrees(edges)            # materialized by its exchange
     n_nodes = deg.count()
     if n_nodes == 0:
         return _empty_table("node", "rank")
     base = scale // n_nodes
-    teleport = deg.map_batches(
-        lambda b: pa.Table.from_arrays(
+
+    def teleport(b: pa.Table) -> pa.Table:
+        return pa.Table.from_arrays(
             [b.column("node").cast(pa.int64()),
              b.column("out_deg").cast(pa.int64()),
              pa.array(np.full(b.num_rows, base, dtype=np.int64))],
-            names=["node", "outdeg", "p"]),
-        batch_format="pyarrow", zero_copy_batch=True)
-    return _pagerank_rounds(edges, teleport, n_nodes, iters, n_buckets,
-                            "pagerank")
+            names=["node", "outdeg", "p"])
+
+    return _pagerank_rounds(edges, deg, teleport, n_nodes, iters,
+                            n_buckets, "pagerank")
 
 
 def _split_mul_div(a: int, w: np.ndarray, m: int) -> np.ndarray:
@@ -773,7 +768,7 @@ def pagerank_personalized(edges, weights,
     broadcast).  Uniform weights reproduce `pagerank` bit-for-bit
     (pinned by test)."""
     edges = edges.materialize()     # degrees + the rounds
-    deg = degrees(edges).materialize()
+    deg = degrees(edges)
 
     # bucketed left attach of w onto the degree table (default 0)
     def deg_emit(batch: pa.Table) -> pa.Table:
@@ -833,10 +828,8 @@ def pagerank_personalized(edges, weights,
              pa.array(_split_mul_div(scale, w, total_w))],
             names=["node", "outdeg", "p"])
 
-    return _pagerank_rounds(
-        edges, state0.map_batches(teleport, batch_format="pyarrow",
-                                  zero_copy_batch=True),
-        state0.count(), iters, n_buckets, "pagerank_personalized")
+    return _pagerank_rounds(edges, state0, teleport, state0.count(), iters,
+                            n_buckets, "pagerank_personalized")
 
 
 HITS_SCALE = 10**12             # L1-normalized mass per half-step
@@ -880,7 +873,7 @@ def hits(edges, iters: int = HITS_ITERS, scale: int = HITS_SCALE,
     # edge-derivation (e.g. the lineitem_edges collapse groupby)
     # executes once
     edges = edges.materialize()
-    deg = degrees(edges).materialize()
+    deg = degrees(edges)
     n_nodes = deg.count()
     if n_nodes == 0:
         return _empty_table("node", "hub", "auth")
@@ -967,11 +960,9 @@ def hits(edges, iters: int = HITS_ITERS, scale: int = HITS_SCALE,
              b.column("val")],
             names=["node", "hub", "auth"]),
         batch_format="pyarrow", zero_copy_batch=True)
-    merged = aggregate(tag_h.union(tag_a), "node",
-                       ("sum", "hub"), ("sum", "auth"))
-    return merged.map_batches(
-        lambda b: b.rename_columns(["node", "hub", "auth"]),
-        batch_format="pyarrow", zero_copy_batch=True)
+    return aggregate(tag_h.union(tag_a), "node",
+                     ("sum", "hub"), ("sum", "auth"),
+                     names=["node", "hub", "auth"])
 
 
 def butterfly_count(edges):
@@ -1185,13 +1176,8 @@ def _edge_degrees(edges, n_buckets: int = N_SHUFFLE_BUCKETS):
             [pa.array(u), pa.array(cnt.astype(np.int64))],
             names=["node", "deg"])
 
-    return aggregate(
-        edges.map_batches(deg_partial, batch_format="pyarrow",
-                          zero_copy_batch=True),
-        "node", ("sum", "deg")) \
-        .map_batches(lambda b: b.rename_columns(["node", "deg"]),
-                     batch_format="pyarrow", zero_copy_batch=True) \
-        .materialize()
+    return aggregate(edges, "node", ("sum", "deg"), pre=deg_partial,
+                     names=["node", "deg"])
 
 
 def _edges_with_degrees(edges, deg, caller: str):
@@ -1436,14 +1422,12 @@ def triangle_census(edges, n_buckets: int = N_SHUFFLE_BUCKETS,
              pa.array(np.zeros(batch.num_rows, dtype=np.int64))],
             names=["node", "deg", "tri"])
 
-    out = aggregate(
+    return aggregate(
         corner_partials.union(
             deg.map_batches(deg_rows, batch_format="pyarrow",
                             zero_copy_batch=True)),
-        "node", ("sum", "deg"), ("sum", "tri"))
-    return out.map_batches(
-        lambda b: b.rename_columns(["node", "deg", "tri"]),
-        batch_format="pyarrow", zero_copy_batch=True)
+        "node", ("sum", "deg"), ("sum", "tri"),
+        names=["node", "deg", "tri"])
 
 
 def degree_assortativity(edges, n_buckets: int = N_SHUFFLE_BUCKETS):
@@ -2010,11 +1994,8 @@ def bfs_distances(edges, seeds, max_hops: int = 32,
                     state.map_batches(state_rows, batch_format="pyarrow",
                                       zero_copy_batch=True)
                     .union(cand),
-                    "node", ("min", "dist"), ("min", "prev"))
-                .map_batches(
-                    lambda b: b.rename_columns(
-                        ["node", "dist", "prev"]),
-                    batch_format="pyarrow", zero_copy_batch=True)
+                    "node", ("min", "dist"), ("min", "prev"),
+                    names=["node", "dist", "prev"])
                 .repartition(STATE_BLOCKS))
             frontier = merged.map_batches(
                 lambda b: b.filter(pc.less(b.column("dist"),
@@ -2305,10 +2286,5 @@ def lineitem_degrees(ds):
              pa.array(cnt - outd)],
             names=["node", "out_deg", "in_deg"])
 
-    summed = aggregate(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       zero_copy_batch=True),
-        "node", ("sum", "out_deg"), ("sum", "in_deg"))
-    return summed.map_batches(
-        lambda b: b.rename_columns(["node", "out_deg", "in_deg"]),
-        batch_format="pyarrow", zero_copy_batch=True)
+    return aggregate(ds, "node", ("sum", "out_deg"), ("sum", "in_deg"),
+                     pre=partial, names=["node", "out_deg", "in_deg"])

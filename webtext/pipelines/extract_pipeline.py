@@ -276,6 +276,35 @@ def _collect_round_metrics(round_dir: str, round_shards: list[str],
     return records
 
 
+def _output_blocks(files: list[str]) -> int | None:
+    """``override_num_blocks`` for reading committed output ``files``.
+    Ray Data's default read cuts at least 2 × CPUs blocks, so below
+    2 × CPUs × ``target_min_block_size`` bytes each of its blocks holds
+    less than one target, and every map over the read pays a task per
+    block.  There the read takes the exchange's size rule
+    (``exchange._size_parts``): one block up to one target, one per CPU
+    above.  Larger outputs keep Ray's read (None).  The bytes are the
+    files' uncompressed row-group sizes from their parquet footers,
+    which are read only until they pass 2 × CPUs targets."""
+    import pyarrow.parquet as pq
+    import ray
+    from ray.data import DataContext
+
+    from ..exchange import _n_parts, _size_parts
+
+    ray.get_runtime_context()   # starts Ray as the read would
+    cpus = _n_parts()
+    cap = 2 * cpus * DataContext.get_current().target_min_block_size
+    nbytes = 0
+    for f in files:
+        meta = pq.read_metadata(f)
+        nbytes += sum(meta.row_group(i).total_byte_size
+                      for i in range(meta.num_row_groups))
+        if nbytes >= cap:
+            return None
+    return _size_parts(nbytes, cpus)
+
+
 def read_output(output_dir: str, statuses=KEPT_STATUSES,
                 as_of: int | None = None):
     """Dataset over committed rounds only (uncommitted partials are
@@ -286,7 +315,13 @@ def read_output(output_dir: str, statuses=KEPT_STATUSES,
     first ``as_of`` committed rounds IN COMMIT ORDER are visible —
     the exact dataset a consumer saw after that round's commit,
     regardless of how many rounds a resumed run appended since.
-    None (default) reads every committed round."""
+    None (default) reads every committed round.
+
+    The read is sized to the output's bytes (``_output_blocks``): an
+    output under one ``target_min_block_size`` is one block, so the
+    read, the status filter and a map over them run as one task; up to
+    2 × CPUs targets it is one block per CPU, and above that Ray's
+    default read."""
     import ray.data
 
     import glob
@@ -311,7 +346,8 @@ def read_output(output_dir: str, statuses=KEPT_STATUSES,
     ]
     if not files:
         raise FileNotFoundError(f"no committed rounds under {output_dir}")
-    ds = ray.data.read_parquet(files)
+    ds = ray.data.read_parquet(files,
+                               override_num_blocks=_output_blocks(files))
     allowed = list(statuses)
     return ds.filter(
         expr=" or ".join(f"status == '{s}'" for s in allowed))
