@@ -48,7 +48,7 @@ Two options fold the maps around an aggregate into its exchange, so
 neither is a Ray Data stage of its own: ``pre`` runs a block-local map
 (a projection, or a per-block combiner of the aggregated columns)
 inside the cut, and ``names`` renames the output columns inside the
-cell.
+cell.  P follows the bytes before ``pre``.
 
 ``join(left, right, on, how=…, attach=…, right_rows=…)`` is the one
 keyed join.  The route is picked at call time from ``right_rows``, an
@@ -353,6 +353,11 @@ def aggregate(ds, on, *aggs, pre=None, names=None):
     it is aggregated, as ``aggregate(ds.map_batches(pre), …)`` would
     but inside the exchange's tasks; it must be block-local (a
     projection, or a per-block combiner of the aggregated columns).
+    P follows the bytes of ``ds``'s blocks before ``pre`` runs, so an
+    input over one target block that a combiner shrinks under it takes
+    P = CPUs split and reduce tasks, where the ``map_batches`` form
+    would take one fused task, and the blocks held until one target
+    has arrived are the uncombined ones.
     ``names``, if given, renames every output column, keys first, as a
     ``rename_columns(names)`` map over the result would."""
     on = [on] if isinstance(on, str) else list(on)

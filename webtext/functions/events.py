@@ -279,20 +279,19 @@ def pivot_events(ds, types: tuple[str, ...] = EVENT_TYPES):
         batch_format="pyarrow", zero_copy_batch=True)
 
 
-def _user_cut(batch: pa.Table, cols: list, n_buckets: int) -> tuple:
+def _user_cut(batch: pa.Table, cols: list) -> tuple:
     """Per-user scans, map side: a block's ``cols`` and their buckets,
-    hash(user_id) % n_buckets."""
+    hash(user_id)."""
     batch = batch.select(cols)
-    return batch, _ibucket(_col_i64(batch, "user_id"), n_buckets)
+    return batch, _ibucket(_col_i64(batch, "user_id"))
 
 
-def _by_user(ds, cols: list, cell, n_buckets: int, **kw):
-    """One hash exchange (``exchange._hash_exchange``) by
-    hash(user_id) % n_buckets over ``ds``'s ``cols``: every user's
-    events land in one partition, where ``cell(table, **kw)`` scans
-    them all at once.  A partition may hold no rows."""
-    return _hash_exchange("scan", [(ds, _user_cut,
-                                    {"cols": cols, "n_buckets": n_buckets})],
+def _by_user(ds, cols: list, cell, **kw):
+    """One hash exchange (``exchange._hash_exchange``) by hash(user_id)
+    over ``ds``'s ``cols``: every user's events land in one partition,
+    where ``cell(table, **kw)`` scans them all at once.  A partition
+    may hold no rows."""
+    return _hash_exchange("scan", [(ds, _user_cut, {"cols": cols})],
                           cell, **kw)
 
 
@@ -329,21 +328,21 @@ def _scan_running(group: pa.Table) -> pa.Table:
         names=["event_id", "user_id", "running_cents"])
 
 
-def running_totals(ds, n_buckets: int = 256):
+def running_totals(ds):
     """(event_id, user_id, running_cents): per-user cumulative sum of
     round(value*100) over events ordered by (ts, event_id) — the
     distributed prefix-sum / running-balance shape.
 
     Sums are integer cents so the result is bit-exact against a SQL
     window-function oracle (float running sums are order-fragile).  One
-    hash exchange by hash(user_id) % n_buckets (``_by_user``)
-    co-locates each user's history; within a partition a single
-    lexsort + cumsum computes every user's prefix sums at once, the
-    per-user reset done by subtracting the running sum at each user's
-    segment start — no per-user group, no per-row loop.  It executes
-    ``ds`` at call time."""
+    hash exchange by hash(user_id) (``_by_user``) co-locates each
+    user's history; within a partition a single lexsort + cumsum
+    computes every user's prefix sums at once, the per-user reset done
+    by subtracting the running sum at each user's segment start — no
+    per-user group, no per-row loop.  It executes ``ds`` at call
+    time."""
     return _by_user(ds, ["event_id", "user_id", "ts", "value"],
-                    _scan_running, n_buckets)
+                    _scan_running)
 
 
 ROLL_WINDOW_ROWS = 5
@@ -361,8 +360,7 @@ def _scan_rolling(group: pa.Table, window_rows: int) -> pa.Table:
         names=["event_id", "user_id", "roll_cents"])
 
 
-def rolling_sums(ds, window_rows: int = ROLL_WINDOW_ROWS,
-                 n_buckets: int = 256):
+def rolling_sums(ds, window_rows: int = ROLL_WINDOW_ROWS):
     """(event_id, user_id, roll_cents): per-user rolling sum of
     round(value*100) over the last ``window_rows`` events (current row
     inclusive), ordered by (ts, event_id) — the bounded-window sibling
@@ -373,7 +371,7 @@ def rolling_sums(ds, window_rows: int = ROLL_WINDOW_ROWS,
     csum[i] - csum[max(i-k, segment_start)] on a zero-padded prefix
     array, fully vectorized across all users in the partition."""
     return _by_user(ds, ["event_id", "user_id", "ts", "value"],
-                    _scan_rolling, n_buckets, window_rows=window_rows)
+                    _scan_rolling, window_rows=window_rows)
 
 
 def _scan_lag(group: pa.Table) -> pa.Table:
@@ -386,16 +384,15 @@ def _scan_lag(group: pa.Table) -> pa.Table:
         names=["event_id", "user_id", "gap_us"])
 
 
-def lag_deltas(ds, n_buckets: int = 256):
+def lag_deltas(ds):
     """(event_id, user_id, gap_us): per-event time delta to the user's
     previous event (LAG window function), ordered by (ts, event_id);
     each user's first event has no predecessor and is dropped.
 
-    Same shape as running_totals: one hash exchange by
-    hash(user_id) % n_buckets (``_by_user``), then one lexsort +
-    np.diff pass per partition — vectorized across every user in it."""
-    return _by_user(ds, ["event_id", "user_id", "ts"], _scan_lag,
-                    n_buckets)
+    Same shape as running_totals: one hash exchange by hash(user_id)
+    (``_by_user``), then one lexsort + np.diff pass per partition —
+    vectorized across every user in it."""
+    return _by_user(ds, ["event_id", "user_id", "ts"], _scan_lag)
 
 
 def user_growth(ds):

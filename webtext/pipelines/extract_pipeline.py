@@ -320,8 +320,8 @@ def read_output(output_dir: str, statuses=KEPT_STATUSES,
     The read is sized to the output's bytes (``_output_blocks``): an
     output under one ``target_min_block_size`` is one block, so the
     read, the status filter and a map over them run as one task; up to
-    2 × CPUs targets it is one block per CPU, and above that Ray's
-    default read."""
+    2 × CPUs targets it is one block per CPU (a 1,500-document output
+    of 1.4 MB reads so), and above that Ray's default read."""
     import ray.data
 
     import glob
