@@ -1973,12 +1973,13 @@ def queries() -> dict[str, Callable[[str], Any]]:
         """Per-(kind, status) span census over the flattened
         interleaved output — the audit a corpus operator reads after an
         extraction round (how much text vs media survived, per doc
-        status).  Combiner partials in-batch, one tiny native
-        groupby-sum; oracle = SQL aggregate over the independent
+        status).  Combiner partials in-batch, one tiny keyed
+        aggregate; oracle = SQL aggregate over the independent
         extract_spans golden."""
         import numpy as np
         import pyarrow as pa
 
+        from webtext.exchange import aggregate
         from webtext.pipelines.relational import flatten_spans
 
         def partial(batch: pa.Table) -> pa.Table:
@@ -1995,20 +1996,20 @@ def queries() -> dict[str, Callable[[str], Any]]:
             return agg.rename_columns(
                 ["kind", "status", "n", "text_chars"])
 
-        summed = flatten_spans(_extracted(sf_dir)) \
-            .map_batches(partial, batch_format="pyarrow",
-                         zero_copy_batch=True) \
-            .groupby(["kind", "status"]).sum(["n", "text_chars"])
-        return summed.map_batches(
-            lambda b: b.rename_columns(
-                ["kind", "status", "n", "text_chars"]),
-            batch_format="pyarrow", zero_copy_batch=True)
+        return aggregate(
+            flatten_spans(_extracted(sf_dir)).map_batches(
+                partial, batch_format="pyarrow", zero_copy_batch=True),
+            ["kind", "status"], ("sum", "n"), ("sum", "text_chars"),
+            names=["kind", "status", "n", "text_chars"])
 
     def extract_status(sf_dir):
-        """Per-status doc counts via a Ray groupby (tiny result)."""
+        """Per-status doc counts via one keyed aggregate (tiny
+        result)."""
         import pyarrow as pa
 
-        agg = _extracted(sf_dir).groupby("status").count().take_all()
+        from webtext.exchange import aggregate
+
+        agg = aggregate(_extracted(sf_dir), "status", ("count",)).take_all()
         agg.sort(key=lambda r: r["status"])
         return pa.Table.from_pydict({
             "status": [r["status"] for r in agg],

@@ -1514,12 +1514,13 @@ def test_ref_integrity_exchange_fallback_matches(ray_session,
 
 def test_attach_routed_fallback_matches_broadcast(ray_session,
                                                   monkeypatch):
-    """Forcing DIM_BROADCAST_MAX_ROWS to zero routes every dimension
-    attach through the bucketed emit-union fallback; volume_shipping
+    """Forcing exchange.BROADCAST_MAX_ROWS to zero routes every
+    dimension attach through the bucketed exchange; volume_shipping
     must produce the identical table either way (the routed-attach
     equality pin for the whole Q5/Q7/Q8/Q9 family)."""
     import ray.data
 
+    import webtext.exchange as X
     import webtext.pipelines.tpch as T
 
     sf = "/root/testdata/sf0.001"
@@ -1534,7 +1535,7 @@ def test_attach_routed_fallback_matches_broadcast(ray_session,
                 rp("supplier"), rp("nation")).take_all())
 
     want = run()
-    monkeypatch.setattr(T, "DIM_BROADCAST_MAX_ROWS", 0)
+    monkeypatch.setattr(X, "BROADCAST_MAX_ROWS", 0)
     got = run()
     assert got == want and len(got) > 0
 
@@ -1552,3 +1553,83 @@ def test_attach_routed_empty_filtered_dimension(ray_session):
         .filter(lambda r: r["k"] < 0)
     assert T._attach_routed(fact, dim, "k", "v", ("c",), 2).take_all() \
         == []
+
+
+def test_tpch_family_plans_hold_no_all_to_all(ray_session):
+    """Every tpch-family query, run at sf0.001 and read back, executes
+    no Ray Data plan with an all-to-all operator: its joins, per-group
+    cells and global combines all run on the hash exchange."""
+    import sys
+
+    sys.path.insert(0, ".")
+    import __ray_entry__ as entrymod
+    from tools.count_plans import count_query, tpch_family
+
+    names = tpch_family(entrymod)
+    assert len(names) == 34
+    qs = entrymod.queries()
+    found = {}
+    for name in names:
+        _, counts = count_query(qs[name], "/root/testdata/sf0.001")
+        assert counts["executions"] > 0, name
+        found.update({f"{name} {k}": v for k, v in counts.items()
+                      if k.startswith("a2a:")})
+    assert found == {}
+
+
+def test_one_row_totals_over_an_empty_window(ray_session):
+    """A one-row total whose window matches nothing still gives its one
+    row of zeros, as SQL's SUM without GROUP BY gives one row."""
+    import ray.data
+
+    import webtext.pipelines.tpch as T
+
+    sf = "/root/testdata/sf0.001"
+    rp = lambda t: ray.data.read_parquet(f"{sf}/{t}.parquet")  # noqa: E731
+    none = dict(date_from="1900-01-01", date_to="1900-02-01")
+    assert T.forecast_revenue(rp("lineitem"), **none).take_all() \
+        == [{"revenue_micro": 0, "n_lines": 0}]
+    assert T.promo_revenue(rp("lineitem"), rp("part"), **none).take_all() \
+        == [{"promo_cents": 0, "total_cents": 0}]
+    assert T.brand_size_revenue(
+        rp("lineitem"), rp("part"),
+        rules=(("Brand#none", 1, 10, 1, 11),)).take_all() \
+        == [{"n_lines": 0, "revenue_cents": 0}]
+    assert T.small_quantity_revenue(
+        rp("lineitem"), rp("part"), brand="Brand#none").take_all() \
+        == [{"n_small_lines": 0, "revenue_cents": 0}]
+
+
+_JOINED_QUERIES = ("order_line_join", "order_line_left", "order_line_full",
+                   "supplier_shipments", "brand_volume", "shipping_priority",
+                   "small_quantity_revenue", "customer_order_counts",
+                   "idle_rich_customers", "order_priority_check",
+                   "late_line_priority", "brand_supplier_counts")
+
+
+@pytest.mark.parametrize("parts", ["one", "cpus"])
+def test_tpch_joins_match_on_the_bucketed_route(ray_session, monkeypatch,
+                                                 parts):
+    """Each tpch query built on ``exchange.join`` gives the same rows
+    when exchange.BROADCAST_MAX_ROWS = 0 forces every join onto the
+    bucketed route, with one partition and with one per CPU."""
+    import sys
+
+    import webtext.exchange as X
+
+    sys.path.insert(0, ".")
+    import __ray_entry__ as entrymod
+
+    qs = entrymod.queries()
+    sf = "/root/testdata/sf0.001"
+
+    def rows(name):
+        return sorted((tuple(r.values()) for r in qs[name](sf).take_all()),
+                      key=repr)
+
+    want = {name: rows(name) for name in _JOINED_QUERIES}
+    monkeypatch.setattr(X, "BROADCAST_MAX_ROWS", 0)
+    if parts == "cpus":
+        monkeypatch.setattr(X, "_size_parts", lambda nbytes, cpus: cpus)
+    for name in _JOINED_QUERIES:
+        assert rows(name) == want[name] and want[name], name

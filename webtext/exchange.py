@@ -27,8 +27,8 @@ the result back (``to_arrow_refs``, ``take_all``, another exchange)
 starts no Ray Data execution.  Each task's remote function is made
 once per process (``_task``), so a repeated exchange exports no
 function.  With ``WEBTEXT_TRACE_ROUNDS`` set it prints one
-``[exchange] op=aggregate|join|bands blocks=M bytes=B parts=P`` line
-to stderr.
+``[exchange] op=aggregate|join|group_map|bands blocks=M bytes=B
+parts=P`` line to stderr.
 
 ``aggregate(ds, on, *aggs, pre=…, names=…)`` replaces Ray Data's
 native keyed aggregates, which in Ray 2.49 are sort-based and walk
@@ -50,13 +50,20 @@ neither is a Ray Data stage of its own: ``pre`` runs a block-local map
 inside the cut, and ``names`` renames the output columns inside the
 cell.  P follows the bytes before ``pre``.
 
+``group_map(ds, on, cell)`` is the one per-group map: each partition
+is sorted by ``on`` in Arrow and ``cell`` runs once per distinct key,
+the contract of Ray Data's ``groupby`` then ``map_groups`` up to row
+order.  With ``on=()`` every row is one group in one task: the global
+combine after a per-block partial (a top-k merge, a one-row total).
+
 ``join(left, right, on, how=…, attach=…, right_rows=…)`` is the one
 keyed join.  The route is picked at call time from ``right_rows``, an
 upper bound on the right side's rows that the caller knows without
 executing anything (a parquet footer count, a commit manifest, a
 materialized Dataset):
 
-* broadcast — ``right_rows`` ≤ ``broadcast_max_rows``: the right side
+* broadcast — ``right_rows`` ≤ ``broadcast_max_rows`` (default
+  ``BROADCAST_MAX_ROWS``, read at call time): the right side
   is materialized once, sorted by key on the driver and ``ray.put``
   once; the join is a streaming ``searchsorted`` ``map_batches`` over
   ``left`` with no exchange;
@@ -377,6 +384,58 @@ def aggregate(ds, on, *aggs, pre=None, names=None):
         names=None if names is None else list(names))
 
 
+def _group_cut(batch: pa.Table, on: list) -> tuple:
+    """``group_map``'s map side: one block and its buckets (all 0 with
+    no keys: one group)."""
+    if not on:
+        return batch, np.zeros(batch.num_rows, dtype=np.int64)
+    return batch, _key_bucket(batch, on)
+
+
+def _group_starts(table: pa.Table, on: list) -> np.ndarray:
+    """The first row of each run of equal keys in a key-sorted table;
+    a null key equals another null."""
+    new = np.zeros(table.num_rows, dtype=bool)
+    new[:1] = True
+    for k in on:
+        col = table.column(k)
+        a, b = col.slice(1), col.slice(0, max(len(col) - 1, 0))
+        differ = pc.not_equal(a, b)
+        differ = pc.if_else(pc.is_null(differ),
+                            pc.not_equal(pc.is_null(a), pc.is_null(b)),
+                            differ)
+        new[1:] |= differ.to_numpy(zero_copy_only=False)
+    return np.flatnonzero(new)
+
+
+def _group_cell(table: pa.Table, on: list, fn) -> pa.Table:
+    """``group_map``'s reduce side: one partition sorted by ``on`` and
+    ``fn`` called once per run of equal keys (with no keys, once over
+    the partition if it has rows)."""
+    if on:
+        table = table.sort_by([(k, "ascending") for k in on])
+    bounds = [*_group_starts(table, on), table.num_rows]
+    out = _concat([fn(table.slice(s, e - s))
+                   for s, e in zip(bounds[:-1], bounds[1:])])
+    return pa.table({}) if out is None else out
+
+
+def group_map(ds, on, cell):
+    """``cell(table) -> table`` once per distinct value of the key
+    column(s) ``on``, over that key's rows, outputs concatenated: the
+    contract of Ray Data's ``groupby`` on ``on`` then ``map_groups``
+    with ``batch_format="pyarrow"``, up to row order, on one hash
+    exchange instead of Ray Data's sort.  ``on=()`` is one group: the
+    cell runs once over every row, in one task, as the combine after a
+    per-block partial (a top-k merge, a one-row total) does; with no
+    rows it does not run.  A ``cell`` sees its group's rows with every
+    column of ``ds``; it executes ``ds`` at call time (see the module
+    docstring)."""
+    on = [on] if isinstance(on, str) else list(on)
+    return _hash_exchange("group_map", [(ds, _group_cut, {"on": on})],
+                          _group_cell, on=on, fn=cell)
+
+
 def _key_codes(table: pa.Table, cols: list, dicts) -> tuple:
     """(int64 code, valid) per row of ``table``'s key columns.  With
     ``dicts`` None the one integer key is its own code; otherwise each
@@ -495,7 +554,7 @@ def _join_cell(left: pa.Table, right, on: list, right_on: list,
 
 def join(left, right, on, *, how: str = "inner", attach=(),
          right_on=None, right_rows: int | None = None,
-         broadcast_max_rows: int = BROADCAST_MAX_ROWS):
+         broadcast_max_rows: int | None = None):
     """``left`` joined to ``right`` on key column(s) ``on`` (named
     ``right_on`` on the right, default the same names).
 
@@ -507,9 +566,10 @@ def join(left, right, on, *, how: str = "inner", attach=(),
 
     ``right_rows`` is an upper bound on the right side's rows that costs
     no execution, or None when there is none; at or under
-    ``broadcast_max_rows`` the join takes the broadcast route, else the
-    bucketed one, which executes both sides at call time (see the
-    module docstring).  With
+    ``broadcast_max_rows`` (default: ``BROADCAST_MAX_ROWS``, read at
+    call time) the join takes the broadcast route, else the bucketed
+    one, which executes both sides at call time (see the module
+    docstring).  With
     ``WEBTEXT_TRACE_ROUNDS`` set it prints one
     ``[join] route=broadcast|bucketed rows=N gate=G`` line to stderr."""
     on = [on] if isinstance(on, str) else list(on)
@@ -524,6 +584,8 @@ def join(left, right, on, *, how: str = "inner", attach=(),
                          "same number of key columns")
     if attach and how in ("semi", "anti"):
         raise ValueError(f"exchange.join: a {how} join attaches nothing")
+    if broadcast_max_rows is None:
+        broadcast_max_rows = BROADCAST_MAX_ROWS
     broadcast = right_rows is not None and right_rows <= broadcast_max_rows
     if os.environ.get("WEBTEXT_TRACE_ROUNDS"):
         print(f"[join] route={'broadcast' if broadcast else 'bucketed'} "

@@ -161,7 +161,7 @@ def _cell_member_pairs(cell_keys, members: np.ndarray,
 
 
 # The verify's text LUT gate, in bytes: the ~64 MB of the 4M int64
-# (key, value) rows that tpch.DIM_BROADCAST_MAX_ROWS was sized for.
+# (key, value) rows that exchange.BROADCAST_MAX_ROWS was sized for.
 TEXT_BROADCAST_MAX_BYTES = 64 << 20
 
 

@@ -38,11 +38,8 @@ def topk_per_group(ds, group_col: str = "lang", order_col: str = "n_chars",
 
 def ordered_dedup(ds, key_col: str = "source"):
     """First-occurrence-wins dedup (U9): min doc_id per key."""
-    agg = aggregate(ds.select_columns([key_col, "doc_id"]), key_col,
-                    ("min", "doc_id"))
-    return agg.map_batches(
-        lambda b: b.rename_columns([key_col, "doc_id"]),
-        batch_format="pyarrow", zero_copy_batch=True)
+    return aggregate(ds.select_columns([key_col, "doc_id"]), key_col,
+                     ("min", "doc_id"), names=[key_col, "doc_id"])
 
 
 def union_sources(ds_a, ds_b):
@@ -68,10 +65,8 @@ def group_counts(ds, group_col: str = "lang"):
 
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               zero_copy_batch=True)
-    summed = aggregate(partials, group_col, ("sum", "n"))
-    return summed.map_batches(
-        lambda b: b.rename_columns([group_col, "n"]),
-        batch_format="pyarrow", zero_copy_batch=True)
+    return aggregate(partials, group_col, ("sum", "n"),
+                     names=[group_col, "n"])
 
 
 def flatten_spans(ds):
@@ -929,16 +924,13 @@ def zorder_stats(ds, col_a: str = "l_partkey",
             [pa.array(z >> shift), pa.array(a), pa.array(b)],
             names=["zbucket", "a", "b"])
 
-    agg = aggregate(
+    return aggregate(
         ds.select_columns([col_a, col_b])
         .map_batches(zkey, batch_format="pyarrow",
                      zero_copy_batch=True),
         "zbucket", ("count",), ("min", "a"), ("max", "a"),
-        ("min", "b"), ("max", "b"))
-    return agg.map_batches(
-        lambda b: b.rename_columns(
-            ["zbucket", "n_rows", "a_min", "a_max", "b_min", "b_max"]),
-        batch_format="pyarrow", zero_copy_batch=True)
+        ("min", "b"), ("max", "b"),
+        names=["zbucket", "n_rows", "a_min", "a_max", "b_min", "b_max"])
 
 
 def volume_spikes(ds, k: int = 3):
@@ -976,11 +968,8 @@ def volume_spikes(ds, k: int = 3):
         ds.select_columns(["event_type", "ts"])
         .map_batches(partial, batch_format="pyarrow",
                      zero_copy_batch=True),
-        ["event_type", "day"], ("sum", "n")) \
-        .map_batches(lambda b: b.rename_columns(
-            ["event_type", "day", "n"]),
-            batch_format="pyarrow", zero_copy_batch=True) \
-        .materialize()                  # bounded; consumed three times
+        ["event_type", "day"], ("sum", "n"),
+        names=["event_type", "day", "n"])  # materialized; read 3 times
 
     med = {r["event_type"]: int(r["q50"])
            for r in group_quantiles(daily, "event_type", "n",

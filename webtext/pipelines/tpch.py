@@ -1,33 +1,42 @@
 """TPC-H-style relational queries over the driver tables — the three
 canonical distributed-join/aggregate shapes a data engine must get
-right, each expressed Ray-Data-first with an exact SQL oracle:
+right, each expressed on the one exchange (``webtext.exchange``) with
+an exact SQL oracle:
 
 * pricing_summary   — Q1-shaped multi-aggregate with the COMBINER
                       pattern (per-batch partial aggregates inside
-                      map_batches; the shuffle ships one row per
+                      map_batches; the exchange ships one row per
                       (batch, group), never lineitems).  Money sums are
                       integer cents (half-away-from-zero per element,
                       matching DuckDB's round()) so float summation
                       order can never skew the value hash.
-* order_line_join   — large-large equi-join (orders ⋈ lineitem) as the
-                      constant-fan-out join-by-groupby: lineitem is
-                      per-batch pre-aggregated by orderkey FIRST, both
-                      sides emit into hash(orderkey) % 256 buckets, and
-                      one vectorized in-bucket merge joins them.
+* order_line_join   — large-large equi-join (orders ⋈ lineitem):
+                      lineitem is pre-aggregated per orderkey FIRST
+                      (one keyed aggregate), and ``exchange.join``
+                      attaches the per-order totals to the orders.
 * region_customer_counts — dimension enrichment via BROADCAST: the
                       nation→region map (a few hundred rows) is
                       ray.put once and read inside each task; customers
                       never shuffle, only per-batch partial counts do.
+
+Every join is ``exchange.join``: a side whose row count is free (a
+parquet footer, a materialized aggregate) is passed as ``right_rows``,
+so it broadcasts as a sorted LUT under ``exchange.BROADCAST_MAX_ROWS``
+and rides the bucketed exchange above it.  Cells that are not joins run
+on ``exchange.group_map``, and each global combine (a top-k merge, a
+one-row total) is ``group_map`` with no key: one task.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..exchange import _ibucket, aggregate, join  # module scope: worker
-# code is shipped by value and cannot lazy-import webtext
+from ..exchange import _ibucket, aggregate, group_map, join  # module
+# scope: worker code is shipped by value and cannot lazy-import webtext
 
 
 def _cents(x: np.ndarray) -> np.ndarray:
@@ -45,10 +54,10 @@ def _qty_i64(x: np.ndarray) -> np.ndarray:
 
 
 def _keyed_qty_partial(batch: pa.Table, key_col: str) -> pa.Table:
-    """Shared per-batch combiner: lineitem rows → one (key, qty, n) row
-    per distinct key in the batch.  Every lineitem-side join/aggregate
-    here funnels through this one helper so the quantity-cast contract
-    cannot drift between queries."""
+    """Shared per-batch combiner: lineitem rows → one (key_col, qty, n)
+    row per distinct key in the batch.  Every lineitem-side
+    join/aggregate here funnels through this one helper so the
+    quantity-cast contract cannot drift between queries."""
     keys = batch.column(key_col).cast(pa.int64()) \
         .to_numpy(zero_copy_only=False)
     qty = _qty_i64(batch.column("l_quantity")
@@ -58,7 +67,18 @@ def _keyed_qty_partial(batch: pa.Table, key_col: str) -> pa.Table:
          pa.array(np.ones(len(keys), dtype=np.int64))],
         names=["key", "qty", "n"])
     agg = t.group_by(["key"]).aggregate([("qty", "sum"), ("n", "sum")])
-    return agg.rename_columns(["key", "qty", "n"])
+    return agg.rename_columns([key_col, "qty", "n"])
+
+
+def _qty_per_key(lineitem, key_col: str, names: list):
+    """(key, n_lines, sum_qty) per distinct ``key_col`` of lineitem, one
+    row per key, renamed to ``names``: the per-batch combiner, then one
+    keyed aggregate."""
+    partial = lineitem.select_columns([key_col, "l_quantity"]).map_batches(
+        _keyed_qty_partial, fn_kwargs={"key_col": key_col},
+        batch_format="pyarrow", zero_copy_batch=True)
+    return aggregate(partial, key_col, ("sum", "n"), ("sum", "qty"),
+                     names=names)
 
 
 def _pricing_partial(batch: pa.Table) -> pa.Table:
@@ -77,89 +97,52 @@ def _pricing_partial(batch: pa.Table) -> pa.Table:
          "sum_base_cents", "n_rows"])
 
 
+def _pricing_totals(lineitem, partial):
+    """The Q1 sums (l_returnflag, l_linestatus, sum_qty, sum_base_cents,
+    n_rows) over the rows of the per-batch combiner ``partial``."""
+    cols = ["l_returnflag", "l_linestatus", "sum_qty", "sum_base_cents",
+            "n_rows"]
+    return aggregate(
+        lineitem.select_columns(
+            ["l_returnflag", "l_linestatus", "l_quantity",
+             "l_extendedprice"]).map_batches(
+            partial, batch_format="pyarrow", zero_copy_batch=True),
+        cols[:2], *(("sum", c) for c in cols[2:]), names=cols)
+
+
 def pricing_summary(lineitem):
     """(l_returnflag, l_linestatus, sum_qty, sum_base_cents, n_rows)."""
-    partial = lineitem.select_columns(
-        ["l_returnflag", "l_linestatus", "l_quantity",
-         "l_extendedprice"]).map_batches(
-        _pricing_partial, batch_format="pyarrow", zero_copy_batch=True)
-    summed = aggregate(partial, ["l_returnflag", "l_linestatus"],
-                       ("sum", "sum_qty"), ("sum", "sum_base_cents"),
-                       ("sum", "n_rows"))
-    return summed.map_batches(
-        lambda b: b.rename_columns(
-            ["l_returnflag", "l_linestatus", "sum_qty",
-             "sum_base_cents", "n_rows"]),
+    return _pricing_totals(lineitem, _pricing_partial)
+
+
+def _lines_per_order(lineitem):
+    return _qty_per_key(lineitem, "l_orderkey",
+                        ["o_orderkey", "n_lines", "sum_qty"])
+
+
+def _zero_fill(batch: pa.Table, cols: list) -> pa.Table:
+    """A left join's unmatched rows count 0 in its attached ``cols``."""
+    for c in cols:
+        batch = batch.set_column(batch.schema.get_field_index(c), c,
+                                 pc.fill_null(batch.column(c), 0))
+    return batch
+
+
+def _orders_with_lines(orders, lines, how: str):
+    """Orders ⋈ per-order lineitem totals, ``how`` inner or left (an
+    order with no lines then counts zeros)."""
+    out = join(orders.select_columns(["o_orderkey", "o_custkey"]), lines,
+               "o_orderkey", how=how, attach=["n_lines", "sum_qty"],
+               right_rows=lines.count())
+    return out if how == "inner" else out.map_batches(
+        _zero_fill, fn_kwargs={"cols": ["n_lines", "sum_qty"]},
         batch_format="pyarrow", zero_copy_batch=True)
-
-
-def _line_partial(batch: pa.Table) -> pa.Table:
-    """Per-batch combiner: lineitem rows → one (orderkey, n, qty) row
-    per distinct orderkey in the batch."""
-    agg = _keyed_qty_partial(batch, "l_orderkey")
-    keys2 = agg.column("key").to_numpy(zero_copy_only=False)
-    return pa.Table.from_arrays(
-        [pa.array(_ibucket(keys2)), pa.array(keys2),
-         pa.array(np.full(len(keys2), -1, dtype=np.int64)),
-         agg.column("qty"), agg.column("n")],
-        names=["bucket", "okey", "custkey", "qty", "n"])
-
-
-def _orders_emit(batch: pa.Table) -> pa.Table:
-    keys = batch.column("o_orderkey").cast(pa.int64()) \
-        .to_numpy(zero_copy_only=False)
-    cust = batch.column("o_custkey").cast(pa.int64()) \
-        .to_numpy(zero_copy_only=False)
-    zero = pa.array(np.zeros(len(keys), dtype=np.int64))
-    return pa.Table.from_arrays(
-        [pa.array(_ibucket(keys)), pa.array(keys), pa.array(cust),
-         zero, zero],
-        names=["bucket", "okey", "custkey", "qty", "n"])
-
-
-def _join_bucket(group: pa.Table) -> pa.Table:
-    """Vectorized in-bucket merge: sum the lineitem partials per
-    orderkey, attach o_custkey from the orders row, keep matched keys
-    (inner join)."""
-    okey = group.column("okey").to_numpy(zero_copy_only=False)
-    cust = group.column("custkey").to_numpy(zero_copy_only=False)
-    qty = group.column("qty").to_numpy(zero_copy_only=False)
-    n = group.column("n").to_numpy(zero_copy_only=False)
-    is_order = cust != -1
-    o_keys, o_cust = okey[is_order], cust[is_order]
-    oorder = np.argsort(o_keys)
-    o_keys, o_cust = o_keys[oorder], o_cust[oorder]
-    l_keys, l_qty, l_n = okey[~is_order], qty[~is_order], n[~is_order]
-    if len(o_keys) == 0 or len(l_keys) == 0:
-        return pa.Table.from_arrays(
-            [pa.array([], pa.int64()), pa.array([], pa.int64()),
-             pa.array([], pa.int64()), pa.array([], pa.int64())],
-            names=["o_orderkey", "o_custkey", "n_lines", "sum_qty"])
-    pos = np.clip(np.searchsorted(o_keys, l_keys), 0, len(o_keys) - 1)
-    hit = o_keys[pos] == l_keys
-    pos, l_qty, l_n = pos[hit], l_qty[hit], l_n[hit]
-    sum_qty = np.zeros(len(o_keys), dtype=np.int64)
-    n_lines = np.zeros(len(o_keys), dtype=np.int64)
-    np.add.at(sum_qty, pos, l_qty)
-    np.add.at(n_lines, pos, l_n)
-    matched = n_lines > 0
-    return pa.Table.from_arrays(
-        [pa.array(o_keys[matched]), pa.array(o_cust[matched]),
-         pa.array(n_lines[matched]), pa.array(sum_qty[matched])],
-        names=["o_orderkey", "o_custkey", "n_lines", "sum_qty"])
 
 
 def order_line_join(orders, lineitem):
     """(o_orderkey, o_custkey, n_lines, sum_qty) — inner equi-join of
     orders to per-order lineitem aggregates."""
-    u = lineitem.select_columns(["l_orderkey", "l_quantity"]) \
-        .map_batches(_line_partial, batch_format="pyarrow",
-                     zero_copy_batch=True).union(
-        orders.select_columns(["o_orderkey", "o_custkey"])
-        .map_batches(_orders_emit, batch_format="pyarrow",
-                     zero_copy_batch=True))
-    return u.groupby("bucket").map_groups(_join_bucket,
-                                          batch_format="pyarrow")
+    return _orders_with_lines(orders, _lines_per_order(lineitem), "inner")
 
 
 def region_customer_counts(customer, nation, region):
@@ -205,182 +188,32 @@ def region_customer_counts(customer, nation, region):
     partial = customer.select_columns(["c_nationkey"]).map_batches(
         CountPerRegion, batch_format="pyarrow", zero_copy_batch=True,
         concurrency=(1, 4), fn_constructor_args=(ref,))
-    summed = aggregate(partial, "r_name", ("sum", "n_customers"))
-    return summed.map_batches(
-        lambda b: b.rename_columns(["r_name", "n_customers"]),
-        batch_format="pyarrow", zero_copy_batch=True)
-
-
-def _supp_partial(batch: pa.Table) -> pa.Table:
-    agg = _keyed_qty_partial(batch, "l_suppkey")
-    return agg.rename_columns(["s_suppkey", "sum_qty", "n_lines"])
+    return aggregate(partial, "r_name", ("sum", "n_customers"),
+                     names=["r_name", "n_customers"])
 
 
 def supplier_shipments(lineitem, supplier):
-    """(s_suppkey, s_name, n_lines, sum_qty) — per-supplier shipped
+    """(s_suppkey, n_lines, sum_qty, s_name) — per-supplier shipped
     volume: lineitem pre-aggregated per batch (combiner), summed with
-    one small groupby, supplier names attached via the bucketed
-    emit-union join (the _attach_routed shape with a string payload).
+    one small keyed aggregate, supplier names attached by
+    ``exchange.join`` (inner semantics: suppliers with no lines and
+    keys with no supplier row both drop, matching the oracle's join).
 
-    Unlike nation/region (constant 25/5 rows at every TPC-H scale,
-    broadcast-safe), supplier is sf-PROPORTIONAL (10k·sf rows): at
-    100-TB lineitem a take_all+ray.put of the name table is GBs into
-    every actor, so the dimension rides the shuffle instead — both
-    sides key by hash(s_suppkey) % 256, one map_groups per bucket does
-    a vectorized searchsorted attach (inner semantics: suppliers with
-    no lines and keys with no supplier row both drop, matching the
-    oracle's join)."""
-
-    partial = lineitem.select_columns(["l_suppkey", "l_quantity"]) \
-        .map_batches(_supp_partial, batch_format="pyarrow",
-                     zero_copy_batch=True)
-    summed = aggregate(partial, "s_suppkey",
-                       ("sum", "sum_qty"), ("sum", "n_lines"))
-
-    def fact_emit(batch: pa.Table) -> pa.Table:
-        batch = batch.rename_columns(["s_suppkey", "sum_qty", "n_lines"])
-        k = batch.column("s_suppkey").cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        return pa.Table.from_arrays(
-            [pa.array(_ibucket(k)), pa.array(k),
-             pa.array(np.zeros(len(k), dtype=np.int8)),
-             pa.array([""] * len(k), pa.string()),
-             batch.column("sum_qty").cast(pa.int64()),
-             batch.column("n_lines").cast(pa.int64())],
-            names=["bucket", "key", "is_dim", "s_name",
-                   "sum_qty", "n_lines"])
-
-    def dim_emit(batch: pa.Table) -> pa.Table:
-        k = batch.column("s_suppkey").cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        zeros = pa.array(np.zeros(len(k), dtype=np.int64))
-        return pa.Table.from_arrays(
-            [pa.array(_ibucket(k)), pa.array(k),
-             pa.array(np.ones(len(k), dtype=np.int8)),
-             batch.column("s_name").cast(pa.string()),
-             zeros, zeros],
-            names=["bucket", "key", "is_dim", "s_name",
-                   "sum_qty", "n_lines"])
-
-    def join(group: pa.Table) -> pa.Table:
-        is_dim = group.column("is_dim").to_numpy(
-            zero_copy_only=False).astype(bool)
-        k = group.column("key").to_numpy(zero_copy_only=False)
-        names = np.asarray(group.column("s_name").to_pylist(),
-                           dtype=object)
-        dk, dn = k[is_dim], names[is_dim]
-        order = np.argsort(dk)
-        dk, dn = dk[order], dn[order]
-        fk = k[~is_dim]
-        out_names = ["s_suppkey", "s_name", "n_lines", "sum_qty"]
-        if len(dk) == 0 or len(fk) == 0:
-            return pa.Table.from_arrays(
-                [pa.array([], pa.int64()), pa.array([], pa.string()),
-                 pa.array([], pa.int64()), pa.array([], pa.int64())],
-                names=out_names)
-        pos = np.clip(np.searchsorted(dk, fk), 0, len(dk) - 1)
-        hit = dk[pos] == fk
-        fact = group.filter(pa.array(~is_dim)).filter(pa.array(hit))
-        return pa.Table.from_arrays(
-            [pa.array(fk[hit]), pa.array(dn[pos[hit]].tolist(),
-                                         pa.string()),
-             fact.column("n_lines"), fact.column("sum_qty")],
-            names=out_names)
-
-    u = summed.map_batches(fact_emit, batch_format="pyarrow",
-                           zero_copy_batch=True).union(
-        supplier.select_columns(["s_suppkey", "s_name"]).map_batches(
-            dim_emit, batch_format="pyarrow", zero_copy_batch=True))
-    return u.groupby("bucket").map_groups(join, batch_format="pyarrow")
-
-
-def _brand_line_partial(batch: pa.Table) -> pa.Table:
-    agg = _keyed_qty_partial(batch, "l_partkey")
-    keys2 = agg.column("key").to_numpy(zero_copy_only=False)
-    return pa.Table.from_arrays(
-        [pa.array(_ibucket(keys2)), pa.array(keys2),
-         pa.array([""] * len(keys2), pa.string()),
-         agg.column("qty"), agg.column("n")],
-        names=["bucket", "pkey", "brand", "qty", "n"])
-
-
-def _part_emit(batch: pa.Table) -> pa.Table:
-    keys = batch.column("p_partkey").cast(pa.int64()) \
-        .to_numpy(zero_copy_only=False)
-    zero = pa.array(np.full(len(keys), -1, dtype=np.int64))
-    return pa.Table.from_arrays(
-        [pa.array(_ibucket(keys)), pa.array(keys),
-         batch.column("p_brand"), zero, zero],
-        names=["bucket", "pkey", "brand", "qty", "n"])
-
-
-def _brand_bucket(group: pa.Table) -> pa.Table:
-    """Attach brand to the lineitem partials (searchsorted against the
-    bucket's part rows, marked by qty = -1) and pre-sum per brand."""
-    pkey = group.column("pkey").to_numpy(zero_copy_only=False)
-    qty = group.column("qty").to_numpy(zero_copy_only=False)
-    n = group.column("n").to_numpy(zero_copy_only=False)
-    brand = np.asarray(group.column("brand").to_pylist(), dtype=object)
-    is_part = qty == -1
-    p_keys, p_brand = pkey[is_part], brand[is_part]
-    order = np.argsort(p_keys)
-    p_keys, p_brand = p_keys[order], p_brand[order]
-    l_keys, l_qty, l_n = pkey[~is_part], qty[~is_part], n[~is_part]
-    if len(p_keys) == 0 or len(l_keys) == 0:
-        return pa.Table.from_arrays(
-            [pa.array([], pa.string()), pa.array([], pa.int64()),
-             pa.array([], pa.int64())],
-            names=["p_brand", "qty", "n"])
-    pos = np.clip(np.searchsorted(p_keys, l_keys), 0, len(p_keys) - 1)
-    hit = p_keys[pos] == l_keys
-    brands = p_brand[pos[hit]]
-    t = pa.Table.from_arrays(
-        [pa.array(brands.tolist(), pa.string()),
-         pa.array(l_qty[hit]), pa.array(l_n[hit])],
-        names=["p_brand", "qty", "n"])
-    agg = t.group_by(["p_brand"]).aggregate([("qty", "sum"),
-                                             ("n", "sum")])
-    return agg.rename_columns(["p_brand", "qty", "n"])
-
-
-def _left_join_bucket(group: pa.Table) -> pa.Table:
-    """Left-outer variant of _join_bucket: every orders row in the
-    bucket survives; unmatched orders get n_lines = 0, sum_qty = 0."""
-    okey = group.column("okey").to_numpy(zero_copy_only=False)
-    cust = group.column("custkey").to_numpy(zero_copy_only=False)
-    qty = group.column("qty").to_numpy(zero_copy_only=False)
-    n = group.column("n").to_numpy(zero_copy_only=False)
-    is_order = cust != -1
-    o_keys, o_cust = okey[is_order], cust[is_order]
-    oorder = np.argsort(o_keys)
-    o_keys, o_cust = o_keys[oorder], o_cust[oorder]
-    sum_qty = np.zeros(len(o_keys), dtype=np.int64)
-    n_lines = np.zeros(len(o_keys), dtype=np.int64)
-    l_keys, l_qty, l_n = okey[~is_order], qty[~is_order], n[~is_order]
-    if len(o_keys) and len(l_keys):
-        pos = np.clip(np.searchsorted(o_keys, l_keys), 0,
-                      len(o_keys) - 1)
-        hit = o_keys[pos] == l_keys
-        np.add.at(sum_qty, pos[hit], l_qty[hit])
-        np.add.at(n_lines, pos[hit], l_n[hit])
-    return pa.Table.from_arrays(
-        [pa.array(o_keys), pa.array(o_cust), pa.array(n_lines),
-         pa.array(sum_qty)],
-        names=["o_orderkey", "o_custkey", "n_lines", "sum_qty"])
+    Unlike nation/region (constant 25/5 rows at every TPC-H scale),
+    supplier is sf-PROPORTIONAL (10k·sf rows): its footer count routes
+    the join, so the name table broadcasts at the tested scales and
+    rides the bucketed exchange past ``exchange.BROADCAST_MAX_ROWS``."""
+    summed = _qty_per_key(lineitem, "l_suppkey",
+                          ["s_suppkey", "n_lines", "sum_qty"])
+    return join(summed, supplier.select_columns(["s_suppkey", "s_name"]),
+                "s_suppkey", attach=["s_name"], right_rows=supplier.count())
 
 
 def order_line_left_join(orders, lineitem):
     """(o_orderkey, o_custkey, n_lines, sum_qty) — LEFT OUTER join:
-    same constant-fan-out bucketed plan as order_line_join, but orders
-    with no lineitem rows survive with zero counts."""
-    u = lineitem.select_columns(["l_orderkey", "l_quantity"]) \
-        .map_batches(_line_partial, batch_format="pyarrow",
-                     zero_copy_batch=True).union(
-        orders.select_columns(["o_orderkey", "o_custkey"])
-        .map_batches(_orders_emit, batch_format="pyarrow",
-                     zero_copy_batch=True))
-    return u.groupby("bucket").map_groups(_left_join_bucket,
-                                          batch_format="pyarrow")
+    the plan of order_line_join, but orders with no lineitem rows
+    survive with zero counts."""
+    return _orders_with_lines(orders, _lines_per_order(lineitem), "left")
 
 
 ROLLUP_ALL = "ALL"
@@ -417,18 +250,7 @@ def pricing_rollup(lineitem):
     comparison NULL-free).  Pure combiner pattern — the rollup levels
     are replicated inside the per-batch partial, so no extra shuffle
     vs the plain pricing_summary."""
-    partial = lineitem.select_columns(
-        ["l_returnflag", "l_linestatus", "l_quantity",
-         "l_extendedprice"]).map_batches(
-        _rollup_partial, batch_format="pyarrow", zero_copy_batch=True)
-    summed = aggregate(partial, ["l_returnflag", "l_linestatus"],
-                       ("sum", "sum_qty"), ("sum", "sum_base_cents"),
-                       ("sum", "n_rows"))
-    return summed.map_batches(
-        lambda b: b.rename_columns(
-            ["l_returnflag", "l_linestatus", "sum_qty",
-             "sum_base_cents", "n_rows"]),
-        batch_format="pyarrow", zero_copy_batch=True)
+    return _pricing_totals(lineitem, _rollup_partial)
 
 
 def profile_columns(ds, columns: tuple[str, ...]):
@@ -458,16 +280,13 @@ def profile_columns(ds, columns: tuple[str, ...]):
              pa.array(mn, pa.float64()), pa.array(mx, pa.float64())],
             names=["column", "n_rows", "n_null", "min_v", "max_v"])
 
-    agg = aggregate(
+    return aggregate(
         ds.select_columns(list(columns))
         .map_batches(partial, batch_format="pyarrow",
                      zero_copy_batch=True),
         "column", ("sum", "n_rows"), ("sum", "n_null"),
-        ("min", "min_v"), ("max", "max_v"))
-    return agg.map_batches(
-        lambda b: b.rename_columns(
-            ["column", "n_rows", "n_null", "min_v", "max_v"]),
-        batch_format="pyarrow", zero_copy_batch=True)
+        ("min", "min_v"), ("max", "max_v"),
+        names=["column", "n_rows", "n_null", "min_v", "max_v"])
 
 
 def _limb_sum(v: np.ndarray, per_row_max: int) -> tuple[int, int]:
@@ -580,6 +399,28 @@ def _rev_cents(price: np.ndarray, disc: np.ndarray) -> np.ndarray:
     return np.floor(price * (1.0 - disc) * 100.0 + 0.5).astype(np.int64)
 
 
+def _column_totals(table: pa.Table, cols: list) -> pa.Table:
+    """One int64 row: each of ``cols`` summed over ``table``."""
+    return pa.Table.from_arrays(
+        [pa.array([int(pc.sum(table.column(c)).as_py() or 0)], pa.int64())
+         for c in cols], names=cols)
+
+
+def _one_row_total(partials, cols: list):
+    """The global combine of per-block partials: one row of the sums of
+    ``cols``, on one ``group_map`` task with no key — a row of zeros
+    when there are no partial rows (a window that matches nothing), as
+    a SQL aggregate without GROUP BY gives."""
+    total = group_map(partials, (),
+                      functools.partial(_column_totals, cols=cols))
+    if total.count():
+        return total
+    import ray
+
+    return ray.data.from_arrow(
+        pa.table({c: pa.array([0], pa.int64()) for c in cols}))
+
+
 def shipping_priority(customer, orders, lineitem,
                       segment: str = "BUILDING",
                       cutoff: str = "1998-06-01", k: int = 10):
@@ -587,78 +428,33 @@ def shipping_priority(customer, orders, lineitem,
     orders placed before ``cutoff`` with lines shipped after it.
     Output: (l_orderkey, o_orderdate, o_orderpriority, revenue_cents).
 
-    Two constant-fan-out shuffles, no broadcast of any large side:
+    Two joins, no broadcast of a side past the join gate:
 
-    1. semi-join orders→customer in hash(custkey) % 256 buckets —
-       customers ship only their custkey (filtered marker rows), orders
-       ship (custkey, okey, date, priority);
-    2. join the surviving orders to per-order lineitem revenue partials
-       in hash(orderkey) % 256 buckets — lineitem is pre-aggregated per
-       batch (combiner), so the shuffle carries one row per
-       (batch, orderkey), never lineitems;
-    3. top-k: each bucket emits its local top-k, a single-block final
-       pass selects the global top-k (k × 256 rows max — driver-safe at
-       any corpus size)."""
+    1. semi-join the early orders to the segment's customers on custkey
+       (customers ship only their custkey);
+    2. attach per-order lineitem revenue to the surviving orders — the
+       revenue is one keyed aggregate over per-batch combiner partials,
+       so the exchange carries one row per (batch, orderkey), never
+       lineitems;
+    3. top-k: each block keeps its local top-k, and one ``group_map``
+       with no key picks the global top-k (k × blocks rows — driver-safe
+       at any corpus size)."""
     cut_us = np.datetime64(cutoff, "us").astype(np.int64)
 
-    def cust_emit(batch: pa.Table) -> pa.Table:
-        mask = pc.equal(batch.column("c_mktsegment"), segment)
-        keys = batch.filter(mask).column("c_custkey").cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        neg = pa.array(np.full(len(keys), -1, dtype=np.int64))
+    def in_segment(batch: pa.Table) -> pa.Table:
+        return batch.filter(pc.equal(batch.column("c_mktsegment"),
+                                     segment)).select(["c_custkey"])
+
+    def placed_early(batch: pa.Table) -> pa.Table:
+        odate = batch.column("o_orderdate").cast(pa.timestamp("us"))
+        keep = odate.cast(pa.int64()).to_numpy(zero_copy_only=False) \
+            < cut_us
         return pa.Table.from_arrays(
-            [pa.array(_ibucket(keys)), pa.array(keys), neg, neg,
-             pa.array([""] * len(keys), pa.string())],
-            names=["bucket", "custkey", "okey", "odate_us", "prio"])
-
-    def orders_emit(batch: pa.Table) -> pa.Table:
-        odate = batch.column("o_orderdate").cast(pa.timestamp("us")) \
-            .cast(pa.int64()).to_numpy(zero_copy_only=False)
-        keep = odate < cut_us
-        cust = batch.column("o_custkey").cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)[keep]
-        okey = batch.column("o_orderkey").cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)[keep]
-        prio = batch.column("o_orderpriority").filter(pa.array(keep))
-        return pa.Table.from_arrays(
-            [pa.array(_ibucket(cust)), pa.array(cust), pa.array(okey),
-             pa.array(odate[keep]), prio],
-            names=["bucket", "custkey", "okey", "odate_us", "prio"])
-
-    def semi_bucket(group: pa.Table) -> pa.Table:
-        okey = group.column("okey").to_numpy(zero_copy_only=False)
-        cust = group.column("custkey").to_numpy(zero_copy_only=False)
-        is_cust = okey == -1
-        ckeys = np.sort(cust[is_cust])
-        o = ~is_cust
-        if len(ckeys) == 0 or not o.any():
-            return group.slice(0, 0).select(
-                ["okey", "odate_us", "prio"])
-        pos = np.searchsorted(ckeys, cust[o])
-        hit = (pos < len(ckeys)) & (ckeys[np.minimum(
-            pos, len(ckeys) - 1)] == cust[o])
-        keep = np.zeros(len(okey), dtype=bool)
-        keep[np.flatnonzero(o)[hit]] = True
-        return group.filter(pa.array(keep)).select(
-            ["okey", "odate_us", "prio"])
-
-    surviving = customer.select_columns(["c_custkey", "c_mktsegment"]) \
-        .map_batches(cust_emit, batch_format="pyarrow",
-                     zero_copy_batch=True).union(
-        orders.select_columns(["o_orderkey", "o_custkey", "o_orderdate",
-                               "o_orderpriority"])
-        .map_batches(orders_emit, batch_format="pyarrow",
-                     zero_copy_batch=True)) \
-        .groupby("bucket").map_groups(semi_bucket,
-                                      batch_format="pyarrow")
-
-    def order_mark(batch: pa.Table) -> pa.Table:
-        okey = batch.column("okey").to_numpy(zero_copy_only=False)
-        return pa.Table.from_arrays(
-            [pa.array(_ibucket(okey)), batch.column("okey"),
-             batch.column("odate_us"), batch.column("prio"),
-             pa.array(np.full(len(okey), -1, dtype=np.int64))],
-            names=["bucket", "okey", "odate_us", "prio", "rev"])
+            [batch.column("o_orderkey").cast(pa.int64()),
+             batch.column("o_custkey").cast(pa.int64()), odate,
+             batch.column("o_orderpriority")],
+            names=["l_orderkey", "o_custkey", "o_orderdate",
+                   "o_orderpriority"]).filter(pa.array(keep))
 
     def line_partial(batch: pa.Table) -> pa.Table:
         ship = batch.column("l_shipdate").cast(pa.timestamp("us")) \
@@ -672,117 +468,50 @@ def shipping_priority(customer, orders, lineitem,
             batch.column("l_discount")
             .to_numpy(zero_copy_only=False)[keep])
         t = pa.Table.from_arrays([pa.array(okey), pa.array(rev)],
-                                 names=["okey", "rev"])
-        agg = t.group_by(["okey"]).aggregate([("rev", "sum")])
-        keys2 = agg.column("okey").to_numpy(zero_copy_only=False)
-        zero = pa.array(np.zeros(len(keys2), dtype=np.int64))
-        return pa.Table.from_arrays(
-            [pa.array(_ibucket(keys2)), agg.column("okey"), zero,
-             pa.array([""] * len(keys2), pa.string()),
-             agg.column("rev_sum")],
-            names=["bucket", "okey", "odate_us", "prio", "rev"])
+                                 names=["l_orderkey", "rev"])
+        return t.group_by(["l_orderkey"]).aggregate([("rev", "sum")]) \
+            .rename_columns(["l_orderkey", "rev"])
 
-    def join_topk(group: pa.Table) -> pa.Table:
-        okey = group.column("okey").to_numpy(zero_copy_only=False)
-        rev = group.column("rev").to_numpy(zero_copy_only=False)
-        odate = group.column("odate_us").to_numpy(zero_copy_only=False)
-        prio = np.asarray(group.column("prio").to_pylist(), dtype=object)
-        is_order = rev == -1
-        o_keys, o_date, o_prio = (okey[is_order], odate[is_order],
-                                  prio[is_order])
-        order = np.argsort(o_keys)
-        o_keys, o_date, o_prio = o_keys[order], o_date[order], \
-            o_prio[order]
-        l_keys, l_rev = okey[~is_order], rev[~is_order]
-        empty = pa.Table.from_arrays(
-            [pa.array([], pa.int64()),
-             pa.array([], pa.timestamp("us")),
-             pa.array([], pa.string()), pa.array([], pa.int64())],
-            names=["l_orderkey", "o_orderdate", "o_orderpriority",
-                   "revenue_cents"])
-        if len(o_keys) == 0 or len(l_keys) == 0:
-            return empty
-        pos = np.clip(np.searchsorted(o_keys, l_keys), 0,
-                      len(o_keys) - 1)
-        hit = o_keys[pos] == l_keys
-        revenue = np.zeros(len(o_keys), dtype=np.int64)
-        np.add.at(revenue, pos[hit], l_rev[hit])
-        matched = np.zeros(len(o_keys), dtype=bool)
-        matched[pos[hit]] = True
-        if not matched.any():
-            return empty
-        o_keys, o_date, o_prio, revenue = (o_keys[matched],
-                                           o_date[matched],
-                                           o_prio[matched],
-                                           revenue[matched])
-        top = np.lexsort((o_keys, -revenue))[:k]
-        return pa.Table.from_arrays(
-            [pa.array(o_keys[top]),
-             pa.array(o_date[top]).cast(pa.timestamp("us")),
-             pa.array(o_prio[top].tolist(), pa.string()),
-             pa.array(revenue[top])],
-            names=["l_orderkey", "o_orderdate", "o_orderpriority",
-                   "revenue_cents"])
-
-    line_side = lineitem.select_columns(
-        ["l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"]) \
-        .map_batches(line_partial, batch_format="pyarrow",
-                     zero_copy_batch=True)
-    per_bucket = surviving.map_batches(
-        order_mark, batch_format="pyarrow", zero_copy_batch=True) \
-        .union(line_side) \
-        .groupby("bucket").map_groups(join_topk, batch_format="pyarrow")
-
-    def final_topk(batch: pa.Table) -> pa.Table:
+    def top_k(batch: pa.Table) -> pa.Table:
         okey = batch.column("l_orderkey").to_numpy(zero_copy_only=False)
         rev = batch.column("revenue_cents") \
             .to_numpy(zero_copy_only=False)
-        top = np.lexsort((okey, -rev))[:k]
-        return batch.take(pa.array(top))
+        return batch.select(["l_orderkey", "o_orderdate", "o_orderpriority",
+                             "revenue_cents"]) \
+            .take(pa.array(np.lexsort((okey, -rev))[:k]))
 
-    # per_bucket is ≤ 256 × k rows at any corpus size
-    return per_bucket.repartition(1).map_batches(
-        final_topk, batch_size=None, batch_format="pyarrow",
-        zero_copy_batch=True)
+    surviving = join(
+        orders.select_columns(["o_orderkey", "o_custkey", "o_orderdate",
+                               "o_orderpriority"])
+        .map_batches(placed_early, batch_format="pyarrow",
+                     zero_copy_batch=True),
+        customer.select_columns(["c_custkey", "c_mktsegment"])
+        .map_batches(in_segment, batch_format="pyarrow",
+                     zero_copy_batch=True),
+        "o_custkey", right_on="c_custkey", how="semi",
+        right_rows=customer.count())
+    revenue = aggregate(
+        lineitem.select_columns(
+            ["l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"])
+        .map_batches(line_partial, batch_format="pyarrow",
+                     zero_copy_batch=True),
+        "l_orderkey", ("sum", "rev"), names=["l_orderkey", "revenue_cents"])
+    joined = join(surviving, revenue, "l_orderkey",
+                  attach=["revenue_cents"], right_rows=revenue.count())
+    return group_map(joined.map_batches(top_k, batch_format="pyarrow",
+                                        zero_copy_batch=True), (), top_k)
 
 
 def brand_volume(lineitem, part):
     """(p_brand, n_lines, sum_qty) — join-then-reaggregate: lineitem
-    partials join part brands in hash(partkey) % 256 buckets (part is
-    corpus-sized at real scale — NOT broadcast), brands pre-summed in
-    the bucket, then one tiny groupby-sum over brands."""
-    u = lineitem.select_columns(["l_partkey", "l_quantity"]) \
-        .map_batches(_brand_line_partial, batch_format="pyarrow",
-                     zero_copy_batch=True).union(
-        part.select_columns(["p_partkey", "p_brand"])
-        .map_batches(_part_emit, batch_format="pyarrow",
-                     zero_copy_batch=True))
-    per_bucket = u.groupby("bucket").map_groups(
-        _brand_bucket, batch_format="pyarrow")
-    # Final cross-bucket sum: per_bucket is ≤ n_buckets × n_brands rows
-    # at ANY corpus size (each bucket pre-summed per brand), so a
-    # single-block Arrow group_by replaces a second sort-based
-    # all-to-all whose 128×128 tiny-partition coordination dominated
-    # wall time (~2× query cost at sf0.1, measured in ds.stats()).
-    def total(batch: pa.Table) -> pa.Table:
-        agg = batch.group_by(["p_brand"]).aggregate(
-            [("n", "sum"), ("qty", "sum")])
-        return agg.rename_columns(["p_brand", "n_lines", "sum_qty"])
-
-    return per_bucket.repartition(1).map_batches(
-        total, batch_size=None, batch_format="pyarrow",
-        zero_copy_batch=True)
-
-
-# routed-attach gate: a dimension side of ≤ this many rows broadcasts
-# once as a sorted LUT (≤ ~64 MB of int64 (key, value) via ray.put,
-# one copy per node, read zero-copy in every task); a larger side rides
-# the bucketed exchange.  At every tested sf the TPC-H dimension tables
-# (nation/supplier/customer/part/orders) fit the gate, while a 100-TB
-# orders or customer table routes to the shuffle plan automatically.
-# Both routes are inner joins over unique dim keys, pinned
-# row-identical by test.
-DIM_BROADCAST_MAX_ROWS = 4_000_000
+    partials summed per partkey, part brands attached by
+    ``exchange.join`` (part is corpus-sized at real scale, so its
+    footer count routes it), then one keyed aggregate per brand."""
+    per_part = _qty_per_key(lineitem, "l_partkey", ["p_partkey", "n", "qty"])
+    branded = join(per_part, part.select_columns(["p_partkey", "p_brand"]),
+                   "p_partkey", attach=["p_brand"], right_rows=part.count())
+    return aggregate(branded, "p_brand", ("sum", "n"), ("sum", "qty"),
+                     names=["p_brand", "n_lines", "sum_qty"])
 
 
 def _attach_routed(fact, dim, key_col: str, attach_cols,
@@ -794,11 +523,14 @@ def _attach_routed(fact, dim, key_col: str, attach_cols,
     dim key raises.  The output is (*attach_cols, *carry_cols), all
     int64.
 
-    ``n_dim_rows`` routes it: at or under ``DIM_BROADCAST_MAX_ROWS``
-    (read now) the dim is collected once and broadcast as a sorted LUT,
-    with no exchange — what turned the Q5/Q7/Q8/Q9 deep-join chains
-    from 3-4 sort shuffles each into one (or zero) at bench scales;
-    above it, or None (a corpus-sized dim), one bucketed exchange runs.
+    ``n_dim_rows`` routes it: at or under ``exchange.BROADCAST_MAX_ROWS``
+    (read at call time) the dim is collected once and broadcast as a
+    sorted LUT, with no exchange — what turned the Q5/Q7/Q8/Q9
+    deep-join chains from 3-4 sort shuffles each into one (or zero) at
+    bench scales; above it, or None (a corpus-sized dim), one bucketed
+    exchange runs.  At every tested sf the TPC-H dimension tables
+    (nation/supplier/customer/part/orders) fit the gate, while a 100-TB
+    orders or customer table routes to the exchange.
     CONTRACT: compute it on the SOURCE read (e.g. ``orders.count()``
     straight off read_parquet, where Ray answers from parquet
     metadata).  Counting a derived/filtered dataset instead would
@@ -818,8 +550,7 @@ def _attach_routed(fact, dim, key_col: str, attach_cols,
 
     return join(fact.select_columns(list(dict.fromkeys(
                     [key_col, *carry_cols]))),
-                dim, key_col, attach=attach_cols, right_rows=n_dim_rows,
-                broadcast_max_rows=DIM_BROADCAST_MAX_ROWS) \
+                dim, key_col, attach=attach_cols, right_rows=n_dim_rows) \
         .map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
 
 
@@ -829,10 +560,10 @@ def local_supplier_volume(customer, orders, lineitem, supplier, nation):
 
     Deep-join pipeline: three ROUTED dimension attaches chained on
     DIFFERENT keys — orderkey → custkey → suppkey — each broadcast as
-    a sorted LUT under the DIM_BROADCAST_MAX_ROWS gate (all three fit
-    at every tested sf) and a constant-fan-out emit-union groupby past
-    it (orders / customer / supplier all scale with the corpus, so the
-    gate is what keeps the 100-TB plan a shuffle).  The lineitem side
+    a sorted LUT under ``exchange.BROADCAST_MAX_ROWS`` (all three fit
+    at every tested sf) and a bucketed exchange past it (orders /
+    customer / supplier all scale with the corpus, so the gate is what
+    keeps the 100-TB plan a shuffle).  The lineitem side
     enters pre-combined per (orderkey, suppkey)."""
     import ray
 
@@ -892,11 +623,10 @@ def local_supplier_volume(customer, orders, lineitem, supplier, nation):
     summed = aggregate(
         with_snat.map_batches(
             local_partial, batch_format="pyarrow", zero_copy_batch=True),
-        "nat", ("sum", "revenue_cents"))
+        "nat", ("sum", "revenue_cents"), names=["nat", "revenue_cents"])
 
     def attach_name(batch: pa.Table, *, _ref=ref) -> pa.Table:
         m = _ref if isinstance(_ref, dict) else ray.get(_ref)
-        batch = batch.rename_columns(["nat", "revenue_cents"])
         nats = batch.column("nat").to_numpy(zero_copy_only=False)
         nm = [m.get(int(n)) for n in nats]
         keep = pa.array([x is not None for x in nm])
@@ -909,66 +639,26 @@ def local_supplier_volume(customer, orders, lineitem, supplier, nation):
                               zero_copy_batch=True)
 
 
-def _full_join_bucket(group: pa.Table) -> pa.Table:
-    """Full-outer variant of _join_bucket: unmatched orders keep zeros
-    (left side), dangling lineitem aggregates survive with
-    o_custkey = -1 (right side) — the SQL NULL stands in as a sentinel
-    so the output stays int64/hashable."""
-    okey = group.column("okey").to_numpy(zero_copy_only=False)
-    cust = group.column("custkey").to_numpy(zero_copy_only=False)
-    qty = group.column("qty").to_numpy(zero_copy_only=False)
-    n = group.column("n").to_numpy(zero_copy_only=False)
-    is_order = cust != -1
-    o_keys, o_cust = okey[is_order], cust[is_order]
-    oorder = np.argsort(o_keys)
-    o_keys, o_cust = o_keys[oorder], o_cust[oorder]
-    l_keys, l_qty, l_n = okey[~is_order], qty[~is_order], n[~is_order]
-    sum_qty = np.zeros(len(o_keys), dtype=np.int64)
-    n_lines = np.zeros(len(o_keys), dtype=np.int64)
-    dangling = np.zeros(len(l_keys), dtype=bool)
-    if len(o_keys) and len(l_keys):
-        pos = np.clip(np.searchsorted(o_keys, l_keys), 0,
-                      len(o_keys) - 1)
-        hit = o_keys[pos] == l_keys
-        np.add.at(sum_qty, pos[hit], l_qty[hit])
-        np.add.at(n_lines, pos[hit], l_n[hit])
-        dangling = ~hit
-    elif len(l_keys):
-        dangling[:] = True
-    # dangling lineitem partials may repeat per source block: pre-sum
-    d_keys, d_qty, d_n = l_keys[dangling], l_qty[dangling], n[
-        ~is_order][dangling]
-    if len(d_keys):
-        t = pa.Table.from_arrays(
-            [pa.array(d_keys), pa.array(d_qty), pa.array(d_n)],
-            names=["k", "q", "n"])
-        agg = t.group_by("k").aggregate([("q", "sum"), ("n", "sum")])
-        d_keys = agg.column("k").to_numpy(zero_copy_only=False)
-        d_qty = agg.column("q_sum").to_numpy(zero_copy_only=False)
-        d_n = agg.column("n_sum").to_numpy(zero_copy_only=False)
-    return pa.Table.from_arrays(
-        [pa.array(np.concatenate([o_keys, d_keys])),
-         pa.array(np.concatenate([o_cust,
-                                  np.full(len(d_keys), -1,
-                                          dtype=np.int64)])),
-         pa.array(np.concatenate([n_lines, d_n])),
-         pa.array(np.concatenate([sum_qty, d_qty]))],
-        names=["o_orderkey", "o_custkey", "n_lines", "sum_qty"])
-
-
 def order_line_full_join(orders, lineitem):
     """(o_orderkey, o_custkey, n_lines, sum_qty) — FULL OUTER join:
-    orders with no lines keep zeros, lineitem aggregates with no order
-    survive with o_custkey = -1 (NULL sentinel).  Same bucketed plan as
-    order_line_join."""
-    u = lineitem.select_columns(["l_orderkey", "l_quantity"]) \
-        .map_batches(_line_partial, batch_format="pyarrow",
-                     zero_copy_batch=True).union(
-        orders.select_columns(["o_orderkey", "o_custkey"])
-        .map_batches(_orders_emit, batch_format="pyarrow",
-                     zero_copy_batch=True))
-    return u.groupby("bucket").map_groups(_full_join_bucket,
-                                          batch_format="pyarrow")
+    the left join of order_line_left_join plus the anti join of the
+    per-order lineitem aggregates to orders — lines with no order
+    survive with o_custkey = -1 (NULL sentinel, keeps the output
+    int64)."""
+    lines = _lines_per_order(lineitem)
+
+    def no_order(batch: pa.Table) -> pa.Table:
+        return pa.Table.from_arrays(
+            [batch.column("o_orderkey"),
+             pa.array(np.full(batch.num_rows, -1, dtype=np.int64)),
+             batch.column("n_lines"), batch.column("sum_qty")],
+            names=["o_orderkey", "o_custkey", "n_lines", "sum_qty"])
+
+    dangling = join(lines, orders.select_columns(["o_orderkey"]),
+                    "o_orderkey", how="anti", right_rows=orders.count())
+    return _orders_with_lines(orders, lines, "left").union(
+        dangling.map_batches(no_order, batch_format="pyarrow",
+                             zero_copy_batch=True))
 
 
 def small_quantity_revenue(lineitem, part, brand: str = "Brand#1"):
@@ -979,12 +669,12 @@ def small_quantity_revenue(lineitem, part, brand: str = "Brand#1"):
 
     The correlated avg must see ALL lineitems of a part, so lineitem
     rows pre-combine per (partkey, qty-cents) — quantities are discrete,
-    so the combiner collapses the fact side hard — and the per-part
-    threshold, brand membership, row filter, and partial sums all
-    happen inside one hash(partkey) bucket: threshold as integers
-    (5 * qc * n < sum_qc  ⟺  qc < 0.2 * avg_qc), one constant-key sum
-    finalizes.  The brand's part list scales with the part table, so it
-    rides the same bucketed shuffle — never a broadcast."""
+    so the combiner collapses the fact side hard — and a semi join
+    keeps the partials of the brand's parts.  One ``group_map`` over
+    hash(partkey) buckets then runs the per-part threshold, the row
+    filter and the partial sums in each bucket, with the threshold in
+    integers (5 * qc * n < sum_qc  ⟺  qc < 0.2 * avg_qc), and a one-row
+    total finalizes."""
 
     def line_partial(batch: pa.Table) -> pa.Table:
         pk = batch.column("l_partkey").cast(pa.int64()) \
@@ -1001,76 +691,40 @@ def small_quantity_revenue(lineitem, part, brand: str = "Brand#1"):
         agg = t.group_by(["partkey", "qc"]).aggregate(
             [("n_lines", "sum"), ("price", "sum")])
         agg = agg.rename_columns(["partkey", "qc", "n_lines", "price"])
-        out = agg.append_column(
-            "bucket", pa.array(_ibucket(
-                agg.column("partkey").to_numpy(zero_copy_only=False))))
-        return out.append_column(
-            "is_dim", pa.array(np.zeros(agg.num_rows, dtype=np.int64)))
+        return agg.append_column("bucket", pa.array(_ibucket(
+            agg.column("partkey").to_numpy(zero_copy_only=False))))
 
-    def part_emit(batch: pa.Table, *, _brand=brand) -> pa.Table:
-        import pyarrow.compute as pc
+    def of_brand(batch: pa.Table, *, _brand=brand) -> pa.Table:
+        return batch.filter(pc.equal(batch.column("p_brand"), _brand)) \
+            .select(["p_partkey"])
 
-        keep = pc.equal(batch.column("p_brand"), _brand)
-        pk = batch.filter(keep).column("p_partkey").cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        z = pa.array(np.zeros(len(pk), dtype=np.int64))
-        return pa.Table.from_arrays(
-            [pa.array(pk), z, z, z, pa.array(_ibucket(pk)),
-             pa.array(np.ones(len(pk), dtype=np.int64))],
-            names=["partkey", "qc", "n_lines", "price", "bucket",
-                   "is_dim"])
-
-    def filter_bucket(group: pa.Table) -> pa.Table:
-        is_dim = group.column("is_dim").to_numpy(
-            zero_copy_only=False).astype(bool)
-        pk = group.column("partkey").to_numpy(zero_copy_only=False)
-        qc = group.column("qc").to_numpy(zero_copy_only=False)
-        nl = group.column("n_lines").to_numpy(zero_copy_only=False)
-        price = group.column("price").to_numpy(zero_copy_only=False)
-        brand_keys = np.sort(pk[is_dim])
-        fpk, fqc, fnl, fprice = (a[~is_dim]
-                                 for a in (pk, qc, nl, price))
-        one = pa.Table.from_arrays(
-            [pa.array([0], pa.int64()), pa.array([0], pa.int64()),
-             pa.array([0], pa.int64())],
-            names=["k", "n_small_lines", "revenue_cents"])
-        if len(fpk) == 0:
-            return one
+    def small_lines(group: pa.Table) -> pa.Table:
+        pk, qc, nl, price = (
+            group.column(c).to_numpy(zero_copy_only=False)
+            for c in ("partkey", "qc", "n_lines", "price"))
         # per-part totals over ALL lineitems (avg sees everything)
-        pk_u, inv = np.unique(fpk, return_inverse=True)
+        pk_u, inv = np.unique(pk, return_inverse=True)
         n_part = np.zeros(len(pk_u), dtype=np.int64)
         sq_part = np.zeros(len(pk_u), dtype=np.int64)
-        np.add.at(n_part, inv, fnl)
-        np.add.at(sq_part, inv, fqc * fnl)
-        in_brand = np.zeros(len(pk_u), dtype=bool)
-        if len(brand_keys):
-            pos = np.clip(np.searchsorted(brand_keys, pk_u), 0,
-                          len(brand_keys) - 1)
-            in_brand = brand_keys[pos] == pk_u
-        keep = in_brand[inv] & (5 * fqc * n_part[inv] < sq_part[inv])
+        np.add.at(n_part, inv, nl)
+        np.add.at(sq_part, inv, qc * nl)
+        keep = 5 * qc * n_part[inv] < sq_part[inv]
         return pa.Table.from_arrays(
-            [pa.array([0], pa.int64()),
-             pa.array([int(fnl[keep].sum())], pa.int64()),
-             pa.array([int(fprice[keep].sum())], pa.int64())],
-            names=["k", "n_small_lines", "revenue_cents"])
+            [pa.array([int(nl[keep].sum())], pa.int64()),
+             pa.array([int(price[keep].sum())], pa.int64())],
+            names=["n_small_lines", "revenue_cents"])
 
-    u = lineitem.select_columns(
-        ["l_partkey", "l_quantity", "l_extendedprice"]) \
+    lines = join(
+        lineitem.select_columns(
+            ["l_partkey", "l_quantity", "l_extendedprice"])
         .map_batches(line_partial, batch_format="pyarrow",
-                     zero_copy_batch=True).union(
+                     zero_copy_batch=True),
         part.select_columns(["p_partkey", "p_brand"])
-        .map_batches(part_emit, batch_format="pyarrow",
-                     zero_copy_batch=True))
-    summed = aggregate(
-        u.groupby("bucket").map_groups(
-            filter_bucket, batch_format="pyarrow"),
-        "k", ("sum", "n_small_lines"), ("sum", "revenue_cents"))
-    return summed.map_batches(
-        lambda b: pa.Table.from_arrays(
-            [b.column("sum(n_small_lines)").cast(pa.int64()),
-             b.column("sum(revenue_cents)").cast(pa.int64())],
-            names=["n_small_lines", "revenue_cents"]),
-        batch_format="pyarrow", zero_copy_batch=True)
+        .map_batches(of_brand, batch_format="pyarrow", zero_copy_batch=True),
+        "partkey", right_on="p_partkey", how="semi",
+        right_rows=part.count())
+    return _one_row_total(group_map(lines, "bucket", small_lines),
+                          ["n_small_lines", "revenue_cents"])
 
 
 def pricing_cube(lineitem):
@@ -1100,18 +754,7 @@ def pricing_cube(lineitem):
             ["l_returnflag", "l_linestatus", "sum_qty",
              "sum_base_cents", "n_rows"])
 
-    partial = lineitem.select_columns(
-        ["l_returnflag", "l_linestatus", "l_quantity",
-         "l_extendedprice"]).map_batches(
-        cube_partial, batch_format="pyarrow", zero_copy_batch=True)
-    summed = aggregate(partial, ["l_returnflag", "l_linestatus"],
-                       ("sum", "sum_qty"), ("sum", "sum_base_cents"),
-                       ("sum", "n_rows"))
-    return summed.map_batches(
-        lambda b: b.rename_columns(
-            ["l_returnflag", "l_linestatus", "sum_qty",
-             "sum_base_cents", "n_rows"]),
-        batch_format="pyarrow", zero_copy_batch=True)
+    return _pricing_totals(lineitem, cube_partial)
 
 
 def returned_item_report(customer, orders, lineitem, nation,
@@ -1126,14 +769,14 @@ def returned_item_report(customer, orders, lineitem, nation,
     1. lineitem pre-aggregates returned-line revenue per (batch,
        orderkey) — the combiner bounds the first exchange;
     2. revenue partials pick up o_custkey through the generic
-       bucketed `_attach_routed` on hash(orderkey) % 256 (orders filtered to
-       the quarter; inner semantics drop out-of-window revenue);
+       bucketed `_attach_routed` on orderkey (orders filtered to the
+       quarter; inner semantics drop out-of-window revenue);
     3. one sum aggregate by custkey;
     4. per-customer totals pick up c_nationkey through a second
-       bucketed `_attach_routed` on hash(custkey) % 256 — customer is
-       sf-proportional, so it rides the shuffle, never ray.put;
+       bucketed `_attach_routed` on custkey — customer is
+       sf-proportional, so it rides the exchange, never ray.put;
     5. nation names (constant 25 rows) broadcast; top-k is the usual
-       per-block partial + single-block final."""
+       per-block partial + one keyless ``group_map`` final."""
     import ray
 
     lo = np.datetime64(date_from, "us").astype(np.int64)
@@ -1174,10 +817,9 @@ def returned_item_report(customer, orders, lineitem, nation,
         orders_window, batch_format="pyarrow", zero_copy_batch=True)
     with_cust = _attach_routed(rev_parts, in_window, "l_orderkey",
                                "o_custkey", ("rev",))
-    per_cust = aggregate(with_cust, "o_custkey",
-                         ("sum", "rev")).map_batches(
-        lambda b: b.rename_columns(["c_custkey", "rev"]).append_column(
-            "ckey", b.column(0).cast(pa.int64())),
+    per_cust = aggregate(with_cust, "o_custkey", ("sum", "rev"),
+                         names=["c_custkey", "rev"]).map_batches(
+        lambda b: b.append_column("ckey", b.column(0).cast(pa.int64())),
         batch_format="pyarrow", zero_copy_batch=True)
     # _attach_routed keeps only (attach, carry) — the custkey rides as
     # an explicit carry copy
@@ -1202,21 +844,17 @@ def returned_item_report(customer, orders, lineitem, nation,
              pa.array(rev[top])],
             names=["c_custkey", "n_name", "revenue_cents"])
 
-    # partial top-k per block, then one single-block final pass
-    partial = with_nat.map_batches(attach_name_topk,
-                                   batch_format="pyarrow",
-                                   zero_copy_batch=True)
-
     def final_topk(batch: pa.Table) -> pa.Table:
         ck = batch.column("c_custkey").to_numpy(zero_copy_only=False)
         rev = batch.column("revenue_cents") \
             .to_numpy(zero_copy_only=False)
-        top = np.lexsort((ck, -rev))[:k]
-        return batch.take(pa.array(top))
+        return batch.take(pa.array(np.lexsort((ck, -rev))[:k]))
 
-    return partial.repartition(1).map_batches(
-        final_topk, batch_size=None, batch_format="pyarrow",
-        zero_copy_batch=True)
+    # partial top-k per block, then one keyless group_map final
+    return group_map(with_nat.map_batches(attach_name_topk,
+                                          batch_format="pyarrow",
+                                          zero_copy_batch=True),
+                     (), final_topk)
 
 
 def forecast_revenue(lineitem, date_from: str = "2000-01-01",
@@ -1234,9 +872,10 @@ def forecast_revenue(lineitem, date_from: str = "2000-01-01",
 
     Scale shape: the purest combiner pipeline — each batch collapses to
     ONE partial row inside map_batches, so the only exchange is
-    n_blocks rows into a single final block.  Discounts are compared in
-    integer cents (round(l_discount*100)), never raw floats, so the
-    BETWEEN edges cannot flake on float representation."""
+    n_blocks rows into one keyless ``group_map`` task.  Discounts are
+    compared in integer cents (round(l_discount*100)), never raw
+    floats, so the BETWEEN edges cannot flake on float
+    representation."""
     lo = np.datetime64(date_from, "us").astype(np.int64)
     hi = np.datetime64(date_to, "us").astype(np.int64)
 
@@ -1257,23 +896,10 @@ def forecast_revenue(lineitem, date_from: str = "2000-01-01",
              pa.array([int(keep.sum())], pa.int64())],
             names=["revenue_micro", "n_lines"])
 
-    def total(batch: pa.Table) -> pa.Table:
-        return pa.Table.from_arrays(
-            [pa.array([int(batch.column("revenue_micro")
-                           .to_numpy(zero_copy_only=False).sum())],
-                      pa.int64()),
-             pa.array([int(batch.column("n_lines")
-                           .to_numpy(zero_copy_only=False).sum())],
-                      pa.int64())],
-            names=["revenue_micro", "n_lines"])
-
-    return lineitem.select_columns(
-        ["l_shipdate", "l_discount", "l_quantity", "l_extendedprice"]) \
-        .map_batches(partial, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .repartition(1).map_batches(total, batch_size=None,
-                                    batch_format="pyarrow",
-                                    zero_copy_batch=True)
+    return _one_row_total(lineitem.select_columns(
+        ["l_shipdate", "l_discount", "l_quantity", "l_extendedprice"])
+        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+        ["revenue_micro", "n_lines"])
 
 
 def promo_revenue(lineitem, part, date_from: str = "2000-09-01",
@@ -1289,7 +915,7 @@ def promo_revenue(lineitem, part, date_from: str = "2000-09-01",
     per batch — then picks up the is-promo flag from part via the
     bucketed `_attach_routed` (part is corpus-sized at real scale:
     NEVER broadcast), and the flagged partials collapse through a
-    second one-row-per-batch combiner."""
+    second one-row-per-batch combiner and a one-row total."""
     lo = np.datetime64(date_from, "us").astype(np.int64)
     hi = np.datetime64(date_to, "us").astype(np.int64)
 
@@ -1335,21 +961,10 @@ def promo_revenue(lineitem, part, date_from: str = "2000-09-01",
              pa.array([int(rev.sum())], pa.int64())],
             names=["promo_cents", "total_cents"])
 
-    def total(batch: pa.Table) -> pa.Table:
-        return pa.Table.from_arrays(
-            [pa.array([int(batch.column("promo_cents")
-                           .to_numpy(zero_copy_only=False).sum())],
-                      pa.int64()),
-             pa.array([int(batch.column("total_cents")
-                           .to_numpy(zero_copy_only=False).sum())],
-                      pa.int64())],
-            names=["promo_cents", "total_cents"])
-
-    return flagged.map_batches(split_partial, batch_format="pyarrow",
-                               zero_copy_batch=True) \
-        .repartition(1).map_batches(total, batch_size=None,
-                                    batch_format="pyarrow",
-                                    zero_copy_batch=True)
+    return _one_row_total(
+        flagged.map_batches(split_partial, batch_format="pyarrow",
+                            zero_copy_batch=True),
+        ["promo_cents", "total_cents"])
 
 
 def large_volume_orders(orders, lineitem, min_total_qty: int = 150):
@@ -1363,21 +978,10 @@ def large_volume_orders(orders, lineitem, min_total_qty: int = 150):
     (a tiny fraction of all orders at any scale) enter the bucketed
     attach that picks up (o_custkey, o_orderdate) from the orders
     table via bucketed `_attach_routed` — orders is corpus-sized, so it
-    rides the hash(orderkey) % 256 shuffle, never a broadcast."""
-
-    def line_partial(batch: pa.Table) -> pa.Table:
-        agg = _keyed_qty_partial(batch, "l_orderkey")
-        return agg.select(["key", "qty"]) \
-            .rename_columns(["okey", "qty"])
-
-    totals = aggregate(
-        lineitem.select_columns(["l_orderkey", "l_quantity"])
-        .map_batches(line_partial, batch_format="pyarrow",
-                     zero_copy_batch=True),
-        "okey", ("sum", "qty"))
+    rides the bucketed exchange on orderkey, never a broadcast."""
+    totals = _qty_per_key(lineitem, "l_orderkey", ["okey", "n", "qty"])
 
     def heavy(batch: pa.Table) -> pa.Table:
-        batch = batch.rename_columns(["okey", "qty"])
         keep = pc.greater(batch.column("qty"),
                           pa.scalar(min_total_qty, pa.int64()))
         return batch.filter(keep)
@@ -1426,60 +1030,20 @@ def customer_order_counts(customer, orders):
     """TPC-H Q13 shape: the distribution of orders-per-customer,
     INCLUDING zero-order customers.  Output: (c_count, custdist).
 
-    Scale shape: orders pre-count per (batch, custkey) — the combiner
-    bounds the exchange — then customers and count-partials meet in
-    hash(custkey) % 256 buckets; each bucket left-joins (customers
-    with no orders get 0), collapses straight to a histogram partial
-    (c_count, n_cust), and one tiny keyed aggregate sums the ≤256
-    partial histograms.  Customer rows never leave their bucket as
-    rows — only histogram cells do."""
+    Scale shape: one keyed aggregate counts the orders per custkey, a
+    left ``exchange.join`` attaches the counts to the customers
+    (customers with no orders get 0), and one more keyed aggregate
+    counts the customers per order count.  Customer rows never leave
+    their block as rows — only count cells do."""
+    per_cust = aggregate(orders.select_columns(["o_custkey"]), "o_custkey",
+                         ("count",), names=["c_custkey", "c_count"])
 
-    def orders_partial(batch: pa.Table) -> pa.Table:
-        keys = batch.column("o_custkey").cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        uk, counts = np.unique(keys, return_counts=True)
-        return pa.Table.from_arrays(
-            [pa.array(_ibucket(uk)), pa.array(uk),
-             pa.array(np.zeros(len(uk), dtype=np.int64)),
-             pa.array(counts.astype(np.int64))],
-            names=["bucket", "key", "is_cust", "n"])
-
-    def cust_emit(batch: pa.Table) -> pa.Table:
-        keys = batch.column("c_custkey").cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        return pa.Table.from_arrays(
-            [pa.array(_ibucket(keys)), pa.array(keys),
-             pa.array(np.ones(len(keys), dtype=np.int64)),
-             pa.array(np.zeros(len(keys), dtype=np.int64))],
-            names=["bucket", "key", "is_cust", "n"])
-
-    def bucket_hist(group: pa.Table) -> pa.Table:
-        is_cust = group.column("is_cust").to_numpy(
-            zero_copy_only=False).astype(bool)
-        k = group.column("key").to_numpy(zero_copy_only=False)
-        n = group.column("n").to_numpy(zero_copy_only=False)
-        ck = np.sort(k[is_cust])
-        totals = np.zeros(len(ck), dtype=np.int64)
-        ok, on = k[~is_cust], n[~is_cust]
-        if len(ck) and len(ok):
-            pos = np.clip(np.searchsorted(ck, ok), 0, len(ck) - 1)
-            hit = ck[pos] == ok
-            np.add.at(totals, pos[hit], on[hit])
-        cc, dist = np.unique(totals, return_counts=True)
-        return pa.Table.from_arrays(
-            [pa.array(cc), pa.array(dist.astype(np.int64))],
-            names=["c_count", "n_cust"])
-
-    u = orders.select_columns(["o_custkey"]).map_batches(
-        orders_partial, batch_format="pyarrow",
-        zero_copy_batch=True).union(
-        customer.select_columns(["c_custkey"]).map_batches(
-            cust_emit, batch_format="pyarrow", zero_copy_batch=True))
-    hist = u.groupby("bucket").map_groups(bucket_hist,
-                                          batch_format="pyarrow")
-    return aggregate(hist, "c_count", ("sum", "n_cust")).map_batches(
-        lambda b: b.rename_columns(["c_count", "custdist"]),
-        batch_format="pyarrow", zero_copy_batch=True)
+    counted = join(customer.select_columns(["c_custkey"]), per_cust,
+                   "c_custkey", how="left", attach=["c_count"],
+                   right_rows=per_cust.count())
+    return aggregate(counted, "c_count", ("count",),
+                     pre=functools.partial(_zero_fill, cols=["c_count"]),
+                     names=["c_count", "custdist"])
 
 
 def top_supplier(lineitem, date_from: str = "1999-01-01",
@@ -1520,10 +1084,8 @@ def top_supplier(lineitem, date_from: str = "1999-01-01",
             ["l_suppkey", "l_shipdate", "l_extendedprice", "l_discount"])
         .map_batches(line_partial, batch_format="pyarrow",
                      zero_copy_batch=True),
-        "s_suppkey", ("sum", "rev")).map_batches(
-        lambda b: b.rename_columns(["s_suppkey",
-                                    "total_revenue_cents"]),
-        batch_format="pyarrow", zero_copy_batch=True).materialize()
+        "s_suppkey", ("sum", "rev"),
+        names=["s_suppkey", "total_revenue_cents"])
 
     def block_max(batch: pa.Table) -> pa.Table:
         r = batch.column("total_revenue_cents") \
@@ -1561,10 +1123,10 @@ def idle_rich_customers(customer, orders,
 
     Scale shape: the two-integer threshold reduces through one-row
     per-batch partials (constant driver traffic); rich customers are
-    filtered BEFORE the anti-join shuffle (they are a small fraction),
-    then anti-join orders' per-batch-distinct custkeys in
-    hash(custkey) % 256 buckets; survivors collapse to per-segment
-    partials and one tiny keyed aggregate."""
+    filtered BEFORE the anti join (they are a small fraction), then
+    ``exchange.join`` anti-joins the recent orders' custkeys (each
+    block ships a key once); survivors collapse through one tiny keyed
+    aggregate per segment."""
 
     def bal_partial(batch: pa.Table) -> pa.Table:
         bal = batch.column("c_acctbal").to_numpy(zero_copy_only=False)
@@ -1581,70 +1143,34 @@ def idle_rich_customers(customer, orders,
     s_total = sum(r["s"] for r in parts)
     n_total = sum(r["n"] for r in parts)
 
-    def cust_emit(batch: pa.Table) -> pa.Table:
+    def rich_only(batch: pa.Table) -> pa.Table:
         bal_c = _cents_signed(batch.column("c_acctbal")
                               .to_numpy(zero_copy_only=False))
         # exact rational AVG() compare: bal > s/n  <=>  bal*n > s
-        rich = bal_c * n_total > s_total
-        keys = batch.column("c_custkey").cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)[rich]
+        rich = pa.array(bal_c * n_total > s_total)
         return pa.Table.from_arrays(
-            [pa.array(_ibucket(keys)), pa.array(keys),
-             pa.array(np.zeros(len(keys), dtype=np.int64)),
-             pa.array(bal_c[rich]),
-             batch.column("c_mktsegment").filter(pa.array(rich))],
-            names=["bucket", "key", "is_order", "bal_c", "seg"])
+            [batch.column("c_custkey").filter(rich),
+             pa.array(bal_c).filter(rich),
+             batch.column("c_mktsegment").filter(rich)],
+            names=["c_custkey", "bal_c", "c_mktsegment"])
 
     cut_us = np.datetime64(inactive_since, "us").astype(np.int64)
 
-    def orders_emit(batch: pa.Table) -> pa.Table:
+    def recent_only(batch: pa.Table) -> pa.Table:
         od = batch.column("o_orderdate").cast(pa.timestamp("us")) \
             .cast(pa.int64()).to_numpy(zero_copy_only=False)
-        recent = od >= cut_us
-        keys = np.unique(batch.column("o_custkey").cast(pa.int64())
-                         .to_numpy(zero_copy_only=False)[recent])
-        z = pa.array(np.zeros(len(keys), dtype=np.int64))
-        return pa.Table.from_arrays(
-            [pa.array(_ibucket(keys)), pa.array(keys),
-             pa.array(np.ones(len(keys), dtype=np.int64)), z,
-             pa.array([""] * len(keys), pa.string())],
-            names=["bucket", "key", "is_order", "bal_c", "seg"])
+        return batch.filter(pa.array(od >= cut_us)).select(["o_custkey"])
 
-    def anti_bucket(group: pa.Table) -> pa.Table:
-        is_order = group.column("is_order").to_numpy(
-            zero_copy_only=False).astype(bool)
-        k = group.column("key").to_numpy(zero_copy_only=False)
-        ok = np.unique(k[is_order])
-        ck = k[~is_order]
-        if len(ok):
-            pos = np.clip(np.searchsorted(ok, ck), 0, len(ok) - 1)
-            lonely = ok[pos] != ck
-        else:
-            lonely = np.ones(len(ck), dtype=bool)
-        keep = np.zeros(len(k), dtype=bool)
-        keep[np.flatnonzero(~is_order)[lonely]] = True
-        surv = group.filter(pa.array(keep))
-        t = pa.Table.from_arrays(
-            [surv.column("seg"), surv.column("bal_c"),
-             pa.array(np.ones(surv.num_rows, dtype=np.int64))],
-            names=["c_mktsegment", "bal", "one"])
-        agg = t.group_by(["c_mktsegment"]).aggregate(
-            [("one", "sum"), ("bal", "sum")])
-        return agg.rename_columns(
-            ["c_mktsegment", "n_cust", "sum_acctbal_cents"])
-
-    u = customer.select_columns(
-        ["c_custkey", "c_acctbal", "c_mktsegment"]).map_batches(
-        cust_emit, batch_format="pyarrow", zero_copy_batch=True) \
-        .union(orders.select_columns(["o_custkey", "o_orderdate"]).map_batches(
-            orders_emit, batch_format="pyarrow", zero_copy_batch=True))
-    per_bucket = u.groupby("bucket").map_groups(
-        anti_bucket, batch_format="pyarrow")
-    return aggregate(per_bucket, "c_mktsegment", ("sum", "n_cust"),
-                     ("sum", "sum_acctbal_cents")).map_batches(
-        lambda b: b.rename_columns(
-            ["c_mktsegment", "n_cust", "sum_acctbal_cents"]),
-        batch_format="pyarrow", zero_copy_batch=True)
+    lonely = join(
+        customer.select_columns(["c_custkey", "c_acctbal", "c_mktsegment"])
+        .map_batches(rich_only, batch_format="pyarrow", zero_copy_batch=True),
+        orders.select_columns(["o_custkey", "o_orderdate"])
+        .map_batches(recent_only, batch_format="pyarrow",
+                     zero_copy_batch=True),
+        "c_custkey", right_on="o_custkey", how="anti",
+        right_rows=orders.count())
+    return aggregate(lonely, "c_mktsegment", ("count",), ("sum", "bal_c"),
+                     names=["c_mktsegment", "n_cust", "sum_acctbal_cents"])
 
 
 def _ship_year(ts_us: np.ndarray) -> np.ndarray:
@@ -1661,10 +1187,10 @@ def volume_shipping(customer, orders, lineitem, supplier, nation):
 
     Scale shape: the Q5 deep-join chain with the ship year carried as
     an extra int64 through three ROUTED attaches (orderkey → custkey
-    → suppkey; each broadcasts a sorted LUT under the
-    DIM_BROADCAST_MAX_ROWS gate, and rides the bucketed emit-union
-    shuffle past it — orders/customer/supplier all scale with the
-    corpus, so the gate keeps the 100-TB plan honest); the pair ×
+    → suppkey; each broadcasts a sorted LUT under
+    ``exchange.BROADCAST_MAX_ROWS``, and rides the bucketed exchange
+    past it — orders/customer/supplier all scale with the corpus, so
+    the gate keeps the 100-TB plan honest); the pair ×
     year aggregate is a keyed aggregate over ≤ nations² × years rows,
     and the constant 25-row nation name table broadcasts."""
     import ray
@@ -1729,7 +1255,8 @@ def volume_shipping(customer, orders, lineitem, supplier, nation):
     summed = aggregate(
         with_snat.map_batches(
             pair_partial, batch_format="pyarrow", zero_copy_batch=True),
-        ["s_nat", "c_nat", "l_year"], ("sum", "rev"))
+        ["s_nat", "c_nat", "l_year"], ("sum", "rev"),
+        names=["s_nat", "c_nat", "l_year", "revenue_cents"])
 
     names = {r["n_nationkey"]: r["n_name"] for r in
              nation.select_columns(["n_nationkey", "n_name"])
@@ -1738,8 +1265,6 @@ def volume_shipping(customer, orders, lineitem, supplier, nation):
 
     def attach_names(batch: pa.Table, *, _ref=ref) -> pa.Table:
         m = _ref if isinstance(_ref, dict) else ray.get(_ref)
-        batch = batch.rename_columns(
-            ["s_nat", "c_nat", "l_year", "revenue_cents"])
         s = batch.column("s_nat").to_numpy(zero_copy_only=False)
         c = batch.column("c_nat").to_numpy(zero_copy_only=False)
         return pa.Table.from_arrays(
@@ -1765,8 +1290,8 @@ def market_share(customer, orders, lineitem, supplier, part, nation,
     promo_revenue).
 
     Scale shape — the repo's deepest join (6 tables), all ROUTED
-    (LUT broadcast under the DIM_BROADCAST_MAX_ROWS gate, bucketed
-    emit-union shuffle past it):
+    (LUT broadcast under ``exchange.BROADCAST_MAX_ROWS``, bucketed
+    exchange past it):
     1. lineitem pre-aggregates per (batch, orderkey, suppkey, partkey);
     2. is-selected flag attaches from part and non-selected rows drop
        BEFORE any further shuffle or attach;
@@ -1896,10 +1421,8 @@ def market_share(customer, orders, lineitem, supplier, part, nation,
     return aggregate(
         with_snat.map_batches(
             share_partial, batch_format="pyarrow", zero_copy_batch=True),
-        "o_year", ("sum", "nation_cents"), ("sum", "total_cents")) \
-        .map_batches(lambda b: b.rename_columns(
-            ["o_year", "nation_cents", "total_cents"]),
-            batch_format="pyarrow", zero_copy_batch=True)
+        "o_year", ("sum", "nation_cents"), ("sum", "total_cents"),
+        names=["o_year", "nation_cents", "total_cents"])
 
 
 def order_priority_check(orders, lineitem,
@@ -1912,83 +1435,48 @@ def order_priority_check(orders, lineitem,
 
     The EXISTS predicate is NON-EQUI (it compares l_shipdate against
     the outer row's o_orderdate), so it cannot ride a key-only
-    semi-join: lineitem instead pre-reduces to max(l_shipdate) per
-    (batch, orderkey) — EXISTS(ship > cutoff) ≡ max(ship) > cutoff —
-    and the bucketed join evaluates the date comparison with both
-    sides' values in hand.  The combiner bounds the exchange to one
-    row per distinct orderkey per batch; priorities leave each bucket
-    pre-counted."""
+    semi-join: lineitem instead reduces to max(l_shipdate) per
+    orderkey in one keyed aggregate — EXISTS(ship > cutoff) ≡
+    max(ship) > cutoff — and ``exchange.join`` attaches it to the
+    quarter's orders, so the date comparison runs with both values in
+    hand.  Priorities leave each block pre-counted."""
     lo = np.datetime64(date_from, "us").astype(np.int64)
     hi = np.datetime64(date_to, "us").astype(np.int64)
     late_us = late_days * 86_400_000_000
 
-    def line_partial(batch: pa.Table) -> pa.Table:
-        okey = batch.column("l_orderkey").cast(pa.int64()) \
+    def us(batch: pa.Table, col: str) -> np.ndarray:
+        return batch.column(col).cast(pa.timestamp("us")).cast(pa.int64()) \
             .to_numpy(zero_copy_only=False)
-        ship = batch.column("l_shipdate").cast(pa.timestamp("us")) \
-            .cast(pa.int64()).to_numpy(zero_copy_only=False)
-        t = pa.Table.from_arrays([pa.array(okey), pa.array(ship)],
-                                 names=["okey", "ship"])
-        agg = t.group_by(["okey"]).aggregate([("ship", "max")])
-        keys = agg.column("okey").to_numpy(zero_copy_only=False)
-        return pa.Table.from_arrays(
-            [pa.array(_ibucket(keys)), agg.column("okey"),
-             pa.array(np.full(len(keys), -1, dtype=np.int64)),
-             agg.column("ship_max"),
-             pa.array([""] * len(keys), pa.string())],
-            names=["bucket", "okey", "odate_us", "ship_us", "prio"])
 
-    def orders_emit(batch: pa.Table) -> pa.Table:
-        od = batch.column("o_orderdate").cast(pa.timestamp("us")) \
-            .cast(pa.int64()).to_numpy(zero_copy_only=False)
-        keep = (od >= lo) & (od < hi)
-        okey = batch.column("o_orderkey").cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)[keep]
-        prio = batch.column("o_orderpriority").filter(pa.array(keep))
-        return pa.Table.from_arrays(
-            [pa.array(_ibucket(okey)), pa.array(okey),
-             pa.array(od[keep]),
-             pa.array(np.full(len(okey), -1, dtype=np.int64)), prio],
-            names=["bucket", "okey", "odate_us", "ship_us", "prio"])
+    def in_quarter(batch: pa.Table) -> pa.Table:
+        od = us(batch, "o_orderdate")
+        return batch.filter(pa.array((od >= lo) & (od < hi)))
 
-    def check_bucket(group: pa.Table) -> pa.Table:
-        odate = group.column("odate_us").to_numpy(zero_copy_only=False)
-        is_order = odate != -1
-        k = group.column("okey").to_numpy(zero_copy_only=False)
-        ship = group.column("ship_us").to_numpy(zero_copy_only=False)
-        ok = k[is_order]
-        order = np.argsort(ok)
-        ok, od = ok[order], odate[is_order][order]
-        prio = group.column("prio").filter(
-            pa.array(is_order)).take(pa.array(order))
-        # max ship per order across this bucket's lineitem partials
-        ms = np.full(len(ok), np.iinfo(np.int64).min, dtype=np.int64)
-        lk, ls = k[~is_order], ship[~is_order]
-        if len(ok) and len(lk):
-            pos = np.clip(np.searchsorted(ok, lk), 0, len(ok) - 1)
-            hit = ok[pos] == lk
-            np.maximum.at(ms, pos[hit], ls[hit])
-        late = ms > od + late_us
+    def late_counts(batch: pa.Table) -> pa.Table:
+        late = batch.filter(pa.array(
+            us(batch, "ship") > us(batch, "o_orderdate") + late_us))
         t = pa.Table.from_arrays(
-            [prio.filter(pa.array(late)),
-             pa.array(np.ones(int(late.sum()), dtype=np.int64))],
-            names=["o_orderpriority", "one"])
-        agg = t.group_by(["o_orderpriority"]).aggregate([("one", "sum")])
-        return agg.rename_columns(["o_orderpriority", "n_orders"])
+            [late.column("o_orderpriority"),
+             pa.array(np.ones(late.num_rows, dtype=np.int64))],
+            names=["o_orderpriority", "n"])
+        return t.group_by(["o_orderpriority"]).aggregate([("n", "sum")]) \
+            .rename_columns(["o_orderpriority", "n"])
 
-    u = lineitem.select_columns(["l_orderkey", "l_shipdate"]) \
-        .map_batches(line_partial, batch_format="pyarrow",
-                     zero_copy_batch=True).union(
+    last_ship = aggregate(
+        lineitem.select_columns(["l_orderkey", "l_shipdate"]),
+        "l_orderkey", ("max", "l_shipdate"), names=["o_orderkey", "ship"])
+    joined = join(
         orders.select_columns(
             ["o_orderkey", "o_orderdate", "o_orderpriority"])
-        .map_batches(orders_emit, batch_format="pyarrow",
-                     zero_copy_batch=True))
-    per_bucket = u.groupby("bucket").map_groups(
-        check_bucket, batch_format="pyarrow")
-    return aggregate(per_bucket, "o_orderpriority", ("sum", "n_orders")) \
-        .map_batches(lambda b: b.rename_columns(
-            ["o_orderpriority", "n_orders"]),
-            batch_format="pyarrow", zero_copy_batch=True)
+        .map_batches(in_quarter, batch_format="pyarrow",
+                     zero_copy_batch=True),
+        last_ship, "o_orderkey", attach=["ship"],
+        right_rows=last_ship.count())
+    return aggregate(
+        joined.map_batches(late_counts, batch_format="pyarrow",
+                           zero_copy_batch=True),
+        "o_orderpriority", ("sum", "n"),
+        names=["o_orderpriority", "n_orders"])
 
 
 _Q19_RULES = (
@@ -2074,21 +1562,10 @@ def brand_size_revenue(lineitem, part, rules=_Q19_RULES):
              pa.array([int(rev[keep].sum())], pa.int64())],
             names=["n_lines", "revenue_cents"])
 
-    def total(batch: pa.Table) -> pa.Table:
-        return pa.Table.from_arrays(
-            [pa.array([int(batch.column("n_lines")
-                           .to_numpy(zero_copy_only=False).sum())],
-                      pa.int64()),
-             pa.array([int(batch.column("revenue_cents")
-                           .to_numpy(zero_copy_only=False).sum())],
-                      pa.int64())],
-            names=["n_lines", "revenue_cents"])
-
-    return joined.map_batches(arm_partial, batch_format="pyarrow",
-                              zero_copy_batch=True) \
-        .repartition(1).map_batches(total, batch_size=None,
-                                    batch_format="pyarrow",
-                                    zero_copy_batch=True)
+    return _one_row_total(
+        joined.map_batches(arm_partial, batch_format="pyarrow",
+                           zero_copy_batch=True),
+        ["n_lines", "revenue_cents"])
 
 
 def waiting_suppliers(lineitem, min_suppliers: int = 2):
@@ -2097,9 +1574,10 @@ def waiting_suppliers(lineitem, min_suppliers: int = 2):
     "kept the order waiting" and takes a strike.  Output: every
     supplier's strike count (s_suppkey, n_waiting).
 
-    One all-to-all: lineitem pre-reduces max(l_shipdate) per (batch,
-    orderkey, suppkey), partials meet in hash(orderkey) % 256 buckets,
-    and each bucket runs the whole per-order analysis VECTORIZED —
+    One exchange: lineitem pre-reduces max(l_shipdate) per (batch,
+    orderkey, suppkey), partials meet in one ``group_map`` keyed on a
+    hash bucket of the orderkey, and each bucket's cell runs the whole
+    per-order analysis VECTORIZED —
     lexsort + reduceat segment reduces (re-combine cross-batch
     partials, per-order max, distinct-supplier count, unique-argmax
     test) — never a Python loop over orders.  Buckets emit pre-counted
@@ -2156,13 +1634,10 @@ def waiting_suppliers(lineitem, min_suppliers: int = 2):
 
     per_bucket = lineitem.select_columns(
         ["l_orderkey", "l_suppkey", "l_shipdate"]).map_batches(
-        line_partial, batch_format="pyarrow", zero_copy_batch=True) \
-        .groupby("bucket").map_groups(blame_bucket,
-                                      batch_format="pyarrow")
-    return aggregate(per_bucket, "s_suppkey", ("sum", "n_waiting")) \
-        .map_batches(lambda b: b.rename_columns(
-            ["s_suppkey", "n_waiting"]),
-            batch_format="pyarrow", zero_copy_batch=True)
+        line_partial, batch_format="pyarrow", zero_copy_batch=True)
+    return aggregate(group_map(per_bucket, "bucket", blame_bucket),
+                     "s_suppkey", ("sum", "n_waiting"),
+                     names=["s_suppkey", "n_waiting"])
 
 
 def late_line_priority(lineitem, orders, late_days: int = 60):
@@ -2176,92 +1651,53 @@ def late_line_priority(lineitem, orders, late_days: int = 60):
 
     The late predicate is NON-EQUI (l_shipdate vs the joined row's
     o_orderdate), and the grouping key lives on the fact side while
-    the priority lives on the dimension side, so one all-to-all keyed
-    by hash(orderkey) is unavoidable: lineitem ships (okey, status,
-    ship_us) — three narrow columns, never the money columns — and
-    orders ships one (okey, odate, prio) row each.  Buckets evaluate
-    the date comparison with both sides in hand via sorted-key
-    searchsorted gather and leave pre-counted (status, high, n)
-    partials; the final groupby is constant-size (|statuses| rows)."""
+    the priority lives on the dimension side, so ``exchange.join``
+    attaches each order's (odate, high) to the lineitem rows (okey,
+    status, shipdate) — three narrow columns, never the money columns;
+    orders' footer count routes it.  Each block then evaluates the
+    date comparison and leaves pre-counted (status, high, low)
+    partials; the final aggregate is constant-size (|statuses| rows)."""
     late_us = late_days * 86_400_000_000
     HIGH = ("1-URGENT", "2-HIGH")
 
-    def line_emit(batch: pa.Table) -> pa.Table:
-        okey = batch.column("l_orderkey").cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
+    def order_side(batch: pa.Table) -> pa.Table:
+        od = batch.column("o_orderdate").cast(pa.timestamp("us")) \
+            .cast(pa.int64())
+        high = pc.is_in(batch.column("o_orderpriority"),
+                        value_set=pa.array(HIGH))
+        return pa.Table.from_arrays(
+            [batch.column("o_orderkey").cast(pa.int64()), od, high],
+            names=["o_orderkey", "odate_us", "high"])
+
+    def late_partial(batch: pa.Table) -> pa.Table:
         ship = batch.column("l_shipdate").cast(pa.timestamp("us")) \
             .cast(pa.int64()).to_numpy(zero_copy_only=False)
-        return pa.Table.from_arrays(
-            [pa.array(_ibucket(okey)), pa.array(okey),
-             pa.array(np.full(len(okey), -1, dtype=np.int64)),
-             pa.array(ship), batch.column("l_linestatus"),
-             pa.array(np.zeros(len(okey), dtype=bool))],
-            names=["bucket", "okey", "odate_us", "ship_us", "status",
-                   "high"])
-
-    def orders_emit(batch: pa.Table) -> pa.Table:
-        okey = batch.column("o_orderkey").cast(pa.int64()) \
+        od = batch.column("odate_us").to_numpy(zero_copy_only=False)
+        late = pa.array(ship > od + late_us)
+        high = batch.column("high").filter(late) \
             .to_numpy(zero_copy_only=False)
-        od = batch.column("o_orderdate").cast(pa.timestamp("us")) \
-            .cast(pa.int64()).to_numpy(zero_copy_only=False)
-        high = pc.is_in(batch.column("o_orderpriority"),
-                        value_set=pa.array(HIGH)) \
-            .to_numpy(zero_copy_only=False)
-        return pa.Table.from_arrays(
-            [pa.array(_ibucket(okey)), pa.array(okey), pa.array(od),
-             pa.array(np.full(len(okey), -1, dtype=np.int64)),
-             pa.array([""] * len(okey), pa.string()),
-             pa.array(high)],
-            names=["bucket", "okey", "odate_us", "ship_us", "status",
-                   "high"])
-
-    def join_bucket(group: pa.Table) -> pa.Table:
-        odate = group.column("odate_us").to_numpy(zero_copy_only=False)
-        is_order = odate != -1
-        k = group.column("okey").to_numpy(zero_copy_only=False)
-        ok = k[is_order]
-        order = np.argsort(ok)
-        ok = ok[order]
-        od = odate[is_order][order]
-        hi = group.column("high").to_numpy(zero_copy_only=False)[
-            is_order][order]
-        lk = k[~is_order]
-        ship = group.column("ship_us") \
-            .to_numpy(zero_copy_only=False)[~is_order]
-        status = group.column("status").filter(pa.array(~is_order))
-        if not len(ok) or not len(lk):
-            return pa.Table.from_arrays(
-                [pa.array([], pa.string()), pa.array([], pa.int64()),
-                 pa.array([], pa.int64())],
-                names=["l_linestatus", "high_n", "low_n"])
-        pos = np.clip(np.searchsorted(ok, lk), 0, len(ok) - 1)
-        hit = ok[pos] == lk
-        late = hit & (ship > od[pos] + late_us)
-        lhigh = hi[pos] & late
         t = pa.Table.from_arrays(
-            [status.filter(pa.array(late)),
-             lhigh[late].astype(np.int64),
-             (~lhigh[late]).astype(np.int64)],
+            [batch.column("l_linestatus").filter(late),
+             pa.array(high.astype(np.int64)),
+             pa.array((~high).astype(np.int64))],
             names=["l_linestatus", "high_n", "low_n"])
         agg = t.group_by(["l_linestatus"]).aggregate(
             [("high_n", "sum"), ("low_n", "sum")])
         return agg.rename_columns(["l_linestatus", "high_n", "low_n"])
 
-    u = lineitem.select_columns(
-        ["l_orderkey", "l_shipdate", "l_linestatus"]) \
-        .map_batches(line_emit, batch_format="pyarrow",
-                     zero_copy_batch=True).union(
+    joined = join(
+        lineitem.select_columns(["l_orderkey", "l_shipdate", "l_linestatus"]),
         orders.select_columns(
             ["o_orderkey", "o_orderdate", "o_orderpriority"])
-        .map_batches(orders_emit, batch_format="pyarrow",
-                     zero_copy_batch=True))
-    per_bucket = u.groupby("bucket").map_groups(
-        join_bucket, batch_format="pyarrow")
-    return aggregate(per_bucket, "l_linestatus",
-                     ("sum", "high_n"), ("sum", "low_n")) \
-        .map_batches(lambda b: b.rename_columns(
-            ["l_linestatus", "high_line_count", "low_line_count"]),
-            batch_format="pyarrow", zero_copy_batch=True)
+        .map_batches(order_side, batch_format="pyarrow",
+                     zero_copy_batch=True),
+        "l_orderkey", right_on="o_orderkey", attach=["odate_us", "high"],
+        right_rows=orders.count())
+    return aggregate(
+        joined.map_batches(late_partial, batch_format="pyarrow",
+                           zero_copy_batch=True),
+        "l_linestatus", ("sum", "high_n"), ("sum", "low_n"),
+        names=["l_linestatus", "high_line_count", "low_line_count"])
 
 
 def important_parts(lineitem, frac_bp: int = 1):
@@ -2275,14 +1711,15 @@ def important_parts(lineitem, frac_bp: int = 1):
 
     Fraction-of-global filters need one scalar, not a join: per-part
     cents pre-sum per batch (combiner), one sum aggregate gives
-    the sf-proportional per-part table (stays distributed), and the
-    global total is a second combiner pass over the same two narrow
-    columns reduced to ONE scalar (no groupby, no shuffle — cheaper
-    than materializing the per-part table to reuse it).  The strict
+    the sf-proportional per-part table (materialized, as every
+    aggregate is), and the global total is summed on the driver from
+    its blocks — the lineitem lineage runs once.  The strict
     threshold is exact in integers: for integer
     rev and total, rev > total·frac_bp/10⁴ ⟺ rev > total·frac_bp // 10⁴
     (driver-side Python big-int — no int64 overflow at any scale, no
     float comparison), shipped as one scalar into a vectorized filter."""
+    import ray
+
     def part_partial(batch: pa.Table) -> pa.Table:
         k = batch.column("l_partkey").cast(pa.int64()) \
             .to_numpy(zero_copy_only=False)
@@ -2300,13 +1737,12 @@ def important_parts(lineitem, frac_bp: int = 1):
         ["l_partkey", "l_extendedprice"]) \
         .map_batches(part_partial, batch_format="pyarrow",
                      zero_copy_batch=True)
-    per_part = aggregate(partial, "l_partkey", ("sum", "rev_cents")) \
-        .map_batches(lambda b: b.rename_columns(
-            ["l_partkey", "rev_cents"]),
-            batch_format="pyarrow", zero_copy_batch=True)
-    # one scalar: sum of the SAME combiner partials (constant-size
-    # driver result; Python ints, exact at any corpus size)
-    total = int(partial.sum("rev_cents"))
+    per_part = aggregate(partial, "l_partkey", ("sum", "rev_cents"),
+                         names=["l_partkey", "rev_cents"])
+    # one scalar: the per-part sums summed block by block in Python
+    # ints, exact at any corpus size
+    total = sum(int(pc.sum(t.column("rev_cents")).as_py())
+                for t in ray.get(per_part.to_arrow_refs()) if t.num_rows)
     thr = (total * frac_bp) // 10_000
 
     def keep(batch: pa.Table) -> pa.Table:
@@ -2326,10 +1762,11 @@ def cheapest_supplier_per_part(lineitem):
     min-subquery becomes a per-part argmin.  Reference has no
     relational ops; shape per SURVEY §2.4 note.
 
-    ONE all-to-all: batches pre-sum per (part, supplier) pair
-    (combiner — bounded fan-out, a batch's distinct pairs), the
-    exchange keys by hash(partkey) so every (part, supplier) partial
-    of a part lands in one cell, and the cell finishes with two
+    ONE exchange: batches pre-sum per (part, supplier) pair
+    (combiner — bounded fan-out, a batch's distinct pairs), one
+    ``group_map`` keys by a hash bucket of the partkey so every
+    (part, supplier) partial of a part lands in one cell, and the cell
+    finishes with two
     lexsort passes: segment-reduce the cross-block partials per
     (part, supp), then keep each part run's first row under
     (cost, supp) order.  No per-part groups, no dimension table."""
@@ -2369,12 +1806,10 @@ def cheapest_supplier_per_part(lineitem):
              pa.array(psum[idx])],
             names=["l_partkey", "l_suppkey", "cost_cents"])
 
-    return lineitem.select_columns(
-        ["l_partkey", "l_suppkey", "l_extendedprice"]) \
+    return group_map(lineitem.select_columns(
+        ["l_partkey", "l_suppkey", "l_extendedprice"])
         .map_batches(pair_partial, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .groupby("bucket").map_groups(argmin_cell,
-                                      batch_format="pyarrow")
+                     zero_copy_batch=True), "bucket", argmin_cell)
 
 
 def brand_supplier_counts(lineitem, part):
@@ -2386,125 +1821,28 @@ def brand_supplier_counts(lineitem, part):
     per SURVEY §2.4 note.
 
     Distinct-count-after-join without ever carrying duplicates: blocks
-    pre-distinct lineitem to (partkey, suppkey) pairs (combiner), one
-    hash(partkey) exchange attaches brand/type (part is corpus-sized —
-    never broadcast), each cell re-distincts its (brand, type, supp)
-    triples, and a SECOND hash(triple) exchange makes triples globally
-    unique before constant-size per-(brand, type) count partials feed
-    the tiny final sum.  Both exchanges ship fixed-width rows bounded
-    by |distinct triples|, not lineitem."""
-    import pandas as pd
+    pre-distinct lineitem to (partkey, suppkey) pairs (combiner),
+    ``exchange.join`` attaches brand/type (part is corpus-sized — its
+    footer count routes it), one keyed aggregate on (brand, type,
+    supplier) makes the triples globally unique, and a second counts
+    them per (brand, type).  Both exchanges ship fixed-width rows
+    bounded by |distinct triples|, not lineitem."""
 
-    def fact_emit(batch: pa.Table) -> pa.Table:
-        p = batch.column("l_partkey").cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        s = batch.column("l_suppkey").cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        pairs = np.unique(np.stack([p, s], axis=1), axis=0)
-        k = pairs[:, 0]
+    def pairs(batch: pa.Table) -> pa.Table:
         return pa.Table.from_arrays(
-            [pa.array(_ibucket(k)), pa.array(k),
-             pa.array(np.zeros(len(k), dtype=np.int8)),
-             pa.array([""] * len(k), pa.string()),
-             pa.array([""] * len(k), pa.string()),
-             pa.array(pairs[:, 1])],
-            names=["bucket", "key", "is_dim", "p_brand", "p_type",
-                   "supp"])
+            [batch.column("l_partkey").cast(pa.int64()),
+             batch.column("l_suppkey").cast(pa.int64())],
+            names=["p_partkey", "supp"]) \
+            .group_by(["p_partkey", "supp"]).aggregate([])
 
-    def dim_emit(batch: pa.Table) -> pa.Table:
-        k = batch.column("p_partkey").cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        return pa.Table.from_arrays(
-            [pa.array(_ibucket(k)), pa.array(k),
-             pa.array(np.ones(len(k), dtype=np.int8)),
-             batch.column("p_brand").cast(pa.string()),
-             batch.column("p_type").cast(pa.string()),
-             pa.array(np.zeros(len(k), dtype=np.int64))],
-            names=["bucket", "key", "is_dim", "p_brand", "p_type",
-                   "supp"])
-
-    def attach_cell(group: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        is_dim = group.column("is_dim").to_numpy(
-            zero_copy_only=False).astype(bool)
-        k = group.column("key").to_numpy(zero_copy_only=False)
-        dk = k[is_dim]
-        order = np.argsort(dk)
-        dk = dk[order]
-        fk = k[~is_dim]
-        empty = pa.Table.from_arrays(
-            [pa.array([], pa.int64()), pa.array([], pa.string()),
-             pa.array([], pa.string()), pa.array([], pa.int64())],
-            names=["bucket2", "p_brand", "p_type", "supp"])
-        if not len(dk) or not len(fk):
-            return empty
-        dim_idx = np.nonzero(is_dim)[0][order]
-        supp = group.column("supp").to_numpy(
-            zero_copy_only=False)[~is_dim]
-        pos = np.clip(np.searchsorted(dk, fk), 0, len(dk) - 1)
-        hit = dk[pos] == fk
-        gat = pa.array(dim_idx[pos[hit]])
-        b = group.column("p_brand").take(gat)   # Arrow C gathers
-        t = group.column("p_type").take(gat)
-        s = supp[hit]
-        if not len(s):
-            return empty
-        # cell-local distinct triples via factorized code packing —
-        # no string concatenation, exact
-        bcodes, _bu = pd.factorize(b.to_pandas(), sort=False)
-        tcodes, tu = pd.factorize(t.to_pandas(), sort=False)
-        pair = bcodes.astype(np.int64) * len(tu) + tcodes
-        m = np.int64(s.max()) + 1
-        packed, first = np.unique(pair * m + s, return_index=True)
-        fi = pa.array(first)
-        sb = group.column("p_brand").take(gat.take(fi))
-        st = group.column("p_type").take(gat.take(fi))
-        kb = pd.util.hash_array(
-            np.asarray(sb.to_pylist(), dtype=object)).astype(np.int64)
-        kt = pd.util.hash_array(
-            np.asarray(st.to_pylist(), dtype=object)).astype(np.int64)
-        h = (kb * np.int64(31) + kt * np.int64(7)
-             + packed % m) % np.int64(256)
-        return pa.Table.from_arrays(
-            [pa.array(h), sb, st, pa.array(s[first])],
-            names=["bucket2", "p_brand", "p_type", "supp"])
-
-    def count_cell(group: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        s = group.column("supp").to_numpy(zero_copy_only=False)
-        bcodes, _bu = pd.factorize(
-            group.column("p_brand").to_pandas(), sort=False)
-        tcodes, tu = pd.factorize(
-            group.column("p_type").to_pandas(), sort=False)
-        pair = bcodes.astype(np.int64) * len(tu) + tcodes
-        m = np.int64(s.max()) + 1
-        packed, first = np.unique(pair * m + s, return_index=True)
-        ci = packed // m
-        cu, cinv = np.unique(ci, return_inverse=True)
-        n = np.bincount(cinv).astype(np.int64)
-        rep = pa.array(first[np.unique(ci, return_index=True)[1]])
-        return pa.Table.from_arrays(
-            [group.column("p_brand").take(rep),
-             group.column("p_type").take(rep), pa.array(n)],
-            names=["p_brand", "p_type", "n"])
-
-    u = lineitem.select_columns(["l_partkey", "l_suppkey"]) \
-        .map_batches(fact_emit, batch_format="pyarrow",
-                     zero_copy_batch=True).union(
-        part.select_columns(["p_partkey", "p_brand", "p_type"])
-        .map_batches(dim_emit, batch_format="pyarrow",
-                     zero_copy_batch=True))
-    return aggregate(
-        u.groupby("bucket").map_groups(
-            attach_cell, batch_format="pyarrow")
-        .groupby("bucket2").map_groups(count_cell,
-                                       batch_format="pyarrow"),
-        ["p_brand", "p_type"], ("sum", "n")) \
-        .map_batches(lambda b: b.rename_columns(
-            ["p_brand", "p_type", "n_supp"]),
-            batch_format="pyarrow", zero_copy_batch=True)
+    branded = join(
+        lineitem.select_columns(["l_partkey", "l_suppkey"])
+        .map_batches(pairs, batch_format="pyarrow", zero_copy_batch=True),
+        part.select_columns(["p_partkey", "p_brand", "p_type"]),
+        "p_partkey", attach=["p_brand", "p_type"], right_rows=part.count())
+    triples = aggregate(branded, ["p_brand", "p_type", "supp"], ("count",))
+    return aggregate(triples, ["p_brand", "p_type"], ("count",),
+                     names=["p_brand", "p_type", "n_supp"])
 
 
 def nation_profit(lineitem, part, supplier, orders, nation,
@@ -2522,9 +1860,9 @@ def nation_profit(lineitem, part, supplier, orders, nation,
     (orderkey, partkey, suppkey) inside map_batches, then THREE chained
     ROUTED dimension attaches on DIFFERENT keys — part (name-filtered
     BEFORE the attach, so non-matching parts never ship) → supplier →
-    orders — each a broadcast LUT under the DIM_BROADCAST_MAX_ROWS
-    gate and a constant-fan-out hash(key)%256 emit-union groupby past
-    it; the 25-row nation name table always broadcasts.  The (nat,
+    orders — each a broadcast LUT under ``exchange.BROADCAST_MAX_ROWS``
+    and a bucketed exchange past it; the 25-row nation name table
+    always broadcasts.  The (nat,
     year) rollup is a per-batch combiner + one tiny keyed aggregate."""
     import ray
 
@@ -2616,7 +1954,7 @@ def nation_profit(lineitem, part, supplier, orders, nation,
     summed = aggregate(
         with_year.map_batches(
             rollup_partial, batch_format="pyarrow", zero_copy_batch=True),
-        "ny", ("sum", "profit_cents"))
+        "ny", ("sum", "profit_cents"), names=["ny", "profit_cents"])
 
     names = {r["n_nationkey"]: r["n_name"] for r in
              nation.select_columns(["n_nationkey", "n_name"]).take_all()}
@@ -2624,7 +1962,6 @@ def nation_profit(lineitem, part, supplier, orders, nation,
 
     def attach_name(batch: pa.Table, *, _ref=ref) -> pa.Table:
         m = _ref if isinstance(_ref, dict) else ray.get(_ref)
-        batch = batch.rename_columns(["ny", "profit_cents"])
         ny = batch.column("ny").to_numpy(zero_copy_only=False)
         nm = [m.get(int(n) // 10000) for n in ny]
         keep = pa.array([x is not None for x in nm])
@@ -2653,8 +1990,8 @@ def promo_part_suppliers(lineitem, part, supplier, nation,
 
     Scale shape: lineitem date-filters and pre-combines per
     (partkey, suppkey) inside map_batches; the prefix-filtered part
-    keys attach via one bucketed hash(partkey)%256 emit-union groupby
-    (filter BEFORE the shuffle — non-matching parts never ship); the
+    keys attach via one bucketed ``exchange.join`` on partkey (filter
+    BEFORE the exchange — non-matching parts never ship); the
     per-supplier rollup is a combiner + keyed aggregate + vectorized
     threshold; supplier→nation attaches bucketed (supplier is
     sf-proportional, never broadcast) and only the 25-row nation name
@@ -2709,10 +2046,9 @@ def promo_part_suppliers(lineitem, part, supplier, nation,
         matched.map_batches(supp_partial,
                             batch_format="pyarrow",
                             zero_copy_batch=True),
-        "skey", ("sum", "sum_qty"))
+        "skey", ("sum", "sum_qty"), names=["skey", "sum_qty"])
 
     def threshold(batch: pa.Table, *, _min=min_qty) -> pa.Table:
-        batch = batch.rename_columns(["skey", "sum_qty"])
         return batch.filter(pc.greater(batch.column("sum_qty"),
                                        pa.scalar(_min, pa.int64())))
 
@@ -2750,18 +2086,18 @@ def promo_part_suppliers(lineitem, part, supplier, nation,
                                 zero_copy_batch=True)
 
 
-def customer_order_gaps(orders, n_buckets: int = 256):
+def customer_order_gaps(orders):
     """Per-customer inter-order cadence: for every customer with ≥ 2
     orders, (o_custkey, n_orders, sum_gap_days, max_gap_days) where a
     gap is the whole-day delta between consecutive orders in
     (o_orderdate, o_orderkey) order — the repeat-purchase-latency twin
     of events.lag_deltas/conversion_latency over the relational side.
 
-    Scale shape: ONE shuffle by hash(custkey) % n_buckets, then one
-    lexsort + np.diff pass per bucket vectorized across every customer
-    in the bucket (no per-customer Python groups); each customer lands
-    wholly in one bucket, so the in-cell Arrow group_by aggregate is
-    final — nothing re-shuffles."""
+    Scale shape: ONE ``group_map`` keyed on a hash bucket of the
+    custkey, then one lexsort + np.diff pass per bucket vectorized
+    across every customer in the bucket (no per-customer Python
+    groups); each customer lands wholly in one bucket, so the in-cell
+    Arrow group_by aggregate is final — nothing re-shuffles."""
 
     def add_bucket(batch: pa.Table) -> pa.Table:
         ck = batch.column("o_custkey").cast(pa.int64()) \
@@ -2771,7 +2107,7 @@ def customer_order_gaps(orders, n_buckets: int = 256):
         ok = batch.column("o_orderkey").cast(pa.int64()) \
             .to_numpy(zero_copy_only=False)
         return pa.Table.from_arrays(
-            [pa.array(_ibucket(ck, n_buckets)), pa.array(ck),
+            [pa.array(_ibucket(ck)), pa.array(ck),
              pa.array(dt), pa.array(ok)],
             names=["bucket", "cust", "dt_us", "okey"])
 
@@ -2817,11 +2153,10 @@ def customer_order_gaps(orders, n_buckets: int = 256):
             names=["o_custkey", "n_orders", "sum_gap_days",
                    "max_gap_days"])
 
-    return orders.select_columns(
-        ["o_custkey", "o_orderdate", "o_orderkey"]) \
+    return group_map(orders.select_columns(
+        ["o_custkey", "o_orderdate", "o_orderkey"])
         .map_batches(add_bucket, batch_format="pyarrow",
-                     zero_copy_batch=True) \
-        .groupby("bucket").map_groups(gaps_cell, batch_format="pyarrow")
+                     zero_copy_batch=True), "bucket", gaps_cell)
 
 
 def join_pps_sample(orders, lineitem, k: int = 200,
@@ -2836,7 +2171,7 @@ def join_pps_sample(orders, lineitem, k: int = 200,
     E[sample size] = k when no weight saturates.
 
     Scale shape: the join ships ONLY (orderkey, linenumber, rev)
-    triples through one bucketed hash(orderkey)%256 attach (payload
+    triples through one bucketed attach on orderkey (payload
     columns never ride the exchange); the joined weight table is
     materialized ONCE (two consumers: the exact int64 ΣW scalar and
     the membership filter); membership is content-addressed —

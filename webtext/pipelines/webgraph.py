@@ -251,13 +251,10 @@ def host_edges(links):
         agg = t.group_by(["src", "dst"]).aggregate([("dst", "count")])
         return agg.rename_columns(["src", "dst", "w"])
 
-    summed = aggregate(
+    return aggregate(
         links.map_batches(partial, batch_format="pyarrow",
                           zero_copy_batch=True),
-        ["src", "dst"], ("sum", "w"))
-    return summed.map_batches(
-        lambda b: b.rename_columns(["src", "dst", "w"]),
-        batch_format="pyarrow", zero_copy_batch=True)
+        ["src", "dst"], ("sum", "w"), names=["src", "dst", "w"])
 
 
 def _host_map(links):
@@ -649,10 +646,8 @@ def host_coupling(links, n_buckets: int = N_SHUFFLE_BUCKETS):
     sizes = aggregate(
         edges.groupby("bucket").map_groups(
             size_partial, batch_format="pyarrow"),
-        "host", ("sum", "n_targets")) \
-        .map_batches(lambda b: b.rename_columns(["host", "n_targets"]),
-                     batch_format="pyarrow", zero_copy_batch=True) \
-        .materialize()              # consumed by both attaches
+        "host", ("sum", "n_targets"),
+        names=["host", "n_targets"])  # materialized; read by both attaches
     # host-sized with no byte bound on the host strings: both attaches
     # stay on the bucketed route
     with_s2 = inter
